@@ -9,15 +9,16 @@ agm(x0, y0) = (pi/2) x0 / K(sqrt(1 - (y0/x0)^2)) for 0 < y0 < x0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
-from .means import MeanSpec, _coupled_limit
+from .means import MeanSpec, coupled_limit, parse_mean
 
 __all__ = ["IterationResult", "ITERATION_CAP", "iterate_means", "agm"]
 
 ITERATION_CAP = 200
+_ARITHMETIC = parse_mean("warith:0.5,0.5")
+_GEOMETRIC = parse_mean("power:0")
 
 
 @dataclass(frozen=True)
@@ -38,17 +39,17 @@ def iterate_means(m: MeanSpec, n: MeanSpec, x0: float, y0: float,
         raise DomainError("iterate_means requires positive start values")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    values, iterations, gap = _coupled_limit(m, n, x0, y0, tol, ITERATION_CAP)
+    values, iterations, gap = coupled_limit(m, n, x0, y0, tol, ITERATION_CAP)
     return IterationResult(float(values), iterations, gap)
 
 
 def agm(x: float, y: float, tol: float = 1e-15) -> float:
-    """Arithmetic-geometric mean; quadratically convergent and homogeneous."""
+    """Arithmetic-geometric mean; quadratically convergent and homogeneous.
+
+    Raises ConvergenceError if the cap of 200 iterations is hit with the
+    relative gap above tol.
+    """
     if not (x > 0 and y > 0):
         raise DomainError("agm requires positive arguments")
-    a, b = (x, y) if x >= y else (y, x)
-    for _ in range(ITERATION_CAP):
-        if a - b <= tol * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
+    value, _, _ = coupled_limit(_ARITHMETIC, _GEOMETRIC, x, y, tol, ITERATION_CAP)
+    return float(value)

@@ -34,6 +34,8 @@ __all__ = [
     "mean_values",
     "conjugate_eval",
     "conjugate_values",
+    "conjugate_from_mean",
+    "coupled_limit",
     "AxiomCheck",
     "AxiomReport",
     "check_axioms",
@@ -426,8 +428,8 @@ def _quasi_values(spec: MeanSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((x ** p + y ** p) / 2.0) ** (1.0 / p)
 
 
-def _coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,
-                   tol: float, cap: int):
+def coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,
+                  tol: float, cap: int):
     """Run x <- M(x, y), y <- N(x, y) until the relative gap <= tol.
 
     Returns (values, iterations, final relative gap).  Raises
@@ -486,8 +488,8 @@ def mean_values(spec: MeanSpec, x, y) -> np.ndarray:
     if f is MeanFamily.MEDIANT:
         # mediant of x/1 and y/1
         return 0.5 * (x + y)
-    values, _, _ = _coupled_limit(spec.inner[0], spec.inner[1], x, y,
-                                  ITERATED_EVAL_TOL, ITERATED_CAP)
+    values, _, _ = coupled_limit(spec.inner[0], spec.inner[1], x, y,
+                                 ITERATED_EVAL_TOL, ITERATED_CAP)
     return values
 
 
@@ -513,7 +515,11 @@ def conjugate_values(spec: MeanSpec, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    m = mean_values(spec, x, y)
+    return conjugate_from_mean(x, y, mean_values(spec, x, y))
+
+
+def conjugate_from_mean(x: np.ndarray, y: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """xy / m for mean values m = M(x, y) already computed; 0 where xy = 0."""
     xy = x * y
     out = np.zeros_like(xy)
     np.divide(xy, m, out=out, where=xy > 0)

@@ -5,8 +5,10 @@ acceptance: every pending subinterval is split at once (a work-queue of
 arrays, so array-aware integrands are evaluated in batches), an interval is
 accepted when its Richardson error estimate fits its width-proportional share
 of the absolute+relative target, and the recursion depth is capped at 60.
-The point set and summation order depend only on the inputs, so results are
-bit-reproducible.
+An integrand may return a ``(k, n)`` stack for n nodes: the k integrals then
+share every node, and an interval is accepted only when all k rows meet their
+own targets.  The point set and summation order depend only on the inputs,
+so results are bit-reproducible.
 
 Fixed-grid composite helpers (plain and cumulative Simpson, and a cubic
 Hermite interpolant with exact slopes) support the tabulated-antiderivative
@@ -31,24 +33,26 @@ def _vectorize(f, probe: np.ndarray):
     """Return (array-callable, values at probe), wrapping scalar-only f."""
     try:
         out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
+        if out.shape[-1:] == probe.shape and out.ndim <= 2:
             return f, out
     except (TypeError, ValueError):
         pass
 
     def g(xs):
         arr = np.atleast_1d(xs)
-        return np.array([float(f(t)) for t in arr])
+        return np.array([np.asarray(f(t), dtype=float) for t in arr]).T
 
     return g, g(probe)
 
 
-def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
+def quadrature(f, a: float, b: float, tol: float = 1e-10):
     """Integrate f over [a, b] to an absolute+relative error target tol.
 
-    Deterministic for fixed inputs; raises ConvergenceError if the adaptive
-    bisection exceeds depth 60 and DomainError on a non-finite integrand
-    value.
+    f maps n nodes to n values, or to a ``(k, n)`` stack of k integrands on
+    the same nodes; the result is then a float, or an array of the k
+    integrals, each meeting tol.  Deterministic for fixed inputs; raises
+    ConvergenceError if the adaptive bisection exceeds depth 60 and
+    DomainError on a non-finite integrand value.
     """
     a = float(a)
     b = float(b)
@@ -61,41 +65,42 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     fv, vals = _vectorize(f, probe)
     if not np.all(np.isfinite(vals)):
         raise DomainError("integrand is not finite on [a, b]")
+    scalar = vals.ndim == 1
+    vals = np.atleast_2d(vals)
 
     lefts = np.array([a])
     widths = np.array([span])
-    fl, fm, fr = vals[0:1], vals[1:2], vals[2:3]
+    fl, fm, fr = vals[:, 0:1], vals[:, 1:2], vals[:, 2:3]
     S = widths / 6.0 * (fl + 4.0 * fm + fr)
-    accepted = 0.0
-    i_est = float(S.sum())
+    accepted = np.zeros(len(vals))
+    i_est = S.sum(axis=1)
 
     for _ in range(DEPTH_CAP):
         h = widths / 2.0
         m1 = lefts + h / 2.0
         m2 = lefts + 3.0 * h / 2.0
-        new = fv(np.concatenate([m1, m2]))
+        new = np.atleast_2d(fv(np.concatenate([m1, m2])))
         if not np.all(np.isfinite(new)):
             raise DomainError("integrand is not finite on [a, b]")
         k = len(lefts)
-        f1, f2 = new[:k], new[k:]
+        f1, f2 = new[:, :k], new[:, k:]
         s_left = h / 6.0 * (fl + 4.0 * f1 + fm)
         s_right = h / 6.0 * (fm + 4.0 * f2 + fr)
         s2 = s_left + s_right
         err = (s2 - S) / 15.0
-        target = max(tol, tol * abs(i_est))
-        done = np.abs(err) <= target * widths / span
-        accepted += float(np.sum((s2 + err)[done]))
+        target = np.maximum(tol, tol * np.abs(i_est))
+        done = np.all(np.abs(err) <= target[:, None] * widths / span, axis=0)
+        accepted += np.sum((s2 + err)[:, done], axis=1)
         if bool(np.all(done)):
-            return accepted
+            return float(accepted[0]) if scalar else accepted
         keep = ~done
         lefts = np.concatenate([lefts[keep], lefts[keep] + h[keep]])
         widths = np.concatenate([h[keep], h[keep]])
-        new_fl = np.concatenate([fl[keep], fm[keep]])
-        new_fm = np.concatenate([f1[keep], f2[keep]])
-        new_fr = np.concatenate([fm[keep], fr[keep]])
-        fl, fm, fr = new_fl, new_fm, new_fr
-        S = np.concatenate([s_left[keep], s_right[keep]])
-        i_est = accepted + float(np.sum(S))
+        fl, fm, fr = (np.concatenate([fl[:, keep], fm[:, keep]], axis=1),
+                      np.concatenate([f1[:, keep], f2[:, keep]], axis=1),
+                      np.concatenate([fm[:, keep], fr[:, keep]], axis=1))
+        S = np.concatenate([s_left[:, keep], s_right[:, keep]], axis=1)
+        i_est = accepted + S.sum(axis=1)
     raise ConvergenceError(f"adaptive quadrature exceeded depth {DEPTH_CAP} on [{a}, {b}]")
 
 

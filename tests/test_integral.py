@@ -72,6 +72,27 @@ def test_mean_chain_holds_for_every_catalog_mean():
             assert report.slack_right >= -1e-8 * report.scale, spec.to_string()
 
 
+def test_mean_chain_middle_against_scipy_oracle():
+    # f, g on [0, 2] with the logarithmic mean: integrated one by one, the
+    # int M^2 term was falsely accepted on coarse intervals and came out
+    # 1.4e-7 relative off; on the chain's shared nodes it meets its budget.
+    quad = pytest.importorskip("scipy.integrate").quad
+    f = parse_function("poly:0.305239,7.77948,0.333982")
+    g = parse_function("affine:0.603687,0.30396")
+    tol = 1e-9
+    report = integral_mean_chain(f, g, 0.0, 2.0, parse_mean("rado:-1"), tol=tol)
+
+    def log_mean(t):
+        x, y = float(f(t)), float(g(t))
+        return x if x == y else (x - y) / (math.log(x) - math.log(y))
+
+    m1 = quad(lambda t: log_mean(t) ** 2, 0.0, 2.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    m2 = quad(lambda t: (float(f(t)) * float(g(t)) / log_mean(t)) ** 2, 0.0, 2.0,
+              epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    budget = m1 * m2 * (max(tol, tol * m1) / m1 + max(tol, tol * m2) / m2)
+    assert abs(report.middle - m1 * m2) <= 10.0 * budget
+
+
 def test_mean_chain_requires_nonnegative_functions():
     with pytest.raises(DomainError):
         integral_mean_chain(parse_function("affine:-1,0.1"), EXP1, 0.0, 1.0,
@@ -153,11 +174,16 @@ def test_logderiv_max_counterexample_with_crossing_derivatives():
 
 
 def test_logderiv_max_equality_without_crossing():
-    # Lf = 2 >= Lg = 1 throughout: Phi1 is proportional to f^2 and the max
-    # middle collapses onto the right side exactly.
-    report = integral_logderiv_chain(EXP2, EXP1, 0.0, 1.0, parse_mean("power:inf"))
-    assert report.middle == pytest.approx(report.right, rel=1e-9)
-    assert report.slack_left >= -1e-9 * report.scale
+    # One log-derivative dominates throughout (Lf = 2 >= Lg = 1; Lg = 8.08 >
+    # Lf): Phi1 is proportional to the square of the dominating function and
+    # the max middle collapses onto the right side exactly.  The second pair
+    # keeps within the bound only when Phi1 and g^2 share quadrature nodes.
+    for f, g, b in ((EXP2, EXP1, 1.0),
+                    (parse_function("affine:1.38942,0.498304"),
+                     parse_function("exp:8.08289"), 2.0)):
+        report = integral_logderiv_chain(f, g, 0.0, b, parse_mean("power:inf"))
+        assert report.middle == pytest.approx(report.right, rel=1e-9)
+        assert report.slack_left >= -1e-9 * report.scale
 
 
 def test_phi1_is_not_homogeneous():

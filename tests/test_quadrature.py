@@ -34,6 +34,17 @@ def test_scalar_only_integrand_is_wrapped():
     assert quadrature(f, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
+def test_stacked_integrands_share_nodes():
+    rows = (np.exp, lambda t: np.sin(3.0 * t) ** 2 + 1.0, lambda t: np.abs(t - 1.0 / 3.0))
+    tol = 1e-11
+    stacked = quadrature(lambda t: np.stack([f(t) for f in rows]), 0.0, 2.0, tol=tol)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (3,)
+    for value, f in zip(stacked, rows):
+        alone = quadrature(f, 0.0, 2.0, tol=tol)
+        assert isinstance(alone, float)
+        assert abs(value - alone) <= max(tol, tol * abs(alone))
+
+
 def test_kinked_integrand():
     val = quadrature(lambda t: np.abs(t - 1.0 / 3.0), 0.0, 1.0, tol=1e-12)
     exact = (1.0 / 3.0) ** 2 / 2 + (2.0 / 3.0) ** 2 / 2
