@@ -9,7 +9,9 @@ argv.
 
 Exit codes: 0 success, 1 a mathematically meaningful verification failure
 (an inequality chain violated beyond tolerance; never bad flags), 2
-usage/parse errors, 3 numeric/domain errors.
+usage/parse errors (including a non-finite numeric argument), 3 numeric/domain
+errors (including an arithmetic overflow or a non-finite result, which is
+never written as NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, dataclass
@@ -48,7 +51,29 @@ class CommandResult:
 def _fmt17(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
+    if not math.isfinite(v):
+        raise DomainError(f"result is not finite ({v!r})")
     return "%.17g" % v
+
+
+def _dumps(payload) -> str:
+    """Strict JSON: a NaN or infinite result is a DomainError, never NaN/Infinity."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise DomainError("result is not finite") from None
+
+
+def _finite(values: list, text: str) -> list:
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"numbers must be finite, got {text!r}")
+    return values
+
+
+def _check_finite_args(args) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
 
 
 def _chain_payload(report: ChainReport) -> dict:
@@ -67,6 +92,7 @@ def _parse_grid(text: str) -> list:
         start, stop, step = (float(t) for t in text.split(":"))
     except ValueError:
         raise ParameterError(f"grid must be start:stop:step, got {text!r}") from None
+    _finite([start, stop, step], text)
     if step <= 0 or stop < start:
         raise ParameterError(f"bad grid range {text!r}")
     count = int(round((stop - start) / step)) + 1
@@ -92,9 +118,10 @@ def _read_columns(path: str, ncols: int) -> np.ndarray:
 
 def _csv_floats(text: str) -> list:
     try:
-        return [float(t) for t in text.split(",")]
+        values = [float(t) for t in text.split(",")]
     except ValueError:
         raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
+    return _finite(values, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,24 +215,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> tuple:
     """Return (exit_code, payload_text)."""
+    _check_finite_args(args)
     cmd = args.command
     if cmd == "means":
         spec = parse_mean(args.spec)
         if args.subcommand == "eval":
             value = eval_mean(spec, args.x, args.y)
-            return 0, json.dumps({"spec": spec.to_string(), "x": args.x, "y": args.y,
-                                  "value": value})
+            return 0, _dumps({"spec": spec.to_string(), "x": args.x, "y": args.y,
+                              "value": value})
         if args.subcommand == "axioms":
             report = check_axioms(spec, args.samples, args.seed)
             payload = {"spec": spec.to_string(), **asdict(report)}
-            return (0 if report.all_passed else 1), json.dumps(payload)
+            return (0 if report.all_passed else 1), _dumps(payload)
         grid = _csv_floats(args.grid)
         check = check_h_conditions(spec, grid)
         payload = {"spec": spec.to_string(), "h0_value": check.h0_value,
                    "ratio_violations": [list(v) for v in check.ratio_violations],
                    "even_violations": [list(v) for v in check.even_violations],
                    "grid": list(check.grid), "ok": check.ok}
-        return (0 if check.ok else 1), json.dumps(payload)
+        return (0 if check.ok else 1), _dumps(payload)
 
     if cmd == "young":
         if args.subcommand == "classify":
@@ -214,14 +242,14 @@ def _run(args) -> tuple:
                        "rhs_standard": c.rhs_standard, "rhs_swapped": c.rhs_swapped,
                        "case": c.case_id.value, "winner": c.winner.value,
                        "y_critical": c.y_critical}
-            return 0, json.dumps(payload)
+            return 0, _dumps(payload)
         if args.subcommand == "critical":
             y = critical_y(args.x, args.p, args.tol)
-            return 0, json.dumps({"x": args.x, "p": args.p, "y_critical": y})
+            return 0, _dumps({"x": args.x, "p": args.p, "y_critical": y})
         f = parse_function(args.f)
         gap = young_integral_gap(f, args.a, args.b)
         code = 0 if gap >= -1e-8 else 1
-        return code, json.dumps({"f": f.to_string(), "a": args.a, "b": args.b, "gap": gap})
+        return code, _dumps({"f": f.to_string(), "a": args.a, "b": args.b, "gap": gap})
 
     if cmd == "cbs":
         spec = parse_mean(args.mean)
@@ -229,7 +257,7 @@ def _run(args) -> tuple:
             data = _read_columns(args.input, 2)
             report = cbs_chain(data[:, 0], data[:, 1], spec)
             payload = {"mean": spec.to_string(), "n": len(data), **_chain_payload(report)}
-            return (0 if report.ordered else 1), json.dumps(payload)
+            return (0 if report.ordered else 1), _dumps(payload)
         if args.subcommand == "integral":
             f = parse_function(args.f)
             g = parse_function(args.g)
@@ -238,13 +266,13 @@ def _run(args) -> tuple:
                   and report.slack_right >= -INTEGRAL_CHAIN_RTOL * report.scale)
             payload = {"mean": spec.to_string(), "f": f.to_string(), "g": g.to_string(),
                        "a": args.a, "b": args.b, **_chain_payload(report)}
-            return (0 if ok else 1), json.dumps(payload)
+            return (0 if ok else 1), _dumps(payload)
         f = parse_function(args.f)
         g = parse_function(args.g)
         report = q_cbs_chain(f, g, args.q, spec, tail_tol=args.tail_tol)
         payload = {"mean": spec.to_string(), "f": f.to_string(), "g": g.to_string(),
                    "q": args.q, **_chain_payload(report)}
-        return (0 if report.ordered else 1), json.dumps(payload)
+        return (0 if report.ordered else 1), _dumps(payload)
 
     if cmd == "compare":
         spec_a = parse_mean(args.a)
@@ -257,7 +285,7 @@ def _run(args) -> tuple:
                    "witnesses": [asdict(w) for w in verdict.witnesses],
                    "note": ("incomparable is a two-witness certificate; directional "
                             "verdicts mean 'consistent with the order over the sampled trials'")}
-        return 0, json.dumps(payload)
+        return 0, _dumps(payload)
 
     if cmd == "elliptic":
         xs = [args.x] if args.x is not None else _parse_grid(args.grid)
@@ -273,20 +301,20 @@ def _run(args) -> tuple:
         payload = [{"x": r.x, "L0": r.L0, "L1": r.L1, "L2": r.L2, "K": r.K,
                     "G2": r.G2, "G1": r.G1, "G0": r.G0, "chain_ok": r.chain_ok,
                     "max_violation": r.max_violation} for r in reports]
-        return (0 if all_ok else 1), json.dumps(payload if args.x is None else payload[0])
+        return (0 if all_ok else 1), _dumps(payload if args.x is None else payload[0])
 
     if cmd == "dft":
         data = _read_columns(args.input, 2)
         vec = data[:, 0] + 1j * data[:, 1]
         report = dft_uncertainty(vec, zero_tol=args.zero_tol)
-        return (0 if report.holds else 1), json.dumps(asdict(report))
+        return (0 if report.holds else 1), _dumps(asdict(report))
 
     # lorentz chain
     spec = parse_mean(args.mean)
     report = lorentz_chain(args.x0, _csv_floats(args.x), args.y0, _csv_floats(args.y), spec)
     payload = {"mean": spec.to_string(), "x0": args.x0, "y0": args.y0,
                "reversed": True, **_chain_payload(report)}
-    return (0 if report.ordered else 1), json.dumps(payload)
+    return (0 if report.ordered else 1), _dumps(payload)
 
 
 def dispatch(argv) -> CommandResult:
@@ -307,6 +335,8 @@ def dispatch(argv) -> CommandResult:
         return CommandResult(2, "", f"error: {exc}\n")
     except (DomainError, ConvergenceError) as exc:
         return CommandResult(3, "", f"error: {exc}\n")
+    except ArithmeticError as exc:  # e.g. OverflowError from math.exp
+        return CommandResult(3, "", f"error: {type(exc).__name__}: {exc}\n")
     except OSError as exc:
         return CommandResult(2, "", f"error: {exc}\n")
 

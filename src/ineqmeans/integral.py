@@ -21,6 +21,8 @@ near-equal terms (Phi1 and g^2 when max picks Lg) cancel.
 Middle terms of two refinements are partially ordered by pointwise
 domination; the sampling comparator searches a fixed function catalog for
 directional evidence or a certified two-sided (incomparable) witness pair.
+It evaluates its trials in blocks on stacked fixed grids, with the same
+digits as one trial at a time (notes/decisions.md, "Comparator blocks").
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ class ChainKind(Enum):
 # ---------------------------------------------------------------------------
 
 def _mean_fn(spec: MeanSpec) -> Callable:
+    if spec.family is MeanFamily.ITERATED:
+        # the pair iteration stops on its largest gap over all elements, so
+        # each row of a (k, n) stack keeps its own stopping test
+        def rows(u, v):
+            u = np.asarray(u, dtype=float)
+            if u.ndim < 2:
+                return mean_values(spec, u, v)
+            return np.stack([mean_values(spec, ur, vr) for ur, vr in zip(u, v)])
+        return rows
     return lambda u, v: mean_values(spec, u, v)
 
 
@@ -376,6 +387,10 @@ class OrderVerdict:
 
 _COMPARE_PANELS = 512
 _COMPARE_INTERVALS = (0.5, 1.0, 2.0)
+# trials per evaluated block: small at first so an early exit wastes few
+# trials, then doubling up to a cap that bounds the working set (a few MB)
+_BLOCK_FIRST = 8
+_BLOCK_CAP = 32
 
 
 def _sample_function(rng) -> FunctionSpec:
@@ -391,24 +406,68 @@ def _sample_function(rng) -> FunctionSpec:
     return FunctionSpec(FunctionFamily.EXP_OF_POLY, (float(c[0]), float(c[1])))
 
 
-# The comparator keeps its own fixed-grid integrator: a verdict runs about
-# 2000 middle terms, and a fixed-grid term costs about 0.06 ms against about
-# 1.3 ms for an adaptive chain (medians, 2-vCPU x86 VM, Python 3.11).
-def _middle_fixed(kind: ChainKind, spec: MeanSpec, f: FunctionSpec,
-                  g: FunctionSpec, a: float, b: float) -> float:
-    xs, h = simpson_nodes(a, b, _COMPARE_PANELS)
-    fv = np.asarray(f(xs), dtype=float)
-    gv = np.asarray(g(xs), dtype=float)
+def _sample_trials(seed: int, start: int, stop: int) -> list:
+    """(f, g, interval index) of trials start..stop-1, each drawn from its own
+    spawn_rng(seed, i) stream, so a trial does not depend on its block."""
+    out = []
+    for i in range(start, stop):
+        rng = spawn_rng(seed, i)
+        f = _sample_function(rng)
+        g = _sample_function(rng)
+        out.append((f, g, int(rng.integers(0, len(_COMPARE_INTERVALS)))))
+    return out
+
+
+def _catalog_rows(specs: Sequence[FunctionSpec], xs: np.ndarray, derivative: bool):
+    """Values (and derivatives, else None) of catalog members, one per row of xs.
+
+    Every catalog family is an optional exp of c0 + c1 t + c2 t^2 (exp:k is
+    (0, k, 0)); Horner in numpy polyval's order on the zero-padded
+    coefficients reproduces FunctionSpec.__call__ and .derivative bit for bit.
+    """
+    coeffs = np.zeros((len(specs), 3))
+    exp_rows = np.zeros(len(specs), dtype=bool)
+    for i, spec in enumerate(specs):
+        if spec.family is FunctionFamily.EXP:
+            coeffs[i, 1] = spec.coeffs[0]
+        else:
+            coeffs[i, :len(spec.coeffs)] = spec.coeffs
+        exp_rows[i] = spec.family in (FunctionFamily.EXP, FunctionFamily.EXP_OF_POLY)
+    c0, c1, c2 = coeffs[:, 0:1], coeffs[:, 1:2], coeffs[:, 2:3]
+    values = c0 + (c1 + c2 * xs) * xs
+    values[exp_rows] = np.exp(values[exp_rows])
+    if not derivative:
+        return values, None
+    slopes = c1 + (2.0 * c2) * xs
+    slopes[exp_rows] *= values[exp_rows]
+    return values, slopes
+
+
+# The comparator keeps its own fixed-grid integrator, batched over blocks of
+# trials: at 1000 trials a whole trial (sampling, then both middle terms)
+# costs about 0.10 ms in the mean form and 0.13 ms in the log-derivative form,
+# against 0.22 and 0.34 ms one trial at a time and about 1.3 ms for one
+# adaptive chain (medians, 2-vCPU x86 VM, Python 3.11, numpy 2.4).
+def _middle_fixed(kind: ChainKind, spec: MeanSpec, fv: np.ndarray, gv: np.ndarray,
+                  dfv: Optional[np.ndarray], dgv: Optional[np.ndarray],
+                  h: np.ndarray) -> np.ndarray:
+    """Middle terms of a block: row i holds f, g (and f', g' for the
+    log-derivative form) on a 2 * _COMPARE_PANELS + 1 node grid of half-step h[i]."""
     if kind is ChainKind.MEAN_FORM:
-        m = mean_values(spec, fv, gv)
+        m = _mean_fn(spec)(fv, gv)
         conj = conjugate_from_mean(fv, gv, m)
         return composite_simpson(m * m, h) * composite_simpson(conj * conj, h)
-    mv = _logderiv_mean(spec)(fv, gv, f.derivative(xs), g.derivative(xs))
+    mv = _logderiv_mean(spec)(fv, gv, dfv, dgv)
     v = cumulative_simpson(mv, h)
-    fe, ge = fv[::2], gv[::2]
+    fe, ge = fv[:, ::2], gv[:, ::2]
     phi1 = np.exp(2.0 * v)
     phi2 = (fe * ge) ** 2 * np.exp(-2.0 * v)
     return composite_simpson(phi1, 2.0 * h) * composite_simpson(phi2, 2.0 * h)
+
+
+def _witness(trial, ma: float, mb: float) -> Witness:
+    f, g, j = trial
+    return Witness(f.to_string(), g.to_string(), 0.0, _COMPARE_INTERVALS[j], ma, mb)
 
 
 def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
@@ -422,36 +481,47 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     witnessed (a genuine two-witness certificate, reported), and
     UNDETERMINED when every trial ties.  Trials are seeded independently by
     index, so the verdict does not depend on evaluation order.
+
+    Trials are evaluated in blocks (8 rows, doubling up to 32) and scanned
+    in index order; a block's rows are computed exactly as lone trials
+    would be, so blocking changes no digit of the verdict.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    grids = [simpson_nodes(0.0, b, _COMPARE_PANELS) for b in _COMPARE_INTERVALS]
+    nodes = np.stack([xs for xs, _ in grids])
+    steps = np.array([h for _, h in grids])
+    logderiv = kind is ChainKind.LOG_DERIV_FORM
     best_a = best_b = None  # (separation, Witness)
     wins_a = wins_b = 0
     ran = 0
-    for i in range(trials):
-        rng = spawn_rng(seed, i)
-        f = _sample_function(rng)
-        g = _sample_function(rng)
-        b_end = float(_COMPARE_INTERVALS[int(rng.integers(0, len(_COMPARE_INTERVALS)))])
-        ma = _middle_fixed(kind, spec_a, f, g, 0.0, b_end)
-        mb = _middle_fixed(kind, spec_b, f, g, 0.0, b_end)
-        ran += 1
-        scale = max(abs(ma), abs(mb))
-        diff = (mb - ma) / scale
-        if abs(diff) <= tie_rtol:
-            continue
-        w = Witness(f.to_string(), g.to_string(), 0.0, b_end, ma, mb)
-        if diff > 0:
-            wins_a += 1
-            if best_a is None or diff > best_a[0]:
-                best_a = (diff, w)
-        else:
-            wins_b += 1
-            if best_b is None or -diff > best_b[0]:
-                best_b = (-diff, w)
-        if wins_a and wins_b:
-            return OrderVerdict(Relation.INCOMPARABLE,
-                                (best_a[1], best_b[1]), ran, seed)
+    size = _BLOCK_FIRST
+    while ran < trials:
+        block = _sample_trials(seed, ran, min(ran + size, trials))
+        size = min(2 * size, _BLOCK_CAP)
+        intervals = [j for _, _, j in block]
+        xs, h = nodes[intervals], steps[intervals]
+        fv, dfv = _catalog_rows([f for f, _, _ in block], xs, logderiv)
+        gv, dgv = _catalog_rows([g for _, g, _ in block], xs, logderiv)
+        middles_a = _middle_fixed(kind, spec_a, fv, gv, dfv, dgv, h).tolist()
+        middles_b = _middle_fixed(kind, spec_b, fv, gv, dfv, dgv, h).tolist()
+        for trial, ma, mb in zip(block, middles_a, middles_b):
+            ran += 1
+            scale = max(abs(ma), abs(mb))
+            diff = (mb - ma) / scale
+            if abs(diff) <= tie_rtol:
+                continue
+            if diff > 0:
+                wins_a += 1
+                if best_a is None or diff > best_a[0]:
+                    best_a = (diff, _witness(trial, ma, mb))
+            else:
+                wins_b += 1
+                if best_b is None or -diff > best_b[0]:
+                    best_b = (-diff, _witness(trial, ma, mb))
+            if wins_a and wins_b:
+                return OrderVerdict(Relation.INCOMPARABLE,
+                                    (best_a[1], best_b[1]), ran, seed)
     if wins_a:
         return OrderVerdict(Relation.A_PREC_B, (best_a[1],), ran, seed)
     if wins_b:

@@ -50,9 +50,11 @@ __all__ = [
     "full_catalog",
 ]
 
-# Equal-argument handling: below EQUAL_RTOL the analytic limit (the argument
-# itself) is returned; inside the series band the log-quotient formulas lose
-# digits to cancellation, so 3-term expansions around the midpoint are used.
+# Equal-argument handling for the general Rado and Gini kernels: below
+# EQUAL_RTOL the analytic limit (the argument itself) is returned; inside the
+# series band their difference quotients lose digits to cancellation, so a
+# 3-term expansion around the midpoint is used.  The logarithmic and identric
+# kernels need neither band (log1p form, see _log_ratio).
 EQUAL_RTOL = 1e-12
 SERIES_RTOL = 1e-6
 
@@ -306,48 +308,48 @@ def _midpoint_series(bvalue: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return m * (1.0 + (bvalue - 1.0) * z * z / 24.0)
 
 
-def _log_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    m = 0.5 * (x + y)
-    big = np.maximum(x, y)
-    r = np.abs(y - x) / big
-    out = np.where(r <= EQUAL_RTOL, x, m)
-    mask = r > SERIES_RTOL
-    if np.any(mask):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            main = (y - x) / (np.log(y) - np.log(x))
-        out = np.where(mask, main, out)
-    band = (~mask) & (r > EQUAL_RTOL)
-    if np.any(band):
-        z = (y - x) / (x + y)
-        z2 = z * z
-        series = m * (1.0 - z2 / 3.0 - 4.0 * z2 * z2 / 45.0)
-        out = np.where(band, series, out)
+def _log_ratio(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """ln(hi/lo) for 0 <= lo <= hi as log1p((hi - lo)/lo).
+
+    The smaller argument is the base, so the quotient is accurate near
+    lo = hi and for wide ratios alike; +inf at lo = 0, and log(hi) - log(lo)
+    where hi/lo is past the float range.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = (hi - lo) / lo
+    out = np.log1p(z)
+    wide = np.isinf(z) & (lo > 0.0)
+    if np.any(wide):
+        out = np.where(wide, np.log(hi) - np.log(np.where(wide, lo, 1.0)), out)
     return out
 
 
-def _xlogx(v: np.ndarray) -> np.ndarray:
+def _log_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # (hi - lo) / ln(hi/lo); 0 at a zero argument
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    d = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(v > 0.0, v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
+        main = d / _log_ratio(lo, hi)
+    return np.where(d > 0.0, main, x)
 
 
 def _identric(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # (1/e) (y^y / x^x)^(1/(y-x)) computed in log space; x log x -> 0 at 0.
-    m = 0.5 * (x + y)
-    big = np.maximum(x, y)
-    r = np.divide(np.abs(y - x), big, out=np.zeros_like(big), where=big > 0)
-    out = np.where(r <= EQUAL_RTOL, x, m)
-    mask = r > SERIES_RTOL
-    if np.any(mask):
-        d = np.where(mask, y - x, 1.0)
-        main = np.exp((_xlogx(y) - _xlogx(x)) / d - 1.0)
-        out = np.where(mask, main, out)
-    band = (~mask) & (r > EQUAL_RTOL)
-    if np.any(band):
-        h = y - x
-        q = (h / m) ** 2
-        series = m * np.exp(-q / 24.0 - q * q / 320.0)
-        out = np.where(band, series, out)
-    return out
+    # (1/e) (hi^hi / lo^lo)^(1/(hi - lo)) = lo exp(hi ln(hi/lo)/(hi - lo) - 1),
+    # so the error does not grow with the magnitude of the arguments; hi/e at
+    # a zero argument
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    d = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = hi * _log_ratio(lo, hi) / d - 1.0
+        main = lo * np.exp(e)
+        # hi/lo beyond about 1e307: exp(e) overflows, the log form does not
+        huge = e > 700.0
+        if np.any(huge):
+            main = np.where(huge, np.exp(np.log(lo) + e), main)
+    out = np.where(lo > 0.0, main, hi / math.e)
+    return np.where(d > 0.0, out, x)
 
 
 def _power_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ so results are bit-reproducible.
 
 Fixed-grid composite helpers (plain and cumulative Simpson, and a cubic
 Hermite interpolant with exact slopes) support the tabulated-antiderivative
-machinery of the log-derivative chains.
+machinery of the log-derivative chains; the Simpson helpers also take a
+``(k, n)`` stack of rows, one step per row, for the comparator's blocks.
 """
 
 from __future__ import annotations
@@ -110,23 +111,38 @@ def simpson_nodes(a: float, b: float, panels: int):
     return xs, (b - a) / (2 * panels)
 
 
-def composite_simpson(values: np.ndarray, h: float) -> float:
-    """Composite Simpson total for values on 2N+1 uniform nodes with step h."""
+def _simpson_values(values, what: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
-    if len(v) < 3 or len(v) % 2 == 0:
-        raise ParameterError("composite Simpson needs an odd number of nodes >= 3")
-    return float(h / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum()))
+    if v.ndim not in (1, 2) or v.shape[-1] < 3 or v.shape[-1] % 2 == 0:
+        raise ParameterError(f"{what} Simpson needs an odd number of nodes >= 3")
+    return v
 
 
-def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral at the even nodes of a 2N+1-node uniform grid."""
-    v = np.asarray(values, dtype=float)
-    if len(v) < 3 or len(v) % 2 == 0:
-        raise ParameterError("cumulative Simpson needs an odd number of nodes >= 3")
-    panels = h / 3.0 * (v[:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-    out = np.empty(len(panels) + 1)
-    out[0] = 0.0
-    np.cumsum(panels, out=out[1:])
+def composite_simpson(values: np.ndarray, h):
+    """Composite Simpson total for values on 2N+1 uniform nodes with step h.
+
+    ``values`` may be a ``(k, n)`` stack with one step per row (h of shape
+    ``(k,)``); the k totals then come back as an array, each bit-identical to
+    the 1-D call on its row.
+    """
+    v = _simpson_values(values, "composite")
+    total = h / 3.0 * (v[..., 0] + v[..., -1] + 4.0 * v[..., 1:-1:2].sum(axis=-1)
+                       + 2.0 * v[..., 2:-1:2].sum(axis=-1))
+    return float(total) if v.ndim == 1 else total
+
+
+def cumulative_simpson(values: np.ndarray, h) -> np.ndarray:
+    """Cumulative integral at the even nodes of a 2N+1-node uniform grid.
+
+    Stacks as in ``composite_simpson``: a ``(k, n)`` stack with k steps gives
+    k cumulative rows.
+    """
+    v = _simpson_values(values, "cumulative")
+    step = h if v.ndim == 1 else np.asarray(h, dtype=float)[:, None]
+    panels = step / 3.0 * (v[..., :-2:2] + 4.0 * v[..., 1:-1:2] + v[..., 2::2])
+    out = np.empty(v.shape[:-1] + (panels.shape[-1] + 1,))
+    out[..., 0] = 0.0
+    np.cumsum(panels, axis=-1, out=out[..., 1:])
     return out
 
 

@@ -166,3 +166,25 @@ def test_byte_identical_output():
     assert first == second
     grid = ["elliptic", "bounds", "--grid", "0.05:0.95:0.05", "--format", "csv"]
     assert dispatch(grid).stdout == dispatch(grid).stdout
+
+
+# non-finite and overflowing inputs: a typed error with an exit code, never a
+# traceback or NaN/Infinity on stdout
+BOUNDARY_INPUTS = (
+    ("means eval --spec power:2 --x nan --y 1", 2),
+    ("means eval --spec power:2 --x inf --y 1", 2),
+    ("means eval --spec power:2 --x 1e200 --y 1e200", 3),
+    ("means eval --spec rado:2 --x 1e300 --y 1e-300", 3),
+    ("means h-check --spec max --grid 0,1,800", 3),
+    ("young classify --x 5 --y 1e300 --p 4", 3),
+)
+
+
+@pytest.mark.parametrize("command, code", BOUNDARY_INPUTS)
+def test_boundary_input_is_a_typed_error(command, code):
+    result = run(*command.split())
+    assert result.exit_code in (2, 3)
+    assert result.exit_code == code, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ineqmeans import (ChainKind, DomainError, ParameterError, Relation,
-                       compare_generalizations, general_h_chain,
-                       integral_logderiv_chain, integral_mean_chain, logderiv_phi1,
-                       parse_function, parse_mean, product_identity_check)
-from ineqmeans.sampling import make_rng
+from ineqmeans import (ChainKind, DomainError, MeanFamily, OrderVerdict, ParameterError,
+                       Relation, Witness, chain_catalog, compare_generalizations,
+                       general_h_chain, integral_logderiv_chain, integral_mean_chain,
+                       logderiv_phi1, mean_values, parse_function, parse_mean,
+                       product_identity_check)
+from ineqmeans.integral import _sample_function
+from ineqmeans.means import conjugate_from_mean
+from ineqmeans.quadrature import composite_simpson, cumulative_simpson, simpson_nodes
+from ineqmeans.sampling import make_rng, spawn_rng
 
 T_LIN = parse_function("pow:1")
 ONE_MINUS_T = parse_function("affine:1,-1")
@@ -334,3 +339,105 @@ def test_verdict_deterministic_for_fixed_seed():
     v2 = compare_generalizations(parse_mean("power:0.5"), parse_mean("power:2"),
                                  trials=200, seed=13, kind=ChainKind.LOG_DERIV_FORM)
     assert v1 == v2
+
+
+# ---------------------------------------------------------------------------
+# the block-batched comparator against a per-trial reference
+# ---------------------------------------------------------------------------
+
+def _reference_middle(kind, spec, f, g, b):
+    # one trial on its own 1025-node grid, as the comparator ran before blocking
+    xs, h = simpson_nodes(0.0, b, 512)
+    fv = np.asarray(f(xs), dtype=float)
+    gv = np.asarray(g(xs), dtype=float)
+    if kind is ChainKind.MEAN_FORM:
+        m = mean_values(spec, fv, gv)
+        conj = conjugate_from_mean(fv, gv, m)
+        return composite_simpson(m * m, h) * composite_simpson(conj * conj, h)
+    dfv, dgv = f.derivative(xs), g.derivative(xs)
+    if spec.family is MeanFamily.MEDIANT:
+        mv = (dfv + dgv) / (fv + gv)
+    else:
+        mv = mean_values(spec, dfv / fv, dgv / gv)
+    v = cumulative_simpson(mv, h)
+    fe, ge = fv[::2], gv[::2]
+    phi1 = np.exp(2.0 * v)
+    phi2 = (fe * ge) ** 2 * np.exp(-2.0 * v)
+    return composite_simpson(phi1, 2.0 * h) * composite_simpson(phi2, 2.0 * h)
+
+
+def _reference_verdict(spec_a, spec_b, trials, seed, kind, tie_rtol=1e-9):
+    best_a = best_b = None
+    wins_a = wins_b = 0
+    for i in range(trials):
+        rng = spawn_rng(seed, i)
+        f = _sample_function(rng)
+        g = _sample_function(rng)
+        b_end = float((0.5, 1.0, 2.0)[int(rng.integers(0, 3))])
+        ma = _reference_middle(kind, spec_a, f, g, b_end)
+        mb = _reference_middle(kind, spec_b, f, g, b_end)
+        diff = (mb - ma) / max(abs(ma), abs(mb))
+        if abs(diff) <= tie_rtol:
+            continue
+        w = Witness(f.to_string(), g.to_string(), 0.0, b_end, ma, mb)
+        if diff > 0:
+            wins_a += 1
+            if best_a is None or diff > best_a[0]:
+                best_a = (diff, w)
+        else:
+            wins_b += 1
+            if best_b is None or -diff > best_b[0]:
+                best_b = (-diff, w)
+        if wins_a and wins_b:
+            return OrderVerdict(Relation.INCOMPARABLE, (best_a[1], best_b[1]), i + 1, seed)
+    if wins_a:
+        return OrderVerdict(Relation.A_PREC_B, (best_a[1],), trials, seed)
+    if wins_b:
+        return OrderVerdict(Relation.B_PREC_A, (best_b[1],), trials, seed)
+    return OrderVerdict(Relation.UNDETERMINED, (), trials, seed)
+
+
+@pytest.mark.parametrize("kind", list(ChainKind))
+@pytest.mark.parametrize("trials", [1, 7, 33])
+def test_blocked_comparator_matches_per_trial_reference(kind, trials):
+    # equal verdicts, witness floats included, for every catalog mean against
+    # the arithmetic one; 7 and 33 end inside a block.  The extra iterated
+    # pair changes in the last digit when its stopping test spans a block.
+    one = parse_mean("power:1")
+    for spec in chain_catalog() + [parse_mean("iter:power:3|power:0")]:
+        got = compare_generalizations(spec, one, trials, 21, kind)
+        assert got == _reference_verdict(spec, one, trials, 21, kind), spec.to_string()
+
+
+@pytest.mark.parametrize("kind, a, b", [(ChainKind.MEAN_FORM, "power:0", "power:2"),
+                                        (ChainKind.LOG_DERIV_FORM, "power:0.5", "power:1.5")])
+def test_blocked_comparator_matches_reference_at_1000_trials(kind, a, b):
+    spec_a, spec_b = parse_mean(a), parse_mean(b)
+    got = compare_generalizations(spec_a, spec_b, 1000, 4, kind)
+    assert got.trials == 1000
+    assert got == _reference_verdict(spec_a, spec_b, 1000, 4, kind)
+
+
+def test_blocked_comparator_early_exit_and_undetermined_match_reference():
+    a, b = parse_mean("power:0.5"), parse_mean("power:2")
+    got = compare_generalizations(a, b, 1000, 13, ChainKind.LOG_DERIV_FORM)
+    want = _reference_verdict(a, b, 1000, 13, ChainKind.LOG_DERIV_FORM)
+    assert got.relation is Relation.INCOMPARABLE
+    assert got == want  # trials counts the scanned trials, not the evaluated block
+    one = parse_mean("power:1")
+    assert (compare_generalizations(one, one, 40, 3, ChainKind.MEAN_FORM)
+            == _reference_verdict(one, one, 40, 3, ChainKind.MEAN_FORM))
+
+
+def test_blocked_comparator_memory_does_not_scale_with_trials():
+    # an early-exit pair asked for 10^9 trials stops after a few blocks and
+    # allocates no more than the block working set
+    a, b = parse_mean("power:0.5"), parse_mean("power:2")
+    tracemalloc.start()
+    try:
+        got = compare_generalizations(a, b, 10 ** 9, 13, ChainKind.LOG_DERIV_FORM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == compare_generalizations(a, b, 1000, 13, ChainKind.LOG_DERIV_FORM)
+    assert peak < 16 * 2 ** 20

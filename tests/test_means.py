@@ -107,6 +107,29 @@ def test_near_equal_series_zone_matches_high_precision():
         assert eval_mean(spec("rado:2.5"), x, y) == pytest.approx(rado_ref, rel=1e-13)
 
 
+def test_log_and_identric_kernels_against_mpmath():
+    # no cancellation band near x = y: relative gaps 1e-9 .. 1e6, either order
+    mp = pytest.importorskip("mpmath")
+    gaps = np.logspace(-9.0, 6.0, 46)
+    with mp.workdps(40):
+        for base in (1e-3, 1.0, 2.0, 1e3):
+            lo = np.full_like(gaps, base)
+            hi = base * (1.0 + gaps)
+            log_ref, ident_ref = [], []
+            for a, b in zip(lo, hi):
+                xs, ys = mp.mpf(a), mp.mpf(b)
+                log_ref.append(float((ys - xs) / (mp.log(ys) - mp.log(xs))))
+                ident_ref.append(float(mp.exp((ys * mp.log(ys) - xs * mp.log(xs))
+                                              / (ys - xs) - 1)))
+            for names, ref in ((("log", "rado:-1"), log_ref),
+                               (("identric", "rado:0"), ident_ref)):
+                for name in names:
+                    for x, y in ((lo, hi), (hi, lo)):
+                        got = mean_values(spec(name), x, y)
+                        rel = np.abs(got - ref) / np.asarray(ref)
+                        assert float(np.max(rel)) <= 1e-14, (name, base)
+
+
 def test_zero_argument_limits():
     assert eval_mean(spec("power:-2"), 0.0, 3.0) == 0.0
     assert eval_mean(spec("rado:-3"), 0.0, 3.0) == 0.0
