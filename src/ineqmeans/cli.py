@@ -329,7 +329,10 @@ def dispatch(argv) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(2 if code != 0 else 0, out.getvalue(), err.getvalue())
     try:
-        code, payload = _run(args)
+        # overflow shows up as a non-finite result, a DomainError; numpy's
+        # RuntimeWarnings would only leak to stderr ahead of the error line
+        with np.errstate(all="ignore"):
+            code, payload = _run(args)
         return CommandResult(code, payload + "\n", "")
     except ParameterError as exc:
         return CommandResult(2, "", f"error: {exc}\n")

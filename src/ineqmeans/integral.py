@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .functions import FunctionFamily, FunctionSpec, validate_nonneg_derivative, validate_positive
-from .means import (MeanFamily, MeanSpec, check_h_function, conjugate_from_mean,
+from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     conjugate_values, mean_values)
 from .quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
                          quadrature, simpson_nodes)
@@ -88,10 +88,12 @@ def _mean_fn_from_h(h: Callable[[float], float]) -> Callable:
 # the three-term chain, both forms
 # ---------------------------------------------------------------------------
 
-def _chain(f, g, a: float, b: float, factors: Callable, tol: float) -> ChainReport:
+def _chain(f, g, a: float, b: float, factors: Callable, tol: float,
+           breaks: Sequence[float] = ()) -> ChainReport:
     """(int fg)^2 <= int Phi1 * int Phi2 <= int f^2 int g^2 from one quadrature.
 
-    ``factors(t, f(t), g(t))`` returns (Phi1, Phi2) at the nodes t.
+    ``factors(t, f(t), g(t))`` returns (Phi1, Phi2) at the nodes t; ``breaks``
+    are the points where they may kink.
     """
     def integrand(t):
         ft = np.asarray(f(t), dtype=float)
@@ -99,16 +101,30 @@ def _chain(f, g, a: float, b: float, factors: Callable, tol: float) -> ChainRepo
         phi1, phi2 = factors(t, ft, gt)
         return np.stack([ft * gt, phi1, phi2, ft * ft, gt * gt])
 
-    fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, tol).tolist()
+    fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, tol, breaks=breaks).tolist()
     return chain_report(fg ** 2, mid1 * mid2, ff * gg)
 
 
-def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float) -> ChainReport:
+def _kinks_on_diagonal(spec: MeanSpec) -> bool:
+    """True when M(x, y) is not differentiable where x = y (min/max types)."""
+    family = spec.family
+    if family is MeanFamily.ITERATED:
+        return any(_kinks_on_diagonal(inner) for inner in spec.inner)
+    if family in (MeanFamily.POWER, MeanFamily.RADO):
+        return spec.order.kind in (OrderKind.NEG_INF, OrderKind.POS_INF)
+    return family in (MeanFamily.MIN, MeanFamily.MAX)
+
+
+def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
+                kinked: bool) -> ChainReport:
     def factors(t, ft, gt):
         m = mfn(ft, gt)
         return m * m, conjugate_from_mean(ft, gt, m) ** 2
 
-    return _chain(f, g, a, b, factors, tol)
+    # a kinked mean kinks the integrands where f and g cross
+    breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
+                         a, b) if kinked else ()
+    return _chain(f, g, a, b, factors, tol, breaks)
 
 
 def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
@@ -116,7 +132,7 @@ def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
     """Evaluate (int fg)^2 <= int M^2 * int M*^2 <= int f^2 int g^2."""
     validate_positive(f, a, b, "f")
     validate_positive(g, a, b, "g")
-    return _mean_chain(f, g, a, b, _mean_fn(spec), tol)
+    return _mean_chain(f, g, a, b, _mean_fn(spec), tol, _kinks_on_diagonal(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +158,24 @@ def _logderiv_integrand(f: FunctionSpec, g: FunctionSpec, lmean: Callable) -> Ca
 
 
 def _find_kinks(diff_fn: Callable, a: float, b: float) -> list:
-    """Interior sign changes of diff_fn (where min/max-type means kink)."""
+    """Interior sign changes of diff_fn (where min/max-type means kink).
+
+    A 1025-point scan brackets each change; rounds of 257-point subdivision
+    then narrow the bracket, to ulp width or for at most 6 rounds.
+    """
     ts = np.linspace(a, b, 1025)
     d = np.asarray(diff_fn(ts), dtype=float)
-    sign = np.sign(d)
     kinks = []
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        lo, hi = float(ts[i]), float(ts[i + 1])
-        flo = float(diff_fn(np.array([lo]))[0])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fmid = float(diff_fn(np.array([mid]))[0])
-            if flo * fmid <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        kinks.append(0.5 * (lo + hi))
+    for i in np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]:
+        lo, hi, side = ts[i], ts[i + 1], np.sign(d[i])
+        for _ in range(6):
+            if np.nextafter(lo, hi) >= hi:
+                break
+            sub = np.linspace(lo, hi, 257)
+            # sub[0] = lo keeps the sign; the first change (or zero) closes the bracket
+            j = int(np.argmax(np.sign(np.asarray(diff_fn(sub), dtype=float)) != side))
+            lo, hi = sub[j - 1], sub[j]
+        kinks.append(0.5 * (float(lo) + float(hi)))
     eps = 1e-10 * (b - a)
     return [k for k in kinks if a + eps < k < b - eps]
 
@@ -182,13 +200,22 @@ class _PiecewiseAntiderivative:
 
 
 def _tabulate_segment(m_integrand, a, b, inner_tol, offset):
-    prev = None
+    prev = mv = None
     panels = 128
     while panels <= 16384:
         xs, h = simpson_nodes(a, b, panels)
-        mv = np.asarray(m_integrand(xs), dtype=float)
-        if not np.all(np.isfinite(mv)):
+        # linspace grids nest exactly: the previous grid is every second node
+        # of this one, so only the new odd nodes are evaluated
+        new = np.asarray(m_integrand(xs if mv is None else xs[1::2]), dtype=float)
+        if not np.all(np.isfinite(new)):
             raise DomainError("log-derivative integrand is not finite on [a, b]")
+        if mv is None:
+            mv = new
+        else:
+            fine = np.empty(len(xs))
+            fine[::2] = mv
+            fine[1::2] = new
+            mv = fine
         v = cumulative_simpson(mv, h)
         total = v[-1]
         if prev is not None and abs(total - prev) <= inner_tol * max(1.0, abs(total)):
@@ -224,13 +251,14 @@ def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float) -> li
 
 def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
                     m_integrand: Callable, inner_tol: float, outer_tol: float) -> ChainReport:
-    table = _tabulate_antiderivative(m_integrand, a, b, inner_tol, _logderiv_breaks(f, g, a, b))
+    breaks = _logderiv_breaks(f, g, a, b)
+    table = _tabulate_antiderivative(m_integrand, a, b, inner_tol, breaks)
 
     def factors(t, ft, gt):
         v = 2.0 * table(t)
         return np.exp(v), (ft * gt) ** 2 * np.exp(-v)
 
-    return _chain(f, g, a, b, factors, outer_tol)
+    return _chain(f, g, a, b, factors, outer_tol, breaks)
 
 
 def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
@@ -350,7 +378,7 @@ def general_h_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     if kind is ChainKind.MEAN_FORM:
         validate_positive(f, a, b, "f")
         validate_positive(g, a, b, "g")
-        return _mean_chain(f, g, a, b, mfn, tol)
+        return _mean_chain(f, g, a, b, mfn, tol, kinked=True)  # h is opaque
     _validate_logderiv_pair(f, g, a, b)
     return _logderiv_chain(f, g, a, b, _logderiv_integrand(f, g, _of_logderivs(mfn)),
                            tol, max(tol, 1e-8))

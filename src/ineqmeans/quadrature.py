@@ -1,19 +1,18 @@
 """Deterministic numerical integration.
 
-``quadrature`` is an adaptive composite Simpson rule with Richardson
-acceptance: every pending subinterval is split at once (a work-queue of
-arrays, so array-aware integrands are evaluated in batches), an interval is
-accepted when its Richardson error estimate fits its width-proportional share
-of the absolute+relative target, and the recursion depth is capped at 60.
-An integrand may return a ``(k, n)`` stack for n nodes: the k integrals then
-share every node, and an interval is accepted only when all k rows meet their
-own targets.  The point set and summation order depend only on the inputs,
-so results are bit-reproducible.
+``quadrature`` is an adaptive Gauss-Kronrod 7-15 rule (QUADPACK's pair): each
+level evaluates the 15 nodes of every pending interval in one integrand
+batch, accepts an interval when its |K15 - G7| estimate fits its
+width-proportional share of the absolute+relative target, and bisects the
+rest.  An integrand may return a ``(k, n)`` stack: the k integrals share
+every node, and each row must meet its target.  Break points split the
+initial panels at kinks (notes/decisions.md, "Integration engine").  The
+point set and summation order depend only on the inputs, so results are
+bit-reproducible.
 
-Fixed-grid composite helpers (plain and cumulative Simpson, and a cubic
-Hermite interpolant with exact slopes) support the tabulated-antiderivative
-machinery of the log-derivative chains; the Simpson helpers also take a
-``(k, n)`` stack of rows, one step per row, for the comparator's blocks.
+Fixed-grid helpers (plain and cumulative Simpson, a cubic Hermite interpolant
+with exact slopes) serve the log-derivative tabulation and the comparator,
+whose blocks pass the Simpson helpers a ``(k, n)`` stack, one step per row.
 """
 
 from __future__ import annotations
@@ -28,6 +27,23 @@ __all__ = ["quadrature", "simpson_nodes", "composite_simpson",
            "cumulative_simpson", "CubicHermite"]
 
 DEPTH_CAP = 60
+# below this many ulps of its own magnitude an interval's nodes (the closest
+# 0.042 half-widths apart) are no longer distinct doubles: it cannot be split
+RESOLUTION_ULPS = 64
+
+_GK15 = np.array([  # Kronrod node in [0, 1), K15 weight, G7 weight (QUADPACK qk15)
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+])
+_NODES = np.concatenate([-_GK15[:-1, 0], _GK15[::-1, 0]])
+_W = np.concatenate([_GK15, _GK15[-2::-1]])
+_WEIGHTS = np.stack([_W[:, 1], _W[:, 1] - _W[:, 2]], axis=1)  # columns K15 and K15 - G7
 
 
 def _vectorize(f, probe: np.ndarray):
@@ -46,62 +62,46 @@ def _vectorize(f, probe: np.ndarray):
     return g, g(probe)
 
 
-def quadrature(f, a: float, b: float, tol: float = 1e-10):
+def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
     """Integrate f over [a, b] to an absolute+relative error target tol.
 
     f maps n nodes to n values, or to a ``(k, n)`` stack of k integrands on
-    the same nodes; the result is then a float, or an array of the k
-    integrals, each meeting tol.  Deterministic for fixed inputs; raises
-    ConvergenceError if the adaptive bisection exceeds depth 60 and
-    DomainError on a non-finite integrand value.
+    the same nodes: the result is a float, or the array of the k integrals,
+    each meeting tol.  ``breaks`` inside (a, b) split the initial panels.
+    Raises ConvergenceError when an interval misses its target at depth 60
+    or is too narrow to split, DomainError on a non-finite integrand value.
     """
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if not b > a:
         raise ParameterError(f"quadrature requires b > a, got [{a}, {b}]")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     span = b - a
-    probe = np.array([a, a + span / 2.0, b])
-    fv, vals = _vectorize(f, probe)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("integrand is not finite on [a, b]")
-    scalar = vals.ndim == 1
-    vals = np.atleast_2d(vals)
-
-    lefts = np.array([a])
-    widths = np.array([span])
-    fl, fm, fr = vals[:, 0:1], vals[:, 1:2], vals[:, 2:3]
-    S = widths / 6.0 * (fl + 4.0 * fm + fr)
-    accepted = np.zeros(len(vals))
-    i_est = S.sum(axis=1)
-
+    edges = np.array([a] + sorted(float(t) for t in breaks if a < t < b) + [b])
+    hw = np.diff(edges) / 2.0
+    mid = edges[:-1] + hw
+    fv = None
     for _ in range(DEPTH_CAP):
-        h = widths / 2.0
-        m1 = lefts + h / 2.0
-        m2 = lefts + 3.0 * h / 2.0
-        new = np.atleast_2d(fv(np.concatenate([m1, m2])))
-        if not np.all(np.isfinite(new)):
+        xs = (mid[:, None] + hw[:, None] * _NODES).ravel()
+        if fv is None:  # the first level doubles as the probe
+            fv, vals = _vectorize(f, xs)
+            scalar = vals.ndim == 1
+            accepted = np.zeros(1 if scalar else len(vals))
+        else:
+            vals = np.asarray(fv(xs), dtype=float)
+        if not np.all(np.isfinite(vals)):
             raise DomainError("integrand is not finite on [a, b]")
-        k = len(lefts)
-        f1, f2 = new[:, :k], new[:, k:]
-        s_left = h / 6.0 * (fl + 4.0 * f1 + fm)
-        s_right = h / 6.0 * (fm + 4.0 * f2 + fr)
-        s2 = s_left + s_right
-        err = (s2 - S) / 15.0
-        target = np.maximum(tol, tol * np.abs(i_est))
-        done = np.all(np.abs(err) <= target[:, None] * widths / span, axis=0)
-        accepted += np.sum((s2 + err)[:, done], axis=1)
+        sums = (vals.reshape(-1, 15) @ _WEIGHTS).reshape(len(accepted), len(mid), 2) * hw[:, None]
+        est, err = sums[..., 0], np.abs(sums[..., 1])
+        target = np.maximum(tol, tol * np.abs(accepted + est.sum(axis=1))) / span
+        done = np.all(err <= target[:, None] * (2.0 * hw), axis=0)
+        accepted += est[:, done].sum(axis=1)
         if bool(np.all(done)):
             return float(accepted[0]) if scalar else accepted
-        keep = ~done
-        lefts = np.concatenate([lefts[keep], lefts[keep] + h[keep]])
-        widths = np.concatenate([h[keep], h[keep]])
-        fl, fm, fr = (np.concatenate([fl[:, keep], fm[:, keep]], axis=1),
-                      np.concatenate([f1[:, keep], f2[:, keep]], axis=1),
-                      np.concatenate([fm[:, keep], fr[:, keep]], axis=1))
-        S = np.concatenate([s_left[:, keep], s_right[:, keep]], axis=1)
-        i_est = accepted + S.sum(axis=1)
+        mid = np.concatenate([mid[~done] - hw[~done] / 2.0, mid[~done] + hw[~done] / 2.0])
+        hw = np.tile(hw[~done] / 2.0, 2)
+        if np.any(hw <= RESOLUTION_ULPS * np.spacing(np.abs(mid) + hw)):
+            raise ConvergenceError(f"adaptive quadrature cannot resolve [{a}, {b}] in doubles")
     raise ConvergenceError(f"adaptive quadrature exceeded depth {DEPTH_CAP} on [{a}, {b}]")
 
 

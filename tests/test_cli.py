@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -182,7 +183,10 @@ BOUNDARY_INPUTS = (
 
 @pytest.mark.parametrize("command, code", BOUNDARY_INPUTS)
 def test_boundary_input_is_a_typed_error(command, code):
-    result = run(*command.split())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*command.split())
+    assert [str(w.message) for w in caught] == []
     assert result.exit_code in (2, 3)
     assert result.exit_code == code, result.stderr
     assert result.stdout == ""

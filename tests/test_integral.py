@@ -9,7 +9,8 @@ from ineqmeans import (ChainKind, DomainError, MeanFamily, OrderVerdict, Paramet
                        general_h_chain, integral_logderiv_chain, integral_mean_chain,
                        logderiv_phi1, mean_values, parse_function, parse_mean,
                        product_identity_check)
-from ineqmeans.integral import _sample_function
+from ineqmeans.integral import (_find_kinks, _logderiv_integrand, _logderiv_mean,
+                                _sample_function, _tabulate_segment)
 from ineqmeans.means import conjugate_from_mean
 from ineqmeans.quadrature import composite_simpson, cumulative_simpson, simpson_nodes
 from ineqmeans.sampling import make_rng, spawn_rng
@@ -77,25 +78,51 @@ def test_mean_chain_holds_for_every_catalog_mean():
             assert report.slack_right >= -1e-8 * report.scale, spec.to_string()
 
 
+def _log_mean(x, y):
+    return x if x == y else (x - y) / (math.log(x) - math.log(y))
+
+
+MIDDLE_ORACLE_CASES = (
+    # the logarithmic mean: integrated one by one, the int M^2 term was
+    # falsely accepted on coarse intervals and came out 1.4e-7 relative off
+    ("rado:-1", "poly:0.305239,7.77948,0.333982", "affine:0.603687,0.30396", 2.0, _log_mean),
+    # max kinks where f and g cross, at 0.37523, just past the dyadic point
+    # 0.375: unsplit, the kink hides outside an interval's outermost nodes
+    ("power:inf", "poly:8.419542874820742,0.30216463015850675,6.164191356388866",
+     "exp:5.971814374831163", 0.5, max),
+)
+
+
 def test_mean_chain_middle_against_scipy_oracle():
-    # f, g on [0, 2] with the logarithmic mean: integrated one by one, the
-    # int M^2 term was falsely accepted on coarse intervals and came out
-    # 1.4e-7 relative off; on the chain's shared nodes it meets its budget.
-    quad = pytest.importorskip("scipy.integrate").quad
-    f = parse_function("poly:0.305239,7.77948,0.333982")
-    g = parse_function("affine:0.603687,0.30396")
+    integrate = pytest.importorskip("scipy.integrate")
+    brentq = pytest.importorskip("scipy.optimize").brentq
     tol = 1e-9
-    report = integral_mean_chain(f, g, 0.0, 2.0, parse_mean("rado:-1"), tol=tol)
+    for spec, f_text, g_text, b, mean in MIDDLE_ORACLE_CASES:
+        f = parse_function(f_text)
+        g = parse_function(g_text)
+        report = integral_mean_chain(f, g, 0.0, b, parse_mean(spec), tol=tol)
+        # the oracle splits at the crossing of f and g, where max kinks
+        cross = [brentq(lambda t: float(f(t)) - float(g(t)), 0.0, b, xtol=1e-15)]
 
-    def log_mean(t):
-        x, y = float(f(t)), float(g(t))
-        return x if x == y else (x - y) / (math.log(x) - math.log(y))
+        def quad(fn):
+            return integrate.quad(lambda t: fn(float(f(t)), float(g(t))), 0.0, b,
+                                  epsabs=0.0, epsrel=1e-13, limit=200, points=cross)[0]
 
-    m1 = quad(lambda t: log_mean(t) ** 2, 0.0, 2.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    m2 = quad(lambda t: (float(f(t)) * float(g(t)) / log_mean(t)) ** 2, 0.0, 2.0,
-              epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    budget = m1 * m2 * (max(tol, tol * m1) / m1 + max(tol, tol * m2) / m2)
-    assert abs(report.middle - m1 * m2) <= 10.0 * budget
+        m1 = quad(lambda x, y: mean(x, y) ** 2)
+        m2 = quad(lambda x, y: (x * y / mean(x, y)) ** 2)
+        budget = m1 * m2 * (max(tol, tol * m1) / m1 + max(tol, tol * m2) / m2)
+        assert abs(report.middle - m1 * m2) <= 10.0 * budget, spec
+
+
+def test_find_kinks_root_against_brentq():
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    f = parse_function("poly:8.419542874820742,0.30216463015850675,6.164191356388866")
+    g = parse_function("exp:5.971814374831163")
+    kinks = _find_kinks(lambda t: f(t) - g(t), 0.0, 0.5)
+    root = brentq(lambda t: float(f(t)) - float(g(t)), 0.0, 0.5, xtol=1e-300,
+                  rtol=4 * np.finfo(float).eps)
+    assert len(kinks) == 1
+    assert abs(kinks[0] - root) <= 2 * np.spacing(root)
 
 
 def test_mean_chain_requires_nonnegative_functions():
@@ -189,6 +216,26 @@ def test_logderiv_max_equality_without_crossing():
         report = integral_logderiv_chain(f, g, 0.0, b, parse_mean("power:inf"))
         assert report.middle == pytest.approx(report.right, rel=1e-9)
         assert report.slack_left >= -1e-9 * report.scale
+
+
+def test_tabulation_reuses_nested_grid_values_bit_for_bit():
+    # each panel doubling evaluates only the new odd nodes; evaluating every
+    # node of every grid, as a reference, gives the same table bit for bit
+    f = parse_function("poly:0.135914,6.47054,0.238318")
+    g = parse_function("exp:2")
+    m_integrand = _logderiv_integrand(f, g, _logderiv_mean(parse_mean("power:2")))
+    table, total = _tabulate_segment(m_integrand, 0.0, 1.0, 1e-12, 0.5)
+    prev, panels = None, 128
+    while True:
+        xs, h = simpson_nodes(0.0, 1.0, panels)
+        mv = m_integrand(xs)
+        v = cumulative_simpson(mv, h)
+        if prev is not None and abs(v[-1] - prev) <= 1e-12 * max(1.0, abs(v[-1])):
+            break
+        prev, panels = v[-1], 2 * panels
+    assert panels >= 512
+    assert table.step == 1.0 / panels and total == v[-1]
+    assert np.array_equal(table.values, v + 0.5) and np.array_equal(table.slopes, mv[::2])
 
 
 def test_phi1_is_not_homogeneous():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ineqmeans import ConvergenceError, ParameterError, quadrature
+from ineqmeans import (ConvergenceError, ParameterError, mean_values, parse_function, parse_mean,
+                       quadrature)
 from ineqmeans.quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
                                   simpson_nodes)
 
@@ -49,6 +50,35 @@ def test_kinked_integrand():
     val = quadrature(lambda t: np.abs(t - 1.0 / 3.0), 0.0, 1.0, tol=1e-12)
     exact = (1.0 / 3.0) ** 2 / 2 + (2.0 / 3.0) ** 2 / 2
     assert val == pytest.approx(exact, rel=1e-10)
+
+
+def test_break_points_split_a_kink_near_a_dyadic_point():
+    # 0.37523 sits in the outer 0.4% of the level-3 interval [0.375, 0.5],
+    # beyond its outermost nodes: there K15 and G7 agree on a wrong value
+    kink = 0.37522885712552384
+    # a break outside (a, b), here 2.0, is ignored
+    val = quadrature(lambda t: np.abs(t - kink), 0.0, 1.0, tol=1e-12, breaks=[kink, 2.0])
+    exact = kink ** 2 / 2 + (1.0 - kink) ** 2 / 2
+    assert abs(val - exact) <= 1e-12
+
+
+def test_standalone_log_mean_square_against_scipy_oracle():
+    # M^2 of the logarithmic mean of two catalog functions, integrated alone:
+    # Richardson acceptance on coarse dyadic intervals misses it by 143 times
+    # its budget (notes/decisions.md, "Integration engine")
+    quad = pytest.importorskip("scipy.integrate").quad
+    f = parse_function("poly:0.305239,7.77948,0.333982")
+    g = parse_function("affine:0.603687,0.30396")
+    spec = parse_mean("rado:-1")
+    tol = 1e-9
+    val = quadrature(lambda t: mean_values(spec, f(t), g(t)) ** 2, 0.0, 2.0, tol=tol)
+
+    def log_mean(t):
+        x, y = float(f(t)), float(g(t))
+        return x if x == y else (x - y) / (math.log(x) - math.log(y))
+
+    exact = quad(lambda t: log_mean(t) ** 2, 0.0, 2.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert abs(val - exact) <= 10.0 * max(tol, tol * exact)
 
 
 def test_depth_cap_raises():
