@@ -108,9 +108,12 @@ def _read_columns(path: str, ncols: int) -> np.ndarray:
             if len(row) != ncols:
                 raise ParameterError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise ParameterError(f"{path}:{lineno}: non-numeric value in {row}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ParameterError(f"{path}:{lineno}: values must be finite, got {row}")
+            rows.append(values)
     if not rows:
         raise ParameterError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

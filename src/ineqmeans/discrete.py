@@ -24,11 +24,16 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .functions import FunctionSpec
-from .means import MeanSpec, conjugate_values, mean_values
+from .means import MeanSpec, conjugate_from_mean, conjugate_values, mean_values
 from .reports import ChainReport, chain_report
 
 __all__ = ["cbs_chain", "cde_check", "cde_check_functions", "UncertaintyReport",
            "dft_uncertainty", "lorentz_chain", "q_jackson_integral", "q_cbs_chain"]
+
+
+def _positive_finite(v) -> bool:
+    # NaN fails both comparisons
+    return bool(np.all((v > 0.0) & (v < math.inf)))
 
 
 def _positive_vectors(x_vec, y_vec):
@@ -36,8 +41,8 @@ def _positive_vectors(x_vec, y_vec):
     y = np.asarray(y_vec, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 1:
         raise ParameterError("cbs chain requires two equal-length vectors")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise DomainError("cbs chain requires strictly positive entries "
+    if not (_positive_finite(x) and _positive_finite(y)):
+        raise DomainError("cbs chain requires finite, strictly positive entries "
                           "(the conjugate mean divides by M)")
     return x, y
 
@@ -46,7 +51,7 @@ def cbs_chain(x_vec, y_vec, spec: MeanSpec) -> ChainReport:
     """Mean-parameterized refinement of the discrete Cauchy-Bunyakovsky bound."""
     x, y = _positive_vectors(x_vec, y_vec)
     m = mean_values(spec, x, y)
-    mc = conjugate_values(spec, x, y)
+    mc = conjugate_from_mean(x, y, m)
     left = float(np.sum(x * y)) ** 2
     middle = float(np.sum(m * m)) * float(np.sum(mc * mc))
     right = float(np.sum(x * x)) * float(np.sum(y * y))
@@ -165,11 +170,13 @@ def lorentz_chain(x0: float, x_vec, y0: float, y_vec, spec: MeanSpec) -> ChainRe
     (the conjugate mean needs them).
     """
     x, y = _positive_vectors(x_vec, y_vec)
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise DomainError("lorentz_chain requires finite time components x0, y0")
     if x0 * x0 < float(np.sum(x * x)) or y0 * y0 < float(np.sum(y * y)):
         raise DomainError("lorentz_chain requires time-like vectors "
                           "(x0^2 >= sum x_k^2 and likewise for y)")
     m = mean_values(spec, x, y)
-    mc = conjugate_values(spec, x, y)
+    mc = conjugate_from_mean(x, y, m)
     a_mid = float(np.sum(m * m)) * float(np.sum(mc * mc))
     left = (x0 * y0 - float(np.sum(x * y))) ** 2
     middle = (x0 * y0 - math.sqrt(a_mid)) ** 2
@@ -210,16 +217,19 @@ def q_cbs_chain(f: FunctionSpec, g: FunctionSpec, q: float, spec: MeanSpec,
     replacing the sums."""
     if not 0.0 < q < 1.0:
         raise ParameterError(f"q must lie in (0, 1), got {q}")
-    bound = max(f.sup_on_unit(), g.sup_on_unit())
+    sups = (f.sup_on_unit(), g.sup_on_unit())
+    if not all(math.isfinite(s * s) for s in sups):
+        raise DomainError("q_cbs_chain requires f^2, g^2 bounded on (0, 1] by a finite float")
+    bound = max(sups)
     kmax = _q_tail_length(q, tail_tol, bound * bound)
     nodes = q ** np.arange(kmax)
     fv = np.asarray(f(nodes), dtype=float)
     gv = np.asarray(g(nodes), dtype=float)
-    if np.any(fv <= 0) or np.any(gv <= 0):
-        raise DomainError("q_cbs_chain requires f, g positive on (0, 1]")
+    if not (_positive_finite(fv) and _positive_finite(gv)):
+        raise DomainError("q_cbs_chain requires f, g finite and positive on (0, 1]")
     w = (1.0 - q) * nodes
     m = mean_values(spec, fv, gv)
-    mc = conjugate_values(spec, fv, gv)
+    mc = conjugate_from_mean(fv, gv, m)
     left = float(np.sum(w * fv * gv)) ** 2
     middle = float(np.sum(w * m * m)) * float(np.sum(w * mc * mc))
     right = float(np.sum(w * fv * fv)) * float(np.sum(w * gv * gv))

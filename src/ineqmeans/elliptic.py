@@ -90,7 +90,8 @@ def _j_affine(c: float, d: float, x: float) -> float:
     """J(c, d) = int_0^1 dt/((c+dt) sqrt((1-t)(1-xt))) in closed form."""
     r = (c + d) * (c * x + d)
     s = math.sqrt(r)
-    return math.log((2.0 * s + (c + d) + (c * x + d)) / (c * (1.0 - x))) / s
+    # ln(1 + u) with u = (2s + 2d + 2cx) / (c(1 - x)): u -> 0 as x -> 0 for G0
+    return math.log1p((2.0 * s + 2.0 * d + 2.0 * c * x) / (c * (1.0 - x))) / s
 
 
 @dataclass(frozen=True)

@@ -56,19 +56,6 @@ class ChainKind(Enum):
 # mean callables
 # ---------------------------------------------------------------------------
 
-def _mean_fn(spec: MeanSpec) -> Callable:
-    if spec.family is MeanFamily.ITERATED:
-        # the pair iteration stops on its largest gap over all elements, so
-        # each row of a (k, n) stack keeps its own stopping test
-        def rows(u, v):
-            u = np.asarray(u, dtype=float)
-            if u.ndim < 2:
-                return mean_values(spec, u, v)
-            return np.stack([mean_values(spec, ur, vr) for ur, vr in zip(u, v)])
-        return rows
-    return lambda u, v: mean_values(spec, u, v)
-
-
 def _mean_fn_from_h(h: Callable[[float], float]) -> Callable:
     hv = np.vectorize(h, otypes=[float])
 
@@ -132,7 +119,8 @@ def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
     """Evaluate (int fg)^2 <= int M^2 * int M*^2 <= int f^2 int g^2."""
     validate_positive(f, a, b, "f")
     validate_positive(g, a, b, "g")
-    return _mean_chain(f, g, a, b, _mean_fn(spec), tol, _kinks_on_diagonal(spec))
+    return _mean_chain(f, g, a, b, lambda u, v: mean_values(spec, u, v), tol,
+                       _kinks_on_diagonal(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +132,7 @@ def _logderiv_mean(spec: MeanSpec) -> Callable:
     if spec.family is MeanFamily.MEDIANT:
         # mediant of the formal fractions f'/f and g'/g
         return lambda fv, gv, dfv, dgv: (dfv + dgv) / (fv + gv)
-    return _of_logderivs(_mean_fn(spec))
+    return _of_logderivs(lambda u, v: mean_values(spec, u, v))
 
 
 def _of_logderivs(mfn: Callable) -> Callable:
@@ -482,7 +470,7 @@ def _middle_fixed(kind: ChainKind, spec: MeanSpec, fv: np.ndarray, gv: np.ndarra
     """Middle terms of a block: row i holds f, g (and f', g' for the
     log-derivative form) on a 2 * _COMPARE_PANELS + 1 node grid of half-step h[i]."""
     if kind is ChainKind.MEAN_FORM:
-        m = _mean_fn(spec)(fv, gv)
+        m = mean_values(spec, fv, gv)
         conj = conjugate_from_mean(fv, gv, m)
         return composite_simpson(m * m, h) * composite_simpson(conj * conj, h)
     mv = _logderiv_mean(spec)(fv, gv, dfv, dgv)

@@ -50,13 +50,7 @@ __all__ = [
     "full_catalog",
 ]
 
-# Equal-argument handling for the general Rado and Gini kernels: below
-# EQUAL_RTOL the analytic limit (the argument itself) is returned; inside the
-# series band their difference quotients lose digits to cancellation, so a
-# 3-term expansion around the midpoint is used.  The logarithmic and identric
-# kernels need neither band (log1p form, see _log_ratio).
-EQUAL_RTOL = 1e-12
-SERIES_RTOL = 1e-6
+_LOG_MAX = math.log(np.finfo(float).max)
 
 ITERATED_EVAL_TOL = 1e-14
 ITERATED_CAP = 200
@@ -300,27 +294,30 @@ def parse_mean(text: str) -> MeanSpec:
 # evaluation kernels (elementwise over numpy arrays)
 # ---------------------------------------------------------------------------
 
-def _midpoint_series(bvalue: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Rado mean near x = y: divided difference of t^(b+1)/(b+1) around the
-    # midpoint m gives R_b = m (1 + (b-1) z^2 / 24 + O(z^4)), z = (y-x)/m.
-    m = 0.5 * (x + y)
-    z = (y - x) / m
-    return m * (1.0 + (bvalue - 1.0) * z * z / 24.0)
+def _gap_and_log(lo: np.ndarray, hi: np.ndarray):
+    """z = (hi - lo)/lo and L = ln(hi/lo) = log1p(z) for 0 <= lo <= hi.
 
-
-def _log_ratio(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """ln(hi/lo) for 0 <= lo <= hi as log1p((hi - lo)/lo).
-
-    The smaller argument is the base, so the quotient is accurate near
-    lo = hi and for wide ratios alike; +inf at lo = 0, and log(hi) - log(lo)
-    where hi/lo is past the float range.
+    The smaller argument is the base, so both are accurate near lo = hi and
+    for wide ratios alike: no kernel built on them needs a series band or an
+    equal-argument band.  z and L are +inf at lo = 0; where hi/lo is past
+    the float range z is +inf and L is log(hi) - log(lo).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = (hi - lo) / lo
-    out = np.log1p(z)
-    wide = np.isinf(z) & (lo > 0.0)
-    if np.any(wide):
-        out = np.where(wide, np.log(hi) - np.log(np.where(wide, lo, 1.0)), out)
+    L = np.log1p(z)
+    if np.isinf(z).any():
+        wide = np.isinf(z) & (lo > 0.0)
+        L = np.where(wide, np.log(hi) - np.log(np.where(wide, lo, 1.0)), L)
+    return z, L
+
+
+def _lo_exp(lo: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """lo exp(e) for lo >= 0; exp(ln lo + e) where exp(e) alone would overflow."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = lo * np.exp(e)
+        huge = e > 700.0
+        if np.any(huge):
+            out = np.where(huge, np.exp(np.log(lo) + e), out)
     return out
 
 
@@ -330,7 +327,7 @@ def _log_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     hi = np.maximum(x, y)
     d = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        main = d / _log_ratio(lo, hi)
+        main = d / _gap_and_log(lo, hi)[1]
     return np.where(d > 0.0, main, x)
 
 
@@ -342,13 +339,8 @@ def _identric(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     hi = np.maximum(x, y)
     d = hi - lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = hi * _log_ratio(lo, hi) / d - 1.0
-        main = lo * np.exp(e)
-        # hi/lo beyond about 1e307: exp(e) overflows, the log form does not
-        huge = e > 700.0
-        if np.any(huge):
-            main = np.where(huge, np.exp(np.log(lo) + e), main)
-    out = np.where(lo > 0.0, main, hi / math.e)
+        e = hi * _gap_and_log(lo, hi)[1] / d - 1.0
+    out = np.where(lo > 0.0, _lo_exp(lo, e), hi / math.e)
     return np.where(d > 0.0, out, x)
 
 
@@ -379,28 +371,44 @@ def _rado_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _log_mean(x, y)
     if order.kind is OrderKind.ZERO:
         return _identric(x, y)
+    # ((hi^c - lo^c) / (c (hi - lo)))^(1/b), c = b + 1, on the gaps
+    # z = hi/lo - 1 and zh = 1 - lo/hi and on L = log1p(z) = ln(hi/lo).  No
+    # step below overflows while hi/lo is finite, however wide it is, and a
+    # zero argument gives the limit directly: hi c^(-1/b) for b > -1, 0 for
+    # b < -1
     b = order.value
-    big = np.maximum(x, y)
-    r = np.divide(np.abs(y - x), big, out=np.zeros_like(big), where=big > 0)
-    out = np.where(r <= EQUAL_RTOL, x, 0.5 * (x + y))
-    band = (r > EQUAL_RTOL) & (r <= SERIES_RTOL)
-    if np.any(band):
-        out = np.where(band, _midpoint_series(b, x, y), out)
-    mask = r > SERIES_RTOL
-    if np.any(mask):
-        if b < -1.0:
-            # zero argument: x^(b+1) diverges but R_b -> 0, matching min.
-            pos = (x > 0.0) & (y > 0.0)
-            xs = np.where(pos, x, 1.0)
-            ys = np.where(pos, y, 2.0)
-            dd = (xs ** (b + 1.0) - ys ** (b + 1.0)) / ((b + 1.0) * (xs - ys))
-            vals = np.where(pos, dd ** (1.0 / b), 0.0)
+    c = b + 1.0
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    z, L = _gap_and_log(lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        zh = (hi - lo) / hi
+        if c < 0.0:
+            # lo (expm1(c L) / (c z))^(1/b) with z = (hi/lo) zh
+            out = (hi ** (-1.0 / b) * lo ** (1.0 + 1.0 / b)
+                   * (np.expm1(c * L) / (c * zh)) ** (1.0 / b))
+        elif abs(b) < 0.5:
+            # the power 1/b would magnify the quotient's rounding by 1/|b|.
+            # expm1(c L) = z e^(bL) (1 + w) with w = -expm1(-b L)/z, so
+            # ln(R/hi) = (log1p(w) - log1p(b))/b, whose cancelling part is
+            # O(b) and is divided by b without loss.  For b < 0, |w| is
+            # about e^(-c L), so capping -b L at 700 leaves log1p(w) exact
+            # and keeps w finite
+            w = np.expm1(np.minimum(-b * L, 700.0)) / -z
+            out = hi * np.exp((np.log1p(w) - math.log1p(b)) / b)
         else:
-            d = np.where(mask, x - y, 1.0)
-            dd = (x ** (b + 1.0) - y ** (b + 1.0)) / ((b + 1.0) * d)
-            with np.errstate(invalid="ignore"):
-                vals = dd ** (1.0 / b)
-        out = np.where(mask, vals, out)
+            out = hi * (np.expm1(-c * L) / (-c * zh)) ** (1.0 / b)
+    out = np.minimum(np.maximum(out, lo), hi)
+    if c > 0.0 and np.isinf(z).any():
+        # hi/lo and hi^c both past the float range: the value is left NaN,
+        # as the plain difference quotient gives, so that such an input is
+        # reported as not finite
+        wide = np.isinf(z) & (lo > 0.0)
+        out = np.where(wide & (c * np.log(np.where(wide, hi, 1.0)) > _LOG_MAX),
+                       np.nan, out)
+    if np.isnan(out).any():
+        # x = y comes out as 0/0 above
+        out = np.where(hi > lo, out, x)
     return out
 
 
@@ -408,12 +416,17 @@ def _gini_values(u: float, v: float, x: np.ndarray, y: np.ndarray) -> np.ndarray
     if u == v:
         if u == 0.0:
             return np.sqrt(x * y)
-        xu = x ** u
-        yu = y ** u
-        vals = np.exp((xu * np.log(x) + yu * np.log(y)) / (xu + yu))
-        # the exp/log round trip loses a ulp exactly where the limit is known
-        big = np.maximum(x, y)
-        return np.where(np.abs(y - x) <= EQUAL_RTOL * big, x, vals)
+        # exp of the lo^u : hi^u weighted mean of ln lo, ln hi, on the
+        # argument with the larger weight, so that the exponent is small
+        # wherever the weights are far apart; exactly x at x = y
+        lo = np.minimum(x, y)
+        hi = np.maximum(x, y)
+        _, L = _gap_and_log(lo, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (lo / hi) ** u
+            if u > 0.0:
+                return np.maximum(hi * np.exp(L * t / (-1.0 - t)), lo)
+            return np.minimum(_lo_exp(lo, L / (1.0 + t)), hi)
     return ((x ** u + y ** u) / (x ** v + y ** v)) ** (1.0 / (u - v))
 
 
@@ -434,27 +447,30 @@ def coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,
                   tol: float, cap: int):
     """Run x <- M(x, y), y <- N(x, y) until the relative gap <= tol.
 
-    Returns (values, iterations, final relative gap).  Raises
-    ConvergenceError when the cap is reached with gap > tol.
+    Elementwise: each element stops at its own first gap <= tol and stays
+    frozen while the others iterate, so its value depends only on its own
+    pair.  Returns (values, iterations of the slowest element, largest final
+    relative gap).  Raises ConvergenceError when any element still has
+    gap > tol at the cap.
     """
     xk = np.array(x, dtype=float, copy=True)
     yk = np.array(y, dtype=float, copy=True)
     iterations = 0
-    for _ in range(cap):
-        scale = np.maximum(np.maximum(xk, yk), 1e-300)
-        gap = float(np.max(np.abs(xk - yk) / scale))
-        if gap <= tol:
-            return 0.5 * (xk + yk), iterations, gap
+    while True:
+        gap = np.abs(xk - yk)
+        gap /= np.maximum(np.maximum(xk, yk), 1e-300)
+        done = gap <= tol
+        if done.all():
+            return 0.5 * (xk + yk), iterations, float(np.max(gap))
+        if iterations == cap:
+            raise ConvergenceError(
+                f"mean-pair iteration did not converge in {cap} steps "
+                f"(gap {float(np.max(gap)):.3e} > tol {tol:.3e})")
         nx = mean_values(m, xk, yk)
         ny = mean_values(n, xk, yk)
-        xk, yk = nx, ny
+        xk = np.where(done, xk, nx)
+        yk = np.where(done, yk, ny)
         iterations += 1
-    scale = np.maximum(np.maximum(xk, yk), 1e-300)
-    gap = float(np.max(np.abs(xk - yk) / scale))
-    if gap <= tol:
-        return 0.5 * (xk + yk), iterations, gap
-    raise ConvergenceError(
-        f"mean-pair iteration did not converge in {cap} steps (gap {gap:.3e} > tol {tol:.3e})")
 
 
 def mean_values(spec: MeanSpec, x, y) -> np.ndarray:

@@ -27,6 +27,17 @@ def test_means_eval_iterated_spec():
     assert payload(result)["value"] == pytest.approx(1.4567910310469068, rel=1e-12)
 
 
+def test_means_eval_rado_at_wide_finite_ratios():
+    # t^(b+1) overflows at one argument, the mean does not:
+    # R_b(lo, hi) = hi ((1 - (lo/hi)^c) / (c (1 - lo/hi)))^(1/b), c = b + 1
+    for order, x, y, value in (("2", "1e-150", "1", 3.0 ** -0.5),
+                               ("60", "1e-3", "1e3",
+                                1e3 * (61.0 * (1.0 - 1e-6)) ** (-1.0 / 60.0))):
+        result = run("means", "eval", "--spec", f"rado:{order}", "--x", x, "--y", y)
+        assert result.exit_code == 0, result.stderr
+        assert payload(result)["value"] == pytest.approx(value, rel=1e-14)
+
+
 def test_means_axioms_pass_and_fail_exit_codes():
     ok = run("means", "axioms", "--spec", "power:2", "--samples", "200", "--seed", "1")
     assert ok.exit_code == 0
@@ -70,6 +81,16 @@ def test_cbs_discrete_from_csv(tmp_path):
     assert result.exit_code == 0
     assert data["left"] == 16.0
     assert data["right"] == 25.0
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_cbs_discrete_non_finite_cell_is_a_usage_error(tmp_path, cell):
+    path = tmp_path / "vectors.csv"
+    path.write_text(f"1,2\n{cell},1\n")
+    result = run("cbs", "discrete", "--mean", "power:2", "--input", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
 
 
 def test_cbs_integral():

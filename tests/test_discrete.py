@@ -8,6 +8,9 @@ from ineqmeans import (DomainError, ParameterError, cbs_chain, cde_check,
                        cde_check_functions, chain_catalog, dft_uncertainty,
                        lorentz_chain, parse_function, parse_mean, q_cbs_chain,
                        q_jackson_integral)
+from ineqmeans import discrete, means
+from ineqmeans.functions import FunctionFamily, FunctionSpec
+from ineqmeans.means import conjugate_values
 from ineqmeans.sampling import log_uniform, make_rng
 
 
@@ -87,6 +90,72 @@ def test_chain_rejects_bad_input():
         cbs_chain([1.0, 2.0], [1.0], parse_mean("power:2"))
     with pytest.raises(DomainError):
         cbs_chain([1.0, 0.0], [1.0, 1.0], parse_mean("power:2"))
+
+
+def test_chains_evaluate_each_mean_once(monkeypatch):
+    # one evaluation of M per chain, M* = xy/M from its values; the reports
+    # equal the two-evaluation form (M* from conjugate_values) bit for bit.
+    # Calls are counted at both bindings, so conjugate_values' own call to
+    # means.mean_values counts too; an iterated mean's inner calls do not.
+    rng = make_rng(23)
+    x = log_uniform(rng, 1e-2, 1e2, size=257)
+    y = log_uniform(rng, 1e-2, 1e2, size=257)
+    x0 = 3.0 * math.sqrt(float(np.sum(x * x)))
+    y0 = 2.0 * math.sqrt(float(np.sum(y * y)))
+    f = parse_function("affine:0.5,2")
+    g = parse_function("exp:-1")
+    evaluate = discrete.mean_values
+    from_mean = discrete.conjugate_from_mean
+    calls = []
+
+    def counting(spec, u, v):
+        calls.append(spec)
+        return evaluate(spec, u, v)
+
+    for spec in chain_catalog():
+        for chain in (lambda: cbs_chain(x, y, spec),
+                      lambda: lorentz_chain(x0, x, y0, y, spec),
+                      lambda: q_cbs_chain(f, g, 0.7, spec)):
+            monkeypatch.setattr(discrete, "mean_values", counting)
+            monkeypatch.setattr(means, "mean_values", counting)
+            monkeypatch.setattr(discrete, "conjugate_from_mean", from_mean)
+            calls.clear()
+            report = chain()
+            assert [s for s in calls if s is spec] == [spec]
+            monkeypatch.setattr(discrete, "conjugate_from_mean",
+                                lambda u, v, m: conjugate_values(spec, u, v))
+            assert chain() == report, spec.to_string()
+    monkeypatch.undo()
+    # rado:2 against the textbook difference quotient
+    report = cbs_chain(x, y, parse_mean("rado:2"))
+    m = np.sqrt((x ** 3 - y ** 3) / (3.0 * (x - y)))
+    middle = float(np.sum(m * m)) * float(np.sum((x * y / m) ** 2))
+    assert report.middle == pytest.approx(middle, rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entries_are_domain_errors(bad):
+    spec = parse_mean("power:2")
+    for x, y in (([bad, 1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0, bad])):
+        with pytest.raises(DomainError):
+            cbs_chain(x, y, spec)
+        with pytest.raises(DomainError):
+            lorentz_chain(9.0, x, 9.0, y, spec)
+    with pytest.raises(DomainError):
+        lorentz_chain(bad, [1.0, 1.0], 3.0, [1.0, 2.0], spec)
+    with pytest.raises(DomainError):
+        lorentz_chain(3.0, [1.0, 1.0], bad, [1.0, 2.0], spec)
+
+
+def test_q_chain_non_finite_samples_are_domain_errors():
+    spec = parse_mean("power:2")
+    g = parse_function("poly:1,1")
+    for f in (FunctionSpec(FunctionFamily.POLY, (math.nan,)),
+              parse_function("poly:1e308,1e308")):
+        with pytest.raises(DomainError):
+            q_cbs_chain(f, g, 0.5, spec)
+        with pytest.raises(DomainError):
+            q_cbs_chain(g, f, 0.5, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,18 @@ def test_bounds_against_defining_integrals():
             assert transformed(kind) == pytest.approx(value, rel=1e-9), (x, kind)
 
 
+def test_g0_against_mpmath_near_zero():
+    # G0 = J(1, x) = int_0^1 dt / ((1 + xt) sqrt((1 - t)(1 - xt))); its closed
+    # form takes ln(1 + O(sqrt x)) as x -> 0
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for x in (1e-8, 1e-12, 1e-14):
+            xm = mp.mpf(x)
+            ref = mp.quad(lambda t: 1 / ((1 + xm * t) * mp.sqrt((1 - t) * (1 - xm * t))),
+                          [0, 1])
+            assert bounds(x).G0 == pytest.approx(float(ref), rel=1e-14), x
+
+
 def test_refinements_tighten_the_envelope():
     report = bounds(0.9)
     assert (report.G0 - report.L0) > (report.G2 - report.L2)

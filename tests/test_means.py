@@ -130,6 +130,75 @@ def test_log_and_identric_kernels_against_mpmath():
                         assert float(np.max(rel)) <= 1e-14, (name, base)
 
 
+def _rado_mp(b, xs, ys):
+    return ((ys ** (b + 1) - xs ** (b + 1)) / ((b + 1) * (ys - xs))) ** (1 / b)
+
+
+def _gini_mp(u, xs, ys):
+    mp = pytest.importorskip("mpmath")
+    return mp.exp((xs ** u * mp.log(xs) + ys ** u * mp.log(ys)) / (xs ** u + ys ** u))
+
+
+def test_rado_and_gini_kernels_against_mpmath():
+    # no equal-argument or series band: relative gaps 1e-9 .. 1e6, either
+    # order, on both sides of b = -1 and b = 0, where the Rado kernel
+    # changes form (the identric and log orders themselves are tested above)
+    mp = pytest.importorskip("mpmath")
+    gaps = np.logspace(-9.0, 6.0, 46)
+    rado, gini = _rado_mp, _gini_mp
+    cases = [(f"rado:{b:g}", rado, b)
+             for b in (-3.0, -1.001, -0.999, -1e-3, 1e-3, 0.5, 2.0, 2.5, 8.0)]
+    cases += [("gini:3,3", gini, 3.0), ("gini:-2,-2", gini, -2.0)]
+    with mp.workdps(50):
+        for base in (1e-3, 1.0, 2.0, 1e3):
+            lo = np.full_like(gaps, base)
+            hi = base * (1.0 + gaps)
+            for name, formula, p in cases:
+                ref = np.array([float(formula(mp.mpf(p), mp.mpf(a), mp.mpf(b)))
+                                for a, b in zip(lo, hi)])
+                for x, y in ((lo, hi), (hi, lo)):
+                    got = mean_values(spec(name), x, y)
+                    rel = np.abs(got - ref) / ref
+                    assert float(np.max(rel)) <= 1e-14, (name, base)
+
+
+def test_rado_and_gini_kernels_at_wide_ratios_against_mpmath():
+    # ratios where t^(b+1) itself leaves the float range at one argument
+    # (rado:2 at (1e-150, 1) through 1e-150^3, rado:60 at (1e-3, 1e3), b < -1
+    # at the small argument): the kernels stay finite and accurate.  For
+    # b < -1 the value lies far from both arguments, and the rounding of the
+    # exponent 1/b alone moves it by up to ln(hi/lo) ulps / |b|
+    mp = pytest.importorskip("mpmath")
+    pairs = [(1e-150, 1.0), (1e-3, 1e3), (1.0, 1e300), (1e-300, 1.0),
+             (1e-200, 1e100), (1e-154, 1e154)]
+    lo = np.array([p[0] for p in pairs])
+    hi = np.array([p[1] for p in pairs])
+    cases = [(f"rado:{b:g}", _rado_mp, b, 1e-13 if b < -1.0 else 1e-14)
+             for b in (-60.0, -3.0, -1.001, -0.999, -1e-3, 1e-3, 0.5, 2.0, 60.0)]
+    cases += [(f"gini:{u:g},{u:g}", _gini_mp, u, 1e-14) for u in (-2.0, 0.5, 3.0)]
+    with mp.workdps(50):
+        for name, formula, p, bound in cases:
+            ref = np.array([float(formula(mp.mpf(p), mp.mpf(a), mp.mpf(b)))
+                            for a, b in pairs])
+            for x, y in ((lo, hi), (hi, lo)):
+                rel = np.abs(mean_values(spec(name), x, y) - ref) / ref
+                assert float(np.max(rel)) <= bound, name
+
+
+def test_iterated_mean_is_elementwise():
+    # each element stops at its own gap: a wide pair beside it, which needs
+    # more steps, moves no value, and a lone pair gives its in-array value
+    rng = make_rng(5)
+    x = log_uniform(rng, size=200_000)
+    y = x * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, size=x.size))
+    s = spec("iter:power:3|power:0")
+    alone = mean_values(s, x, y)
+    beside = mean_values(s, np.append(x, 1e-3), np.append(y, 1e3))
+    assert np.array_equal(alone, beside[:-1])
+    for i in rng.integers(0, x.size, size=50):
+        assert mean_values(s, x[i:i + 1], y[i:i + 1])[0] == alone[i]
+
+
 def test_zero_argument_limits():
     assert eval_mean(spec("power:-2"), 0.0, 3.0) == 0.0
     assert eval_mean(spec("rado:-3"), 0.0, 3.0) == 0.0
