@@ -39,6 +39,8 @@ from .young import critical_y, young_integral_gap, young_pair
 __all__ = ["CommandResult", "dispatch", "main"]
 
 INTEGRAL_CHAIN_RTOL = 1e-8  # quadrature tolerance dominates the 1e-12 report tol
+# most points an --grid may expand to (elliptic bounds: about 50 us a point)
+GRID_MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,11 @@ def _parse_grid(text: str) -> list:
     _finite([start, stop, step], text)
     if step <= 0 or stop < start:
         raise ParameterError(f"bad grid range {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step  # inf once the step underflows the ratio
+    # round(steps) + 1 points; compared as a float, before any int() or list
+    if not steps < GRID_MAX_POINTS - 0.5:
+        raise ParameterError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
+    count = int(round(steps)) + 1
     return [start + i * step for i in range(count)]
 
 

@@ -4,7 +4,8 @@ Five families cover the integral test surface: polynomials, exponentials
 e^{kt}, powers t^p, affine maps, and exponentials of polynomials.  Every
 family evaluates elementwise on numpy arrays and knows its derivative in
 closed form; positivity or monotonicity on a concrete interval is validated
-by dense sampling at the point of use.
+by dense sampling at the point of use, and the validators return their
+samples for the caller to reuse.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,40 +48,46 @@ class FunctionSpec:
         t = np.asarray(t, dtype=float)
         f = self.family
         if f is FunctionFamily.POLY or f is FunctionFamily.AFFINE:
-            return np.polynomial.polynomial.polyval(t, self.coeffs)
+            return _horner(self.coeffs, t)
         if f is FunctionFamily.EXP:
             return np.exp(self.coeffs[0] * t)
         if f is FunctionFamily.POWER:
             return t ** self.coeffs[0]
-        return np.exp(np.polynomial.polynomial.polyval(t, self.coeffs))
+        return np.exp(_horner(self.coeffs, t))
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
         f = self.family
         if f is FunctionFamily.POLY or f is FunctionFamily.AFFINE:
-            dcoef = tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0.0,)
-            return np.polynomial.polynomial.polyval(t, dcoef)
+            return _horner(_derivative_coeffs(self.coeffs), t)
         if f is FunctionFamily.EXP:
             k = self.coeffs[0]
             return k * np.exp(k * t)
         if f is FunctionFamily.POWER:
             p = self.coeffs[0]
             return p * t ** (p - 1.0)
-        dcoef = tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0.0,)
-        return np.polynomial.polynomial.polyval(t, dcoef) * self(t)
+        return _horner(_derivative_coeffs(self.coeffs), t) * np.exp(_horner(self.coeffs, t))
 
     def sup_on_unit(self) -> float:
-        """Upper bound for |f| on (0, 1]; DomainError if unbounded there."""
+        """Upper bound for |f| on (0, 1]; DomainError if unbounded there or
+        if the bound is past the float range."""
         f = self.family
-        if f is FunctionFamily.POLY or f is FunctionFamily.AFFINE:
-            return sum(abs(c) for c in self.coeffs)
-        if f is FunctionFamily.EXP:
-            return math.exp(max(self.coeffs[0], 0.0))
         if f is FunctionFamily.POWER:
             if self.coeffs[0] < 0:
                 raise DomainError("t^p is unbounded on (0, 1] for p < 0")
             return 1.0
-        return math.exp(sum(abs(c) for c in self.coeffs))
+        try:
+            if f is FunctionFamily.POLY or f is FunctionFamily.AFFINE:
+                bound = sum(abs(c) for c in self.coeffs)
+            elif f is FunctionFamily.EXP:
+                bound = math.exp(max(self.coeffs[0], 0.0))
+            else:
+                bound = math.exp(sum(abs(c) for c in self.coeffs))
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise DomainError(f"sup |{self}| on (0, 1] is past the float range")
+        return bound
 
     def to_string(self) -> str:
         params = ",".join("%g" % c for c in self.coeffs)
@@ -87,6 +95,19 @@ class FunctionSpec:
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+def _horner(coeffs, t):
+    """sum c_i t^i by Horner's rule, in numpy polyval's order: c[-1] + t*0,
+    then c_i + v*t, so every value equals polyval's bit for bit."""
+    v = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        v = c + v * t
+    return v
+
+
+def _derivative_coeffs(coeffs) -> tuple:
+    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
 
 
 def parse_function(text: str) -> FunctionSpec:
@@ -112,26 +133,46 @@ def parse_function(text: str) -> FunctionSpec:
 _VALIDATION_POINTS = 513
 
 
-def validate_positive(f, a: float, b: float, name: str = "f") -> None:
+@lru_cache(maxsize=32)
+def _cached_grid(a: float, b: float, n: int, signs: tuple) -> np.ndarray:
+    # signs is part of the cache key only
+    ts = np.linspace(a, b, n)
+    ts.flags.writeable = False
+    return ts
+
+
+def _grid(a: float, b: float, n: int) -> np.ndarray:
+    """``linspace(a, b, n)``, cached read-only: the chains sample a few
+    intervals over and over, and a linspace call costs as much as a 1000-node
+    function evaluation.  The key keeps the signs, so -0.0 is not 0.0."""
+    a, b = float(a), float(b)
+    return _cached_grid(a, b, n, (math.copysign(1.0, a), math.copysign(1.0, b)))
+
+
+def validate_positive(f, a: float, b: float, name: str = "f") -> np.ndarray:
     """Require f >= 0 on [a, b] and f > 0 away from the endpoints.
 
     Zeros at the interval endpoints are tolerated (the conjugate-mean limit
-    there is 0), interior zeros or sign changes are not.
+    there is 0), interior zeros or sign changes are not.  Returns the
+    checked values of f on ``linspace(a, b, 513)``.
     """
-    ts = np.linspace(a, b, _VALIDATION_POINTS)
-    vals = np.asarray(f(ts), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    vals = np.asarray(f(_grid(a, b, _VALIDATION_POINTS)), dtype=float)
+    if not np.isfinite(vals).all():
         raise DomainError(f"{name} is not finite on [{a}, {b}]")
-    if np.any(vals < 0):
+    if (vals < 0).any():
         raise DomainError(f"{name} is negative on [{a}, {b}]")
-    if np.any(vals[1:-1] <= 0):
+    if (vals[1:-1] <= 0).any():
         raise DomainError(f"{name} vanishes inside [{a}, {b}]")
+    return vals
 
 
-def validate_nonneg_derivative(f: FunctionSpec, a: float, b: float, name: str = "f") -> None:
-    ts = np.linspace(a, b, _VALIDATION_POINTS)
-    dv = np.asarray(f.derivative(ts), dtype=float)
-    if not np.all(np.isfinite(dv)):
+def validate_nonneg_derivative(f: FunctionSpec, a: float, b: float,
+                               name: str = "f") -> np.ndarray:
+    """Require f' finite and >= 0 on [a, b]; returns the checked values of
+    f' on ``linspace(a, b, 513)``."""
+    dv = np.asarray(f.derivative(_grid(a, b, _VALIDATION_POINTS)), dtype=float)
+    if not np.isfinite(dv).all():
         raise DomainError(f"{name}' is not finite on [{a}, {b}]")
-    if np.any(dv < 0):
+    if (dv < 0).any():
         raise DomainError(f"{name} must be nondecreasing on [{a}, {b}]")
+    return dv

@@ -34,7 +34,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .functions import FunctionFamily, FunctionSpec, validate_nonneg_derivative, validate_positive
+from .functions import (_VALIDATION_POINTS, FunctionFamily, FunctionSpec, _grid,
+                        validate_nonneg_derivative, validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     conjugate_values, mean_values)
 from .quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
@@ -104,21 +105,26 @@ def _kinks_on_diagonal(spec: MeanSpec) -> bool:
 
 def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
                 kinked: bool) -> ChainReport:
+    """The mean-form chain of f, g, validated here; ``kinked`` marks a mean
+    that kinks on the diagonal, so the integrands kink where f and g cross."""
+    fe = validate_positive(f, a, b, "f")
+    ge = validate_positive(g, a, b, "g")
+
     def factors(t, ft, gt):
         m = mfn(ft, gt)
         return m * m, conjugate_from_mean(ft, gt, m) ** 2
 
-    # a kinked mean kinks the integrands where f and g cross
-    breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
-                         a, b) if kinked else ()
+    breaks = ()
+    if kinked:
+        odd = _scan_odd_nodes(a, b)
+        breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
+                             a, b, _fill_odd(fe, f(odd)) - _fill_odd(ge, g(odd)))
     return _chain(f, g, a, b, factors, tol, breaks)
 
 
 def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
                         tol: float = 1e-10) -> ChainReport:
     """Evaluate (int fg)^2 <= int M^2 * int M*^2 <= int f^2 int g^2."""
-    validate_positive(f, a, b, "f")
-    validate_positive(g, a, b, "g")
     return _mean_chain(f, g, a, b, lambda u, v: mean_values(spec, u, v), tol,
                        _kinks_on_diagonal(spec))
 
@@ -145,14 +151,35 @@ def _logderiv_integrand(f: FunctionSpec, g: FunctionSpec, lmean: Callable) -> Ca
                            f.derivative(t), g.derivative(t))
 
 
-def _find_kinks(diff_fn: Callable, a: float, b: float) -> list:
+# The scan grid linspace(a, b, 1025) holds the 513-node validation grid at its
+# even nodes bit for bit (notes/decisions.md, "Tabulation"), so the samples a
+# validator returns fill half of it and only the 512 odd nodes are new.
+_SCAN_POINTS = 2 * _VALIDATION_POINTS - 1
+
+
+def _scan_odd_nodes(a: float, b: float) -> np.ndarray:
+    return _grid(a, b, _SCAN_POINTS)[1::2]
+
+
+def _fill_odd(even: np.ndarray, odd) -> np.ndarray:
+    """Values on the scan grid from its even-node and odd-node values."""
+    out = np.empty(2 * len(even) - 1)
+    out[::2] = even
+    out[1::2] = odd
+    return out
+
+
+def _find_kinks(diff_fn: Callable, a: float, b: float,
+                scan: Optional[np.ndarray] = None) -> list:
     """Interior sign changes of diff_fn (where min/max-type means kink).
 
-    A 1025-point scan brackets each change; rounds of 257-point subdivision
-    then narrow the bracket, to ulp width or for at most 6 rounds.
+    A scan of diff_fn on the 1025-point scan grid brackets each change
+    (``scan`` passes those values when the caller has them); rounds of
+    257-point subdivision then narrow the bracket, to ulp width or for at
+    most 6 rounds.
     """
-    ts = np.linspace(a, b, 1025)
-    d = np.asarray(diff_fn(ts), dtype=float)
+    ts = _grid(a, b, _SCAN_POINTS)
+    d = np.asarray(diff_fn(ts) if scan is None else scan, dtype=float)
     kinks = []
     for i in np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]:
         lo, hi, side = ts[i], ts[i + 1], np.sign(d[i])
@@ -187,20 +214,25 @@ class _PiecewiseAntiderivative:
         return out
 
 
-def _tabulate_segment(m_integrand, a, b, inner_tol, offset):
+def _tabulate_segment(m_integrand, a, b, inner_tol, offset, seed=None):
     prev = mv = None
     panels = 128
     while panels <= 16384:
-        xs, h = simpson_nodes(a, b, panels)
         # linspace grids nest exactly: the previous grid is every second node
-        # of this one, so only the new odd nodes are evaluated
-        new = np.asarray(m_integrand(xs if mv is None else xs[1::2]), dtype=float)
-        if not np.all(np.isfinite(new)):
+        # of this one, so only the new odd nodes are evaluated, and a seed on
+        # the scan grid holds every grid up to 512 panels
+        if seed is not None and 2 * panels < len(seed):
+            h = (b - a) / (2 * panels)  # simpson_nodes' half-step
+            new = seed[::(len(seed) - 1) // (2 * panels)]
+        else:
+            xs, h = simpson_nodes(a, b, panels)
+            new = np.asarray(m_integrand(xs if mv is None else xs[1::2]), dtype=float)
+        if not np.isfinite(new).all():
             raise DomainError("log-derivative integrand is not finite on [a, b]")
-        if mv is None:
+        if mv is None or len(new) == 2 * panels + 1:
             mv = new
         else:
-            fine = np.empty(len(xs))
+            fine = np.empty(2 * panels + 1)
             fine[::2] = mv
             fine[1::2] = new
             mv = fine
@@ -214,17 +246,20 @@ def _tabulate_segment(m_integrand, a, b, inner_tol, offset):
 
 
 def _tabulate_antiderivative(m_integrand: Callable, a: float, b: float,
-                             inner_tol: float, breaks: Sequence[float] = ()):
+                             inner_tol: float, breaks: Sequence[float] = (),
+                             seed: Optional[np.ndarray] = None):
     """Adaptively refined cumulative-Simpson tables with exact Hermite slopes.
 
     ``breaks`` marks interior kinks (e.g. crossings of the log-derivatives
     under a min/max mean); each smooth segment gets its own uniform table.
+    ``seed``, the integrand on the scan grid of [a, b], serves the grids up
+    to 512 panels; it is given only when there are no breaks.
     """
     edges = [a] + sorted(breaks) + [b]
     tables = []
     offset = 0.0
     for left, right in zip(edges, edges[1:]):
-        table, total = _tabulate_segment(m_integrand, left, right, inner_tol, offset)
+        table, total = _tabulate_segment(m_integrand, left, right, inner_tol, offset, seed)
         tables.append(table)
         offset += total
     if len(tables) == 1:
@@ -232,15 +267,30 @@ def _tabulate_antiderivative(m_integrand: Callable, a: float, b: float,
     return _PiecewiseAntiderivative(np.asarray(edges[:-1]), tuple(tables))
 
 
-def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float) -> list:
-    diff = _logderiv_integrand(f, g, lambda fv, gv, dfv, dgv: dfv / fv - dgv / gv)
-    return _find_kinks(diff, a, b)
+def _logderiv_gap(fv, gv, dfv, dgv):
+    return dfv / fv - dgv / gv
 
 
-def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
-                    m_integrand: Callable, inner_tol: float, outer_tol: float) -> ChainReport:
-    breaks = _logderiv_breaks(f, g, a, b)
-    table = _tabulate_antiderivative(m_integrand, a, b, inner_tol, breaks)
+def _logderiv_scan(f: FunctionSpec, g: FunctionSpec, a: float, b: float):
+    """Validate the pair; return (f, g, f', g') on the scan grid and the
+    crossings of Lf - Lg, where min/max-type means kink."""
+    scan = _validate_logderiv_pair(f, g, a, b)
+    breaks = _find_kinks(_logderiv_integrand(f, g, _logderiv_gap), a, b, _logderiv_gap(*scan))
+    return scan, breaks
+
+
+def _logderiv_table(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
+                    inner_tol: float, scan: tuple, breaks: list):
+    """Table of int_a^x lmean(f, g, f', g'); without breaks its grids up to
+    512 panels come from lmean on the scan."""
+    return _tabulate_antiderivative(_logderiv_integrand(f, g, lmean), a, b, inner_tol, breaks,
+                                    None if breaks else lmean(*scan))
+
+
+def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
+                    inner_tol: float, outer_tol: float) -> ChainReport:
+    scan, breaks = _logderiv_scan(f, g, a, b)
+    table = _logderiv_table(f, g, a, b, lmean, inner_tol, scan, breaks)
 
     def factors(t, ft, gt):
         v = 2.0 * table(t)
@@ -267,19 +317,21 @@ def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float
     give exact equality with the right side and every intermediate mean stays
     inside the chain.  The report carries honest slacks either way.
     """
-    _validate_logderiv_pair(f, g, a, b)
-    return _logderiv_chain(f, g, a, b, _logderiv_integrand(f, g, _logderiv_mean(spec)),
-                           inner_tol, outer_tol)
+    return _logderiv_chain(f, g, a, b, _logderiv_mean(spec), inner_tol, outer_tol)
 
 
-def _validate_logderiv_pair(f, g, a, b):
-    validate_positive(f, a, b, "f")
-    validate_positive(g, a, b, "g")
-    ts = np.linspace(a, b, 513)
-    if np.any(np.asarray(f(ts), dtype=float) <= 0) or np.any(np.asarray(g(ts), dtype=float) <= 0):
+def _validate_logderiv_pair(f, g, a, b) -> tuple:
+    """Validate f, g for the log-derivative forms; return (f, g, f', g') on
+    the scan grid, whose even nodes are the validators' samples."""
+    fe = validate_positive(f, a, b, "f")
+    ge = validate_positive(g, a, b, "g")
+    if (fe <= 0).any() or (ge <= 0).any():
         raise DomainError("log-derivative chain requires strictly positive f, g")
-    validate_nonneg_derivative(f, a, b, "f")
-    validate_nonneg_derivative(g, a, b, "g")
+    dfe = validate_nonneg_derivative(f, a, b, "f")
+    dge = validate_nonneg_derivative(g, a, b, "g")
+    odd = _scan_odd_nodes(a, b)
+    return (_fill_odd(fe, f(odd)), _fill_odd(ge, g(odd)),
+            _fill_odd(dfe, f.derivative(odd)), _fill_odd(dge, g.derivative(odd)))
 
 
 def logderiv_phi1(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
@@ -290,9 +342,8 @@ def logderiv_phi1(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     invariant under f, g -> lam f, lam g rather than quadratic in lam) can be
     witnessed directly.
     """
-    _validate_logderiv_pair(f, g, a, b)
-    table = _tabulate_antiderivative(_logderiv_integrand(f, g, _logderiv_mean(spec)),
-                                     a, b, inner_tol, _logderiv_breaks(f, g, a, b))
+    scan, breaks = _logderiv_scan(f, g, a, b)
+    table = _logderiv_table(f, g, a, b, _logderiv_mean(spec), inner_tol, scan, breaks)
     return lambda x: np.exp(2.0 * table(x))
 
 
@@ -322,16 +373,17 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
         phi2_vals = (np.asarray(phi2(xs), dtype=float) if phi2 is not None
                      else conjugate_values(spec, fx, gx) ** 2)
     else:
-        breaks = _logderiv_breaks(f, g, a, b)
+        scan, breaks = _logderiv_scan(f, g, a, b)
         lmean = _logderiv_mean(spec)
-        table1 = _tabulate_antiderivative(_logderiv_integrand(f, g, lmean), a, b, 1e-12, breaks)
+        table1 = _logderiv_table(f, g, a, b, lmean, 1e-12, scan, breaks)
         phi1_vals = np.exp(2.0 * table1(xs))
         if phi2 is not None:
             phi2_vals = np.asarray(phi2(xs), dtype=float)
         else:
-            complement = _logderiv_integrand(
-                f, g, lambda fv, gv, dfv, dgv: dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv))
-            table2 = _tabulate_antiderivative(complement, a, b, 1e-12, breaks)
+            def complement(fv, gv, dfv, dgv):
+                return dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv)
+
+            table2 = _logderiv_table(f, g, a, b, complement, 1e-12, scan, breaks)
             fa = float(f(a))
             ga = float(g(a))
             phi2_vals = (fa * ga) ** 2 * np.exp(2.0 * table2(xs))
@@ -364,12 +416,8 @@ def general_h_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
             f"{len(check.ratio_violations)} ratio and {len(check.even_violations)} evenness violations")
     mfn = _mean_fn_from_h(h)
     if kind is ChainKind.MEAN_FORM:
-        validate_positive(f, a, b, "f")
-        validate_positive(g, a, b, "g")
         return _mean_chain(f, g, a, b, mfn, tol, kinked=True)  # h is opaque
-    _validate_logderiv_pair(f, g, a, b)
-    return _logderiv_chain(f, g, a, b, _logderiv_integrand(f, g, _of_logderivs(mfn)),
-                           tol, max(tol, 1e-8))
+    return _logderiv_chain(f, g, a, b, _of_logderivs(mfn), tol, max(tol, 1e-8))
 
 
 # ---------------------------------------------------------------------------

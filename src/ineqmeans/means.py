@@ -521,9 +521,14 @@ def _validate_args(spec: MeanSpec, x, y) -> None:
 
 
 def eval_mean(spec: MeanSpec, x: float, y: float) -> float:
-    """M(x, y) with domain validation; min(x,y) <= M <= max(x,y)."""
+    """M(x, y) with domain validation; min(x,y) <= M <= max(x,y).
+
+    Evaluated as a one-element array: numpy's 0-d arithmetic can differ from
+    its array loops by an ulp (power, for one), so this equals the value the
+    pair gets inside any array.
+    """
     _validate_args(spec, x, y)
-    return float(mean_values(spec, x, y))
+    return float(mean_values(spec, [x], [y])[0])
 
 
 def conjugate_values(spec: MeanSpec, x, y) -> np.ndarray:
@@ -545,11 +550,11 @@ def conjugate_from_mean(x: np.ndarray, y: np.ndarray, m: np.ndarray) -> np.ndarr
 
 
 def conjugate_eval(spec: MeanSpec, x: float, y: float) -> float:
-    """M*(x, y) = xy / M(x, y) for x, y > 0."""
+    """M*(x, y) = xy / M(x, y) for x, y > 0, as a one-element array (see eval_mean)."""
     if not (x > 0 and y > 0):
         raise DomainError("conjugate mean requires strictly positive arguments")
     _validate_args(spec, x, y)
-    return float(conjugate_values(spec, x, y))
+    return float(conjugate_values(spec, [x], [y])[0])
 
 
 def entropy(spec: MeanSpec, x: float, y: float) -> float:

@@ -3,7 +3,8 @@ import warnings
 
 import pytest
 
-from ineqmeans.cli import dispatch
+from ineqmeans import ParameterError
+from ineqmeans.cli import GRID_MAX_POINTS, _parse_grid, dispatch
 
 
 def run(*argv):
@@ -109,6 +110,14 @@ def test_cbs_q():
     assert data["ordered"] is True
 
 
+@pytest.mark.parametrize("f", ["exp:1000", "exppoly:1,800"])
+def test_cbs_q_bound_past_float_range_exits_three(f):
+    result = run("cbs", "q", "--mean", "power:2", "--f", f, "--g", "poly:1", "--q", "0.5")
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: ") and "float range" in result.stderr
+    assert "OverflowError" not in result.stderr
+
+
 def test_compare_verdict():
     result = run("compare", "--a", "power:0", "--b", "power:2", "--trials", "60",
                  "--seed", "5", "--kind", "mean")
@@ -136,6 +145,24 @@ def test_elliptic_bounds_grid_csv():
         assert fields[-1] == "true"
         # 17 significant digits requested of every numeric
         assert all(len(f.split(".")[-1]) >= 10 for f in fields[1:3])
+
+
+@pytest.mark.parametrize("grid", ["0:0.5:1e-12", "0:0.5:1e-320"])
+def test_elliptic_grid_past_the_cap_is_a_usage_error(grid):
+    # 5e11 points, and a step whose point count is inf: both are refused
+    # before any list is built
+    result = run("elliptic", "bounds", "--grid", grid)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert str(GRID_MAX_POINTS) in result.stderr
+
+
+def test_elliptic_grid_at_the_cap():
+    assert len(_parse_grid(f"0:{GRID_MAX_POINTS - 1}:1")) == GRID_MAX_POINTS
+    assert len(_parse_grid(f"0:{GRID_MAX_POINTS - 1.6}:1")) == GRID_MAX_POINTS - 1
+    for stop in (GRID_MAX_POINTS, GRID_MAX_POINTS - 0.5):
+        with pytest.raises(ParameterError):
+            _parse_grid(f"0:{stop}:1")
 
 
 def test_dft_uncertainty_from_csv(tmp_path):

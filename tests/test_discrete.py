@@ -158,6 +158,16 @@ def test_q_chain_non_finite_samples_are_domain_errors():
             q_cbs_chain(g, f, 0.5, spec)
 
 
+@pytest.mark.parametrize("text", ["exp:1000", "exppoly:1,800"])
+def test_q_chain_bound_past_float_range_is_a_domain_error(text):
+    # exp of the coefficient bound overflows: a DomainError, not OverflowError
+    f = parse_function(text)
+    with pytest.raises(DomainError):
+        q_cbs_chain(f, parse_function("poly:1"), 0.5, parse_mean("power:2"))
+    with pytest.raises(DomainError):
+        q_jackson_integral(f, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # CDE conditions
 # ---------------------------------------------------------------------------

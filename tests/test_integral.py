@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +10,16 @@ from ineqmeans import (ChainKind, DomainError, MeanFamily, OrderVerdict, Paramet
                        general_h_chain, integral_logderiv_chain, integral_mean_chain,
                        logderiv_phi1, mean_values, parse_function, parse_mean,
                        product_identity_check)
+from ineqmeans import integral
+from ineqmeans.functions import FunctionSpec
 from ineqmeans.integral import (_find_kinks, _logderiv_integrand, _logderiv_mean,
-                                _sample_function, _tabulate_segment)
+                                _PiecewiseAntiderivative, _sample_function, _tabulate_segment)
 from ineqmeans.means import conjugate_from_mean
-from ineqmeans.quadrature import composite_simpson, cumulative_simpson, simpson_nodes
+from ineqmeans.quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
+                                  quadrature, simpson_nodes)
+from ineqmeans.reports import chain_report
 from ineqmeans.sampling import make_rng, spawn_rng
+from test_acceptance import _suitable_pair
 
 T_LIN = parse_function("pow:1")
 ONE_MINUS_T = parse_function("affine:1,-1")
@@ -219,12 +225,21 @@ def test_logderiv_max_equality_without_crossing():
 
 
 def test_tabulation_reuses_nested_grid_values_bit_for_bit():
-    # each panel doubling evaluates only the new odd nodes; evaluating every
+    # each panel doubling evaluates only the new odd nodes, and a seed on the
+    # 1025-node scan grid serves every grid up to 512 panels; evaluating every
     # node of every grid, as a reference, gives the same table bit for bit
     f = parse_function("poly:0.135914,6.47054,0.238318")
     g = parse_function("exp:2")
     m_integrand = _logderiv_integrand(f, g, _logderiv_mean(parse_mean("power:2")))
-    table, total = _tabulate_segment(m_integrand, 0.0, 1.0, 1e-12, 0.5)
+    evaluated = []
+
+    def counted(t):
+        evaluated.append(len(t))
+        return m_integrand(t)
+
+    unseeded = _tabulate_segment(m_integrand, 0.0, 1.0, 1e-12, 0.5)
+    seeded = _tabulate_segment(counted, 0.0, 1.0, 1e-12, 0.5,
+                               m_integrand(np.linspace(0.0, 1.0, 1025)))
     prev, panels = None, 128
     while True:
         xs, h = simpson_nodes(0.0, 1.0, panels)
@@ -233,9 +248,130 @@ def test_tabulation_reuses_nested_grid_values_bit_for_bit():
         if prev is not None and abs(v[-1] - prev) <= 1e-12 * max(1.0, abs(v[-1])):
             break
         prev, panels = v[-1], 2 * panels
-    assert panels >= 512
-    assert table.step == 1.0 / panels and total == v[-1]
-    assert np.array_equal(table.values, v + 0.5) and np.array_equal(table.slopes, mv[::2])
+    assert panels >= 1024
+    assert evaluated == [p for p in (1024, 2048, 4096, 8192, 16384) if p <= panels]
+    for table, total in (unseeded, seeded):
+        assert table.step == 1.0 / panels and total == v[-1]
+        assert np.array_equal(table.values, v + 0.5) and np.array_equal(table.slopes, mv[::2])
+
+
+def _reference_logderiv_table(f, g, a, b, lmean, inner_tol, breaks):
+    # every tabulation grid evaluated in full, from scratch
+    m_integrand = _logderiv_integrand(f, g, lmean)
+    edges = [a] + list(breaks) + [b]
+    tables, offset = [], 0.0
+    for left, right in zip(edges, edges[1:]):
+        prev, panels = None, 128
+        while True:
+            xs, h = simpson_nodes(left, right, panels)
+            mv = np.asarray(m_integrand(xs), dtype=float)
+            v = cumulative_simpson(mv, h)
+            if prev is not None and abs(v[-1] - prev) <= inner_tol * max(1.0, abs(v[-1])):
+                break
+            prev, panels = v[-1], 2 * panels
+        tables.append(CubicHermite(left, (right - left) / panels, v + offset, mv[::2]))
+        offset += v[-1]
+    if len(tables) == 1:
+        return tables[0]
+    return _PiecewiseAntiderivative(np.asarray(edges[:-1]), tuple(tables))
+
+
+def _reference_logderiv_chain(f, g, a, b, spec, inner_tol=1e-10, outer_tol=1e-8):
+    # the kink scan samples its own 1025 nodes, the tables every grid node
+    gap = _logderiv_integrand(f, g, lambda fv, gv, dfv, dgv: dfv / fv - dgv / gv)
+    breaks = _find_kinks(gap, a, b)
+    table = _reference_logderiv_table(f, g, a, b, _logderiv_mean(spec), inner_tol, breaks)
+
+    def integrand(t):
+        ft, gt = f(t), g(t)
+        v = 2.0 * table(t)
+        return np.stack([ft * gt, np.exp(v), (ft * gt) ** 2 * np.exp(-v), ft * ft, gt * gt])
+
+    fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, outer_tol, breaks=breaks).tolist()
+    return chain_report(fg ** 2, mid1 * mid2, ff * gg), table, breaks
+
+
+CROSSING_F = parse_function("poly:0.135914,6.47054,0.238318")
+CROSSING_G = parse_function("poly:1.07857,1.56503,8.91331")
+
+
+def test_logderiv_chains_match_from_scratch_reference_bit_for_bit():
+    # the scan grid seeds the kink scan and the tables up to 512 panels; the
+    # reports, Phi1 and the product identity equal those of a chain that
+    # samples every grid afresh, for criterion-09 draws and a crossing pair
+    means = chain_catalog() + [parse_mean("mediant")]
+    draws = [(means[i % len(means)],) + _suitable_pair(spawn_rng(909, i)) for i in range(50)]
+    draws += [(parse_mean(s), CROSSING_F, CROSSING_G, 1.0)
+              for s in ("power:inf", "power:2", "rado:0")]
+    with_breaks = 0
+    xs = np.linspace(0.0, 0.5, 37)
+    for spec, f, g, b in draws:
+        expected, table, breaks = _reference_logderiv_chain(f, g, 0.0, b, spec)
+        with_breaks += bool(breaks)
+        assert integral_logderiv_chain(f, g, 0.0, b, spec) == expected, (spec, f, g, b)
+        phi1 = logderiv_phi1(f, g, 0.0, b, spec)
+        assert np.array_equal(phi1(b * xs), np.exp(2.0 * table(b * xs)))
+    assert with_breaks == 3
+    lmean = _logderiv_mean(parse_mean("power:inf"))
+    breaks = _find_kinks(_logderiv_integrand(
+        CROSSING_F, CROSSING_G, lambda fv, gv, dfv, dgv: dfv / fv - dgv / gv), 0.0, 1.0)
+    for f, g, brk in ((EXP2, parse_function("affine:2,1"), []),
+                      (CROSSING_F, CROSSING_G, breaks)):
+        table1 = _reference_logderiv_table(f, g, 0.0, 1.0, lmean, 1e-12, brk)
+        table2 = _reference_logderiv_table(
+            f, g, 0.0, 1.0, lambda fv, gv, dfv, dgv: dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv),
+            1e-12, brk)
+        grid = np.linspace(0.0, 1.0, 32)
+        rhs = (f(grid) * g(grid)) ** 2
+        phi = np.exp(2.0 * table1(grid)) * (float(f(0.0)) * float(g(0.0))) ** 2 * np.exp(
+            2.0 * table2(grid))
+        worst = float(np.max(np.abs(phi - rhs) / np.maximum(np.abs(rhs), 1e-300)))
+        assert product_identity_check(f, g, 0.0, 1.0, ChainKind.LOG_DERIV_FORM,
+                                      parse_mean("power:inf")) == (worst <= 1e-10, worst)
+
+
+def test_logderiv_chain_samples_each_function_once_per_node(monkeypatch):
+    # no breaks and settled by 512 panels: f, g, f', g' are each evaluated on
+    # the 1025 scan nodes (513 of them by the validators), f and g also on the
+    # outer quadrature nodes, and nowhere else
+    f = parse_function("exppoly:0.1,1,0.5")
+    g = parse_function("affine:2,1")
+    counts = Counter()
+    value, slope = FunctionSpec.__call__, FunctionSpec.derivative
+
+    def counted_value(self, t):
+        counts[str(self)] += np.size(t)
+        return value(self, t)
+
+    def counted_slope(self, t):
+        counts[str(self) + "'"] += np.size(t)
+        return slope(self, t)
+
+    outer, steps = [], []
+    quad, tabulate = integral.quadrature, integral._tabulate_antiderivative
+
+    def counted_quadrature(fn, *args, **kwargs):
+        def integrand(t):
+            outer.append(np.size(t))
+            return fn(t)
+        return quad(integrand, *args, **kwargs)
+
+    def recorded_tabulate(*args, **kwargs):
+        table = tabulate(*args, **kwargs)
+        steps.append(table.step)
+        return table
+
+    monkeypatch.setattr(FunctionSpec, "__call__", counted_value)
+    monkeypatch.setattr(FunctionSpec, "derivative", counted_slope)
+    monkeypatch.setattr(integral, "quadrature", counted_quadrature)
+    monkeypatch.setattr(integral, "_tabulate_antiderivative", recorded_tabulate)
+    report = integral_logderiv_chain(f, g, 0.0, 1.0, parse_mean("power:2"))
+    assert report.ordered
+    assert len(steps) == 1 and steps[0] >= 1.0 / 512
+    nodes = sum(outer)
+    assert nodes > 0
+    assert counts == {str(f): 1025 + nodes, str(g): 1025 + nodes,
+                      str(f) + "'": 1025, str(g) + "'": 1025}
 
 
 def test_phi1_is_not_homogeneous():

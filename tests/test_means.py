@@ -199,6 +199,23 @@ def test_iterated_mean_is_elementwise():
         assert mean_values(s, x[i:i + 1], y[i:i + 1])[0] == alone[i]
 
 
+def test_scalar_evaluation_agrees_with_arrays():
+    # eval_mean and conjugate_eval give the value the pair has inside an
+    # array, to the last bit, for every catalog mean (numpy's 0-d power, for
+    # one, differs from its array loop by an ulp on some of these pairs)
+    rng = make_rng(5)
+    x = log_uniform(rng, size=2000)
+    y = x * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, size=x.size))
+    extra = [spec("power:3"), spec("iter:power:3|power:0")]
+    for s in full_catalog() + extra:
+        m = mean_values(s, x, y)
+        pairs = list(zip(x.tolist(), y.tolist()))
+        assert [eval_mean(s, a, b) for a, b in pairs] == m.tolist(), s
+        # M* = xy / M adds one division; a quarter of the pairs covers it
+        conj = (x[:500] * y[:500] / m[:500]).tolist()
+        assert [conjugate_eval(s, a, b) for a, b in pairs[:500]] == conj, s
+
+
 def test_zero_argument_limits():
     assert eval_mean(spec("power:-2"), 0.0, 3.0) == 0.0
     assert eval_mean(spec("rado:-3"), 0.0, 3.0) == 0.0
