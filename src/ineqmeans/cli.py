@@ -8,7 +8,8 @@ diagnostics go to stderr.  Output is byte-identical across runs for a fixed
 argv.
 
 Exit codes: 0 success, 1 a mathematically meaningful verification failure
-(an inequality chain violated beyond tolerance; never bad flags), 2
+(an inequality chain violated beyond the tolerance its terms were computed
+to; never bad flags), 2
 usage/parse errors (including a non-finite numeric argument), 3 numeric/domain
 errors (including an arithmetic overflow or a non-finite result, which is
 never written as NaN or Infinity).
@@ -33,12 +34,11 @@ from .errors import ConvergenceError, DomainError, ParameterError
 from .functions import parse_function
 from .integral import ChainKind, compare_generalizations, integral_mean_chain
 from .means import check_axioms, check_h_conditions, eval_mean, parse_mean
-from .reports import ChainReport
-from .young import critical_y, young_integral_gap, young_pair
+from .reports import ChainReport, holds
+from .young import GAP_TOL, critical_y, young_integral_gap, young_pair
 
 __all__ = ["CommandResult", "dispatch", "main"]
 
-INTEGRAL_CHAIN_RTOL = 1e-8  # quadrature tolerance dominates the 1e-12 report tol
 # most points an --grid may expand to (elliptic bounds: about 50 us a point)
 GRID_MAX_POINTS = 100_000
 
@@ -78,15 +78,13 @@ def _check_finite_args(args) -> None:
             raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
 
 
-def _chain_payload(report: ChainReport) -> dict:
-    return {
-        "left": report.left,
-        "middle": report.middle,
-        "right": report.right,
-        "slack_left": report.slack_left,
-        "slack_right": report.slack_right,
-        "ordered": report.ordered,
-    }
+def _chain_result(report: ChainReport, **fields) -> tuple:
+    """(exit code, payload) of a chain command: exit 1 exactly when the
+    report is not ``ordered``."""
+    payload = {**fields, "left": report.left, "middle": report.middle,
+               "right": report.right, "slack_left": report.slack_left,
+               "slack_right": report.slack_right, "ordered": report.ordered}
+    return (0 if report.ordered else 1), _dumps(payload)
 
 
 def _parse_grid(text: str) -> list:
@@ -256,32 +254,25 @@ def _run(args) -> tuple:
             y = critical_y(args.x, args.p, args.tol)
             return 0, _dumps({"x": args.x, "p": args.p, "y_critical": y})
         f = parse_function(args.f)
-        gap = young_integral_gap(f, args.a, args.b)
-        code = 0 if gap >= -1e-8 else 1
+        gap = young_integral_gap(f, args.a, args.b, GAP_TOL)
+        # the terms are int f, int f^-1 and ab, whose largest is ab + max(gap, 0)
+        code = 0 if holds(gap, args.a * args.b + max(gap, 0.0), GAP_TOL) else 1
         return code, _dumps({"f": f.to_string(), "a": args.a, "b": args.b, "gap": gap})
 
     if cmd == "cbs":
         spec = parse_mean(args.mean)
         if args.subcommand == "discrete":
             data = _read_columns(args.input, 2)
-            report = cbs_chain(data[:, 0], data[:, 1], spec)
-            payload = {"mean": spec.to_string(), "n": len(data), **_chain_payload(report)}
-            return (0 if report.ordered else 1), _dumps(payload)
-        if args.subcommand == "integral":
-            f = parse_function(args.f)
-            g = parse_function(args.g)
-            report = integral_mean_chain(f, g, args.a, args.b, spec, tol=args.tol)
-            ok = (report.slack_left >= -INTEGRAL_CHAIN_RTOL * report.scale
-                  and report.slack_right >= -INTEGRAL_CHAIN_RTOL * report.scale)
-            payload = {"mean": spec.to_string(), "f": f.to_string(), "g": g.to_string(),
-                       "a": args.a, "b": args.b, **_chain_payload(report)}
-            return (0 if ok else 1), _dumps(payload)
+            return _chain_result(cbs_chain(data[:, 0], data[:, 1], spec),
+                                 mean=spec.to_string(), n=len(data))
         f = parse_function(args.f)
         g = parse_function(args.g)
-        report = q_cbs_chain(f, g, args.q, spec, tail_tol=args.tail_tol)
-        payload = {"mean": spec.to_string(), "f": f.to_string(), "g": g.to_string(),
-                   "q": args.q, **_chain_payload(report)}
-        return (0 if report.ordered else 1), _dumps(payload)
+        names = {"mean": spec.to_string(), "f": f.to_string(), "g": g.to_string()}
+        if args.subcommand == "integral":
+            report = integral_mean_chain(f, g, args.a, args.b, spec, tol=args.tol)
+            return _chain_result(report, **names, a=args.a, b=args.b)
+        return _chain_result(q_cbs_chain(f, g, args.q, spec, tail_tol=args.tail_tol),
+                             **names, q=args.q)
 
     if cmd == "compare":
         spec_a = parse_mean(args.a)
@@ -304,12 +295,10 @@ def _run(args) -> tuple:
             out = io.StringIO()
             out.write("x," + ",".join(CHAIN_FIELDS) + ",chain_ok\n")
             for r in reports:
-                row = [r.x, r.L0, r.L1, r.L2, r.K, r.G2, r.G1, r.G0]
-                out.write(",".join(_fmt17(v) for v in row) + f",{_fmt17(r.chain_ok)}\n")
+                row = (r.x, *r.chain(), r.chain_ok)
+                out.write(",".join(_fmt17(v) for v in row) + "\n")
             return (0 if all_ok else 1), out.getvalue().rstrip("\n")
-        payload = [{"x": r.x, "L0": r.L0, "L1": r.L1, "L2": r.L2, "K": r.K,
-                    "G2": r.G2, "G1": r.G1, "G0": r.G0, "chain_ok": r.chain_ok,
-                    "max_violation": r.max_violation} for r in reports]
+        payload = [asdict(r) for r in reports]  # the fields, in order, are the keys
         return (0 if all_ok else 1), _dumps(payload if args.x is None else payload[0])
 
     if cmd == "dft":
@@ -321,9 +310,8 @@ def _run(args) -> tuple:
     # lorentz chain
     spec = parse_mean(args.mean)
     report = lorentz_chain(args.x0, _csv_floats(args.x), args.y0, _csv_floats(args.y), spec)
-    payload = {"mean": spec.to_string(), "x0": args.x0, "y0": args.y0,
-               "reversed": True, **_chain_payload(report)}
-    return (0 if report.ordered else 1), _dumps(payload)
+    return _chain_result(report, mean=spec.to_string(), x0=args.x0, y0=args.y0,
+                         reversed=True)
 
 
 def dispatch(argv) -> CommandResult:

@@ -39,9 +39,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 from .iteration import agm
 from .quadrature import quadrature
+from .reports import CHAIN_RTOL, holds
 
 __all__ = ["KMethod", "elliptic_k", "BoundsReport", "bounds", "bounds_grid",
            "CHAIN_FIELDS"]
@@ -54,7 +57,6 @@ _LAMBDA_MINUS = (-3.0 - _SQRT5) / 2.0
 _COEF_PLUS = (5.0 - _SQRT5) / 4.0   # pairs with _LAMBDA_PLUS
 _COEF_MINUS = (5.0 + _SQRT5) / 4.0  # pairs with _LAMBDA_MINUS
 
-CHAIN_RTOL = 1e-10
 CHAIN_FIELDS = ("L0", "L1", "L2", "K", "G2", "G1", "G0")
 
 
@@ -75,8 +77,6 @@ def elliptic_k(x: float, method: KMethod = KMethod.AGM, tol: float = 1e-12) -> f
         raise DomainError(f"elliptic_k requires 0 <= x < 1, got {x}")
     if method is KMethod.AGM:
         return math.pi / (2.0 * agm(1.0, math.sqrt((1.0 - x) * (1.0 + x))))
-    import numpy as np
-
     x2 = x * x
 
     def integrand(theta):
@@ -130,10 +130,11 @@ def bounds(x: float) -> BoundsReport:
     k = elliptic_k(x, KMethod.AGM)
     chain = (l0, l1, l2, k, g2, g1, g0)
     scale = max(chain)
-    min_slack = min((chain[i + 1] - chain[i]) / scale for i in range(len(chain) - 1))
+    # closed forms and the AGM carry rounding error only: CHAIN_RTOL
+    min_slack = min(b - a for a, b in zip(chain, chain[1:]))
     return BoundsReport(x, l0, l1, l2, k, g2, g1, g0,
-                        chain_ok=min_slack >= -CHAIN_RTOL,
-                        max_violation=max(0.0, -min_slack))
+                        chain_ok=holds(min_slack, scale, CHAIN_RTOL),
+                        max_violation=max(0.0, -min_slack / scale))
 
 
 def bounds_grid(xs: Sequence[float]):

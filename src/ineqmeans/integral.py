@@ -76,12 +76,13 @@ def _mean_fn_from_h(h: Callable[[float], float]) -> Callable:
 # the three-term chain, both forms
 # ---------------------------------------------------------------------------
 
-def _chain(f, g, a: float, b: float, factors: Callable, tol: float,
-           breaks: Sequence[float] = ()) -> ChainReport:
-    """(int fg)^2 <= int Phi1 * int Phi2 <= int f^2 int g^2 from one quadrature.
+def _chain_terms(f, g, a: float, b: float, factors: Callable, tol: float,
+                 breaks: Sequence[float] = ()) -> tuple:
+    """(int fg)^2, int Phi1 * int Phi2 and int f^2 int g^2 from one quadrature.
 
     ``factors(t, f(t), g(t))`` returns (Phi1, Phi2) at the nodes t; ``breaks``
-    are the points where they may kink.
+    are the points where they may kink.  Each caller judges the terms at the
+    tolerance they were computed to.
     """
     def integrand(t):
         ft = np.asarray(f(t), dtype=float)
@@ -90,7 +91,7 @@ def _chain(f, g, a: float, b: float, factors: Callable, tol: float,
         return np.stack([ft * gt, phi1, phi2, ft * ft, gt * gt])
 
     fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, tol, breaks=breaks).tolist()
-    return chain_report(fg ** 2, mid1 * mid2, ff * gg)
+    return fg ** 2, mid1 * mid2, ff * gg
 
 
 def _kinks_on_diagonal(spec: MeanSpec) -> bool:
@@ -119,7 +120,7 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
         odd = _scan_odd_nodes(a, b)
         breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
                              a, b, _fill_odd(fe, f(odd)) - _fill_odd(ge, g(odd)))
-    return _chain(f, g, a, b, factors, tol, breaks)
+    return chain_report(*_chain_terms(f, g, a, b, factors, tol, breaks), tol)
 
 
 def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
@@ -296,7 +297,9 @@ def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean:
         v = 2.0 * table(t)
         return np.exp(v), (ft * gt) ** 2 * np.exp(-v)
 
-    return _chain(f, g, a, b, factors, outer_tol, breaks)
+    # the table's error enters Phi1 and Phi2 alongside the quadrature's
+    return chain_report(*_chain_terms(f, g, a, b, factors, outer_tol, breaks),
+                        max(inner_tol, outer_tol))
 
 
 def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,

@@ -50,8 +50,9 @@ __all__ = [
     "full_catalog",
 ]
 
-_LOG_MAX = math.log(np.finfo(float).max)
-
+# below this order the small-order power and Rado kernels equal their limits
+# at order 0 to the last bit; the floor keeps order * L out of the subnormals
+_ORDER_FLOOR = 1e-300
 ITERATED_EVAL_TOL = 1e-14
 ITERATED_CAP = 200
 
@@ -304,20 +305,20 @@ def _gap_and_log(lo: np.ndarray, hi: np.ndarray):
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = (hi - lo) / lo
-    L = np.log1p(z)
-    if np.isinf(z).any():
-        wide = np.isinf(z) & (lo > 0.0)
-        L = np.where(wide, np.log(hi) - np.log(np.where(wide, lo, 1.0)), L)
+        L = np.log1p(z)
+        if np.isinf(z).any():
+            wide = np.isinf(z) & (lo > 0.0)
+            L = np.where(wide, np.log(hi) - np.log(np.where(wide, lo, 1.0)), L)
     return z, L
 
 
-def _lo_exp(lo: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """lo exp(e) for lo >= 0; exp(ln lo + e) where exp(e) alone would overflow."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = lo * np.exp(e)
-        huge = e > 700.0
-        if np.any(huge):
-            out = np.where(huge, np.exp(np.log(lo) + e), out)
+def _base_exp(base: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """base exp(e) for base >= 0, as exp(ln base + e) where exp(e) leaves the range."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        out = base * np.exp(e)
+        far = np.abs(e) > 700.0
+        if np.any(far):
+            out = np.where(far, np.exp(np.log(base) + e), out)
     return out
 
 
@@ -340,7 +341,7 @@ def _identric(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = hi - lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = hi * _gap_and_log(lo, hi)[1] / d - 1.0
-    out = np.where(lo > 0.0, _lo_exp(lo, e), hi / math.e)
+    out = np.where(lo > 0.0, _base_exp(lo, e), hi / math.e)
     return np.where(d > 0.0, out, x)
 
 
@@ -352,14 +353,21 @@ def _power_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if order.kind is OrderKind.ZERO:
         return np.sqrt(x * y)
     a = order.value
+    if abs(a) < 0.5:
+        # the power 1/a would magnify the rounding of the sum by 1/|a|.  On
+        # the base hi (a > 0) or lo (a < 0), with L = ln(hi/lo),
+        # ln(M/base) = log1p(expm1(-|a| L)/2)/a, which loses nothing as a -> 0
+        lo = np.minimum(x, y)
+        hi = np.maximum(x, y)
+        L = _gap_and_log(lo, hi)[1]
+        a = math.copysign(max(abs(a), _ORDER_FLOOR), a)
+        out = _base_exp(hi if a > 0 else lo, np.log1p(np.expm1(-abs(a) * L) / 2.0) / a)
+        # x = y = 0 comes out as 0/0
+        return np.where(hi > lo, np.minimum(np.maximum(out, lo), hi), lo)
     if a > 0:
         return ((x ** a + y ** a) / 2.0) ** (1.0 / a)
-    # negative order: the limit at a zero argument is 0.
-    pos = (x > 0.0) & (y > 0.0)
-    xs = np.where(pos, x, 1.0)
-    ys = np.where(pos, y, 1.0)
-    vals = ((xs ** a + ys ** a) / 2.0) ** (1.0 / a)
-    return np.where(pos, vals, 0.0)
+    with np.errstate(divide="ignore"):  # a zero argument: inf ** (1/a) = 0, the limit
+        return ((x ** a + y ** a) / 2.0) ** (1.0 / a)
 
 
 def _rado_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -394,18 +402,12 @@ def _rado_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             # O(b) and is divided by b without loss.  For b < 0, |w| is
             # about e^(-c L), so capping -b L at 700 leaves log1p(w) exact
             # and keeps w finite
+            b = math.copysign(max(abs(b), _ORDER_FLOOR), b)
             w = np.expm1(np.minimum(-b * L, 700.0)) / -z
             out = hi * np.exp((np.log1p(w) - math.log1p(b)) / b)
         else:
             out = hi * (np.expm1(-c * L) / (-c * zh)) ** (1.0 / b)
     out = np.minimum(np.maximum(out, lo), hi)
-    if c > 0.0 and np.isinf(z).any():
-        # hi/lo and hi^c both past the float range: the value is left NaN,
-        # as the plain difference quotient gives, so that such an input is
-        # reported as not finite
-        wide = np.isinf(z) & (lo > 0.0)
-        out = np.where(wide & (c * np.log(np.where(wide, hi, 1.0)) > _LOG_MAX),
-                       np.nan, out)
     if np.isnan(out).any():
         # x = y comes out as 0/0 above
         out = np.where(hi > lo, out, x)
@@ -426,7 +428,7 @@ def _gini_values(u: float, v: float, x: np.ndarray, y: np.ndarray) -> np.ndarray
             t = (lo / hi) ** u
             if u > 0.0:
                 return np.maximum(hi * np.exp(L * t / (-1.0 - t)), lo)
-            return np.minimum(_lo_exp(lo, L / (1.0 + t)), hi)
+            return np.minimum(_base_exp(lo, L / (1.0 + t)), hi)
     return ((x ** u + y ** u) / (x ** v + y ** v)) ** (1.0 / (u - v))
 
 
@@ -439,8 +441,8 @@ def _quasi_values(spec: MeanSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if g == "exp":
         # log-sum-exp form avoids overflow for large arguments
         return np.logaddexp(x, y) - math.log(2.0)
-    p = spec.gen_power
-    return ((x ** p + y ** p) / 2.0) ** (1.0 / p)
+    # the generator t^p gives the power mean of order p
+    return _power_values(ExtOrder.of(spec.gen_power), x, y)
 
 
 def coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,

@@ -1,10 +1,16 @@
-"""Shared report type for three-term inequality chains."""
+"""Shared report type for three-term inequality chains, and the one chain
+verdict every module uses (notes/decisions.md, "Chain verdicts")."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 CHAIN_RTOL = 1e-12
+
+
+def holds(slack: float, scale: float, tol: float = CHAIN_RTOL) -> bool:
+    """True when ``slack`` is nonnegative up to ``tol`` relative to ``scale``."""
+    return slack >= -tol * scale
 
 
 @dataclass(frozen=True)
@@ -15,7 +21,9 @@ class ChainReport:
     middle - left and right - middle; a reversed chain (left >= middle >=
     right, e.g. the Lorentz-space refinement) orients them as left - middle
     and middle - right.  Either way, ``ordered`` means both slacks are
-    >= -tol * scale with scale = max(|left|, |middle|, |right|).
+    >= -tol * scale with scale = max(|left|, |middle|, |right|), tol being
+    the relative tolerance the terms were computed to; a CLI chain command
+    exits 1 exactly when ``ordered`` is false.
     """
 
     left: float
@@ -32,12 +40,6 @@ class ChainReport:
 
 def chain_report(left: float, middle: float, right: float,
                  tol: float = CHAIN_RTOL, reverse: bool = False) -> ChainReport:
-    if reverse:
-        slack_left = left - middle
-        slack_right = middle - right
-    else:
-        slack_left = middle - left
-        slack_right = right - middle
+    slacks = (left - middle, middle - right) if reverse else (middle - left, right - middle)
     scale = max(abs(left), abs(middle), abs(right))
-    ordered = slack_left >= -tol * scale and slack_right >= -tol * scale
-    return ChainReport(left, middle, right, slack_left, slack_right, ordered)
+    return ChainReport(left, middle, right, *slacks, all(holds(s, scale, tol) for s in slacks))

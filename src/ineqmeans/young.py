@@ -25,12 +25,13 @@ import numpy as np
 from .errors import BracketError, DomainError, ParameterError
 from .functions import FunctionSpec
 from .quadrature import quadrature
-from .reports import ChainReport, chain_report
+from .reports import CHAIN_RTOL, ChainReport, chain_report, holds
 
 __all__ = ["CaseId", "Winner", "YoungComparison", "young_pair", "critical_y",
            "young_integral_gap", "rgh_refined_chain"]
 
-TIE_RTOL = 1e-12
+# quadrature tolerance of the areas in young_integral_gap
+GAP_TOL = 1e-10
 
 
 class CaseId(Enum):
@@ -85,7 +86,8 @@ def young_pair(x: float, y: float, p: float) -> YoungComparison:
         case = CaseId.STRADDLE
 
     diff = rhs_standard - rhs_swapped
-    if abs(diff) <= TIE_RTOL * max(rhs_standard, rhs_swapped):
+    # a tie when either side is below the other by no more than rounding
+    if holds(-abs(diff), max(rhs_standard, rhs_swapped), CHAIN_RTOL):
         winner = Winner.TIE
     elif diff < 0:
         winner = Winner.STANDARD
@@ -149,7 +151,7 @@ def _invert_increasing(f, target: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def young_integral_gap(f: FunctionSpec, a: float, b: float, tol: float = 1e-10) -> float:
+def young_integral_gap(f: FunctionSpec, a: float, b: float, tol: float = GAP_TOL) -> float:
     """int_0^a f + int_0^b f^{-1} - ab for continuous increasing f with f(0)=0.
 
     Nonnegative, and zero exactly when b = f(a).  The inverse enters through

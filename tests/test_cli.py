@@ -1,7 +1,10 @@
 import json
+import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineqmeans import ParameterError
 from ineqmeans.cli import GRID_MAX_POINTS, _parse_grid, dispatch
@@ -39,6 +42,17 @@ def test_means_eval_rado_at_wide_finite_ratios():
         assert payload(result)["value"] == pytest.approx(value, rel=1e-14)
 
 
+def test_means_eval_rado_past_the_float_ratio():
+    # hi/lo and hi^3 both overflow, the mean 1e300 / sqrt(3) does not
+    mp = pytest.importorskip("mpmath")
+    result = run("means", "eval", "--spec", "rado:2", "--x", "1e300", "--y", "1e-300")
+    assert result.exit_code == 0, result.stderr
+    with mp.workdps(50):
+        x, y = mp.mpf(1e300), mp.mpf(1e-300)
+        value = float(mp.sqrt((x ** 3 - y ** 3) / (3 * (x - y))))
+    assert payload(result)["value"] == pytest.approx(value, rel=1e-15)
+
+
 def test_means_axioms_pass_and_fail_exit_codes():
     ok = run("means", "axioms", "--spec", "power:2", "--samples", "200", "--seed", "1")
     assert ok.exit_code == 0
@@ -72,6 +86,16 @@ def test_young_integral_gap():
     result = run("young", "integral-gap", "--f", "pow:3", "--a", "1", "--b", "0.5")
     data = payload(result)
     assert data["gap"] == pytest.approx(0.25 + 0.75 * 0.5 ** (4.0 / 3.0) - 0.5, rel=1e-8)
+
+
+def test_young_integral_gap_rounding_is_not_a_violation():
+    # b = f(a): the exact gap is 0, and the computed -1.9e-6 is 1.9e-16 of
+    # ab, rounding far inside the tolerance the areas were computed to
+    result = run("young", "integral-gap", "--f", "poly:0,2,0.1,0.01", "--a", "1000",
+                 "--b", "10101999.989898")
+    assert result.exit_code == 0
+    gap = payload(result)["gap"]
+    assert abs(gap) <= 1e-15 * 1000 * 10101999.989898
 
 
 def test_cbs_discrete_from_csv(tmp_path):
@@ -223,7 +247,6 @@ BOUNDARY_INPUTS = (
     ("means eval --spec power:2 --x nan --y 1", 2),
     ("means eval --spec power:2 --x inf --y 1", 2),
     ("means eval --spec power:2 --x 1e200 --y 1e200", 3),
-    ("means eval --spec rado:2 --x 1e300 --y 1e-300", 3),
     ("means h-check --spec max --grid 0,1,800", 3),
     ("young classify --x 5 --y 1e300 --p 4", 3),
 )
@@ -240,3 +263,88 @@ def test_boundary_input_is_a_typed_error(command, code):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzz of dispatch over the mean-spec grammar and finite arguments
+# ---------------------------------------------------------------------------
+
+_ORDERS = st.one_of(
+    st.sampled_from([0.0, -1.0, 0.5, -0.5, 1e-320, -1e-320, 1e-300, 1e-15, -1e-8,
+                     1e300, -1e300, math.inf, -math.inf]),
+    st.floats(min_value=-80.0, max_value=80.0, allow_nan=False))
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.0]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+_SPEC_FORMS = st.sampled_from([
+    "power:{}", "rado:{}", "gini:{},{}", "lehmer:{}", "warith:{},{}", "quasi:pow,{}",
+    "warith:0.3,0.7", "wgeom:0.75,0.25", "quasi:id", "quasi:ln", "quasi:exp", "log",
+    "identric", "min", "max", "mediant"])
+
+
+@st.composite
+def _simple_specs(draw):
+    form = draw(_SPEC_FORMS)
+    return form.format(*(repr(draw(_ORDERS)) for _ in range(form.count("{}"))))
+
+
+_SPECS = st.one_of(_simple_specs(), st.builds("iter:{}|{}".format, _simple_specs(),
+                                               _simple_specs()))
+_FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _strict_json(text):
+    def reject(token):
+        raise AssertionError(f"{token} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _check_contract(result):
+    assert result.exit_code in (0, 1, 2, 3)
+    assert "Traceback" not in result.stderr
+    if result.exit_code in (0, 1):
+        return _strict_json(result.stdout)
+    assert result.stdout == ""
+    assert result.stderr.startswith(("error: ", "usage: "))
+    return None
+
+
+@_FUZZ
+@given(spec=_SPECS, x=_NUMBERS, y=_NUMBERS)
+def test_fuzz_means_eval(spec, x, y):
+    data = _check_contract(run("means", "eval", f"--spec={spec}", f"--x={x!r}", f"--y={y!r}"))
+    if data is not None:  # intermediacy, to the tolerance of test_intermediacy_everywhere
+        lo, hi = min(x, y), max(x, y)
+        assert lo - 1e-12 * hi <= data["value"] <= hi * (1.0 + 1e-12)
+
+
+@_FUZZ
+@given(spec=_SPECS, grid=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1,
+                                  max_size=5, unique=True))
+def test_fuzz_means_h_check(spec, grid):
+    text = ",".join(repr(t) for t in sorted(grid))
+    result = run("means", "h-check", f"--spec={spec}", f"--grid={text}")
+    data = _check_contract(result)
+    if data is not None:
+        assert data["ok"] is (result.exit_code == 0)
+
+
+@_FUZZ
+@given(spec=_SPECS, xs=st.lists(_NUMBERS, min_size=1, max_size=3),
+       ys=st.lists(_NUMBERS, min_size=1, max_size=3),
+       lift_x=st.one_of(st.sampled_from([1.0, 1.0 + 1e-12, 0.5]), st.floats(1.0, 8.0)),
+       lift_y=st.one_of(st.sampled_from([1.0, 1.0 + 1e-12, 0.5]), st.floats(1.0, 8.0)))
+def test_fuzz_lorentz_chain(spec, xs, ys, lift_x, lift_y):
+    # x0 = lift * |x|: time-like from lift 1 (light-like) up, space-like below
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    result = run("lorentz", "chain", f"--x0={lift_x * math.hypot(*xs)!r}",
+                 "--x=" + ",".join(map(repr, xs)), f"--y0={lift_y * math.hypot(*ys)!r}",
+                 "--y=" + ",".join(map(repr, ys)), f"--mean={spec}")
+    data = _check_contract(result)
+    if data is not None:
+        assert (result.exit_code == 1) is (data["ordered"] is False)

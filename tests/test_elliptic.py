@@ -52,6 +52,16 @@ def test_chain_ordering_on_dense_grid():
         assert report.chain_ok
 
 
+def test_chain_holds_at_the_closed_form_tolerance_near_the_endpoints():
+    # closed forms and the AGM are judged at reports.CHAIN_RTOL (1e-12);
+    # their rounding stays below 1e-15 of scale, also within 1e-15 of 0 and 1
+    xs = list(np.linspace(1e-4, 1.0 - 1e-4, 2001))
+    xs += [1e-15, 1e-12, 1e-9, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15]
+    for report in bounds_grid(xs):
+        assert report.chain_ok, report.x
+        assert report.max_violation <= 1e-15, report.x
+
+
 def test_bounds_against_defining_integrals():
     # Dual route: each closed form is the integral over [0, 1] of a pointwise
     # combination of u = f^2, v = g^2 from the scalar-product split of K.

@@ -19,7 +19,7 @@ from ineqmeans.quadrature import (CubicHermite, composite_simpson, cumulative_si
                                   quadrature, simpson_nodes)
 from ineqmeans.reports import chain_report
 from ineqmeans.sampling import make_rng, spawn_rng
-from test_acceptance import _suitable_pair
+from test_acceptance import _increasing_pair, _suitable_pair
 
 T_LIN = parse_function("pow:1")
 ONE_MINUS_T = parse_function("affine:1,-1")
@@ -224,6 +224,21 @@ def test_logderiv_max_equality_without_crossing():
         assert report.slack_left >= -1e-9 * report.scale
 
 
+def test_logderiv_equality_chain_is_judged_at_its_tolerances():
+    # criterion 09's draw 42 for power:inf: the middle equals the right side
+    # exactly, and the computed slack, -1.0e-11 of scale, is far inside the
+    # tolerances the terms were computed to (1e-10 inner, 1e-8 outer), the
+    # larger of which the verdict is taken at
+    rng = spawn_rng(912, 42)
+    _increasing_pair(rng)
+    f, g, b = _suitable_pair(rng)
+    report = integral_logderiv_chain(f, g, 0.0, b, parse_mean("power:inf"),
+                                     inner_tol=1e-10, outer_tol=1e-8)
+    assert report.ordered
+    assert min(report.slack_left, report.slack_right) >= -1e-10 * report.scale
+    assert report == chain_report(report.left, report.middle, report.right, 1e-8)
+
+
 def test_tabulation_reuses_nested_grid_values_bit_for_bit():
     # each panel doubling evaluates only the new odd nodes, and a seed on the
     # 1025-node scan grid serves every grid up to 512 panels; evaluating every
@@ -288,7 +303,8 @@ def _reference_logderiv_chain(f, g, a, b, spec, inner_tol=1e-10, outer_tol=1e-8)
         return np.stack([ft * gt, np.exp(v), (ft * gt) ** 2 * np.exp(-v), ft * ft, gt * gt])
 
     fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, outer_tol, breaks=breaks).tolist()
-    return chain_report(fg ** 2, mid1 * mid2, ff * gg), table, breaks
+    return (chain_report(fg ** 2, mid1 * mid2, ff * gg, max(inner_tol, outer_tol)),
+            table, breaks)
 
 
 CROSSING_F = parse_function("poly:0.135914,6.47054,0.238318")
@@ -367,6 +383,7 @@ def test_logderiv_chain_samples_each_function_once_per_node(monkeypatch):
     monkeypatch.setattr(integral, "_tabulate_antiderivative", recorded_tabulate)
     report = integral_logderiv_chain(f, g, 0.0, 1.0, parse_mean("power:2"))
     assert report.ordered
+    assert min(report.slack_left, report.slack_right) >= -1e-12 * report.scale
     assert len(steps) == 1 and steps[0] >= 1.0 / 512
     nodes = sum(outer)
     assert nodes > 0

@@ -185,6 +185,60 @@ def test_rado_and_gini_kernels_at_wide_ratios_against_mpmath():
                 assert float(np.max(rel)) <= bound, name
 
 
+def test_rado_past_the_float_ratio_against_mpmath():
+    # hi/lo and hi^c both past the float range (c = b + 1 > 0): the mean is
+    # finite and the kernel computes it, on a 10^(+-300) grid in steps of 25
+    mp = pytest.importorskip("mpmath")
+    exps = range(-300, 301, 25)
+    pairs = [(10.0 ** i, 10.0 ** j) for i in exps for j in exps if i < j]
+    lo = np.array([p[0] for p in pairs])
+    hi = np.array([p[1] for p in pairs])
+    with mp.workdps(60):
+        for b in (-0.9, -0.5, -0.1, -1e-3, 1e-3, 0.5, 1.0, 2.0, 8.0, 60.0):
+            ref = np.array([float(_rado_mp(mp.mpf(b), mp.mpf(x), mp.mpf(y)))
+                            for x, y in pairs])
+            for x, y in ((lo, hi), (hi, lo)):
+                rel = np.abs(mean_values(spec(f"rado:{b!r}"), x, y) - ref) / ref
+                assert float(np.max(rel)) <= 1e-15, b
+
+
+def test_small_order_power_kernel_against_mpmath():
+    # below |a| = 0.5 the power 1/a would magnify the rounding of the sum by
+    # 1/|a| (8e-7 at a = 1e-10, 8e-3 at 1e-15); ratios 1 + 1e-9 .. e^20,
+    # either order, and quasi:pow,a is the same kernel bit for bit
+    mp = pytest.importorskip("mpmath")
+    gaps = np.logspace(-9.0, math.log10(math.expm1(20.0)), 40)
+    with mp.workdps(50):
+        for a in (1e-15, 1e-10, 1e-8, 1e-4, 0.01, 0.1, 0.3, 0.49):
+            for order in (a, -a):
+                for base in (1e-3, 1.0, 2.0, 1e3):
+                    lo = np.full_like(gaps, base)
+                    hi = base * (1.0 + gaps)
+                    ref = np.array([float(((mp.mpf(x) ** order + mp.mpf(y) ** order) / 2)
+                                          ** (1 / mp.mpf(order))) for x, y in zip(lo, hi)])
+                    for x, y in ((lo, hi), (hi, lo)):
+                        got = mean_values(spec(f"power:{order!r}"), x, y)
+                        assert np.array_equal(got, mean_values(spec(f"quasi:pow,{order!r}"), x, y))
+                        assert float(np.max(np.abs(got - ref) / ref)) <= 4e-15, (order, base)
+
+
+def test_subnormal_orders_give_the_order_zero_mean():
+    # a subnormal order would put a L into the subnormal range; the kernels
+    # give the geometric and identric means, as they do for 1e-300
+    for order in ("1e-320", "-1e-320", "5e-324", "1e-300"):
+        assert eval_mean(spec("power:" + order), 2.0, 3.0) == eval_mean(spec("power:0"), 2.0, 3.0)
+        assert eval_mean(spec("rado:" + order), 2.0, 3.0) == eval_mean(spec("rado:0"), 2.0, 3.0)
+
+
+def test_quasi_pow_is_the_power_mean():
+    rng = make_rng(17)
+    x = log_uniform(rng, size=1000)
+    y = log_uniform(rng, size=1000)
+    for p in (-3.0, -1.0, -0.5, 0.5, 2.0, 3.0, 7.5, math.inf, -math.inf):
+        assert np.array_equal(mean_values(spec(f"quasi:pow,{p!r}"), x, y),
+                              mean_values(spec(f"power:{p!r}"), x, y)), p
+
+
 def test_iterated_mean_is_elementwise():
     # each element stops at its own gap: a wide pair beside it, which needs
     # more steps, moves no value, and a lone pair gives its in-array value
