@@ -70,18 +70,24 @@ def elliptic_k(x: float, method: KMethod = KMethod.AGM, tol: float = 1e-12) -> f
 
     The AGM route is stable arbitrarily close to the x -> 1 singularity; the
     quadrature route integrates dtheta / sqrt(1 - x^2 sin^2 theta) over
-    [0, pi/2] adaptively.  Both agree to 1e-10 for x <= 0.95.
+    [0, pi/2] adaptively, written as (1 - x)(1 + x) + x^2 cos^2 theta under
+    the root.  Both agree to 1e-10 for x <= 0.95 and to 1e-12 up to
+    x = 1 - 1e-9; from about x = 1 - 1e-11 on, the quadrature route raises
+    ConvergenceError.
     """
     x = float(x)
     if not 0.0 <= x < 1.0:
         raise DomainError(f"elliptic_k requires 0 <= x < 1, got {x}")
     if method is KMethod.AGM:
         return math.pi / (2.0 * agm(1.0, math.sqrt((1.0 - x) * (1.0 + x))))
+    # 1 - x^2 sin^2 = (1 - x)(1 + x) + x^2 cos^2, which does not cancel near
+    # theta = pi/2 as x -> 1
+    gap = (1.0 - x) * (1.0 + x)
     x2 = x * x
 
     def integrand(theta):
-        s = np.sin(theta)
-        return 1.0 / np.sqrt(1.0 - x2 * s * s)
+        c = np.cos(theta)
+        return 1.0 / np.sqrt(gap + x2 * c * c)
 
     return quadrature(integrand, 0.0, math.pi / 2.0, tol)
 

@@ -90,11 +90,18 @@ class FunctionSpec:
         return bound
 
     def to_string(self) -> str:
-        params = ",".join("%g" % c for c in self.coeffs)
+        params = ",".join(_spec_number(c) for c in self.coeffs)
         return f"{self.family.value}:{params}"
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+def _spec_number(v: float) -> str:
+    """v as a spec-string token: %g where that parses back to v, repr otherwise,
+    so that every spec string round-trips."""
+    s = "%g" % v
+    return s if float(s) == v else repr(float(v))
 
 
 def _horner(coeffs, t):

@@ -14,6 +14,7 @@ All evaluators accept scalars or numpy arrays elementwise.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
+from .functions import _spec_number
 from .sampling import log_uniform, make_rng
 
 __all__ = [
@@ -50,8 +52,8 @@ __all__ = [
     "full_catalog",
 ]
 
-# below this order the small-order power and Rado kernels equal their limits
-# at order 0 to the last bit; the floor keeps order * L out of the subnormals
+# below this order (gap) the Rado and Gini-scale log routes equal their limits
+# at 0 to the last bit; the floor keeps order * L out of the subnormals
 _ORDER_FLOOR = 1e-300
 ITERATED_EVAL_TOL = 1e-14
 ITERATED_CAP = 200
@@ -115,7 +117,7 @@ class ExtOrder:
 
     def __str__(self) -> str:
         if self.kind is OrderKind.FINITE:
-            return f"{self.value:g}"
+            return _spec_number(self.value)
         return {OrderKind.ZERO: "0", OrderKind.MINUS_ONE: "-1",
                 OrderKind.NEG_INF: "-inf", OrderKind.POS_INF: "inf"}[self.kind]
 
@@ -176,17 +178,12 @@ class MeanSpec:
             return f"power:{self.order}"
         if f is MeanFamily.RADO:
             return f"rado:{self.order}"
-        if f is MeanFamily.GINI:
-            return "gini:%g,%g" % self.params
-        if f is MeanFamily.LEHMER:
-            return "lehmer:%g" % self.params
-        if f is MeanFamily.WEIGHTED_ARITHMETIC:
-            return "warith:%g,%g" % self.params
-        if f is MeanFamily.WEIGHTED_GEOMETRIC:
-            return "wgeom:%g,%g" % self.params
+        if f in (MeanFamily.GINI, MeanFamily.LEHMER, MeanFamily.WEIGHTED_ARITHMETIC,
+                 MeanFamily.WEIGHTED_GEOMETRIC):
+            return f"{f.value}:" + ",".join(_spec_number(p) for p in self.params)
         if f is MeanFamily.QUASI_ARITHMETIC:
             if self.generator == "pow":
-                return "quasi:pow,%g" % self.gen_power
+                return "quasi:pow," + _spec_number(self.gen_power)
             return f"quasi:{self.generator}"
         if f is MeanFamily.ITERATED:
             return f"iter:{self.inner[0].to_string()}|{self.inner[1].to_string()}"
@@ -352,22 +349,7 @@ def _power_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.maximum(x, y)
     if order.kind is OrderKind.ZERO:
         return np.sqrt(x * y)
-    a = order.value
-    if abs(a) < 0.5:
-        # the power 1/a would magnify the rounding of the sum by 1/|a|.  On
-        # the base hi (a > 0) or lo (a < 0), with L = ln(hi/lo),
-        # ln(M/base) = log1p(expm1(-|a| L)/2)/a, which loses nothing as a -> 0
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        L = _gap_and_log(lo, hi)[1]
-        a = math.copysign(max(abs(a), _ORDER_FLOOR), a)
-        out = _base_exp(hi if a > 0 else lo, np.log1p(np.expm1(-abs(a) * L) / 2.0) / a)
-        # x = y = 0 comes out as 0/0
-        return np.where(hi > lo, np.minimum(np.maximum(out, lo), hi), lo)
-    if a > 0:
-        return ((x ** a + y ** a) / 2.0) ** (1.0 / a)
-    with np.errstate(divide="ignore"):  # a zero argument: inf ** (1/a) = 0, the limit
-        return ((x ** a + y ** a) / 2.0) ** (1.0 / a)
+    return _gini_values(order.value, 0.0, x, y)
 
 
 def _rado_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -415,21 +397,40 @@ def _rado_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _gini_values(u: float, v: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if u == v:
-        if u == 0.0:
-            return np.sqrt(x * y)
-        # exp of the lo^u : hi^u weighted mean of ln lo, ln hi, on the
-        # argument with the larger weight, so that the exponent is small
-        # wherever the weights are far apart; exactly x at x = y
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        _, L = _gap_and_log(lo, hi)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = (lo / hi) ** u
-            if u > 0.0:
-                return np.maximum(hi * np.exp(L * t / (-1.0 - t)), lo)
-            return np.minimum(_base_exp(lo, L / (1.0 + t)), hi)
-    return ((x ** u + y ** u) / (x ** v + y ** v)) ** (1.0 / (u - v))
+    # ((x^u + y^u)/(x^v + y^v))^(1/(u - v)) and its u = v limit: the one kernel
+    # of the power (v = 0) and Lehmer (u = v + 1) means (notes/decisions.md, "Gini scale")
+    if abs(u - v) >= 0.5 or u * v < 0.0:
+        # a zero argument at a negative order: inf ** (1/(u - v)) = 0, the limit
+        with np.errstate(divide="ignore") if min(u, v) < 0.0 else contextlib.nullcontext():
+            q = (x ** u + y ** u) / (2.0 if v == 0.0 else x ** v + y ** v)
+            return q if u - v == 1.0 else q ** (1.0 / (u - v))
+    # same-sign orders: with u >= v, d = u - v, t = lo/hi, L = ln(hi/lo) and
+    # s = t^v/(1 + t^v), ln(M/hi) = log1p(s expm1(-d L))/d, -s L at d = 0.
+    # For u <= 0, M_{u,v}(x, y) = 1/M_{-v,-u}(1/x, 1/y) puts it on the base lo
+    u, v = max(u, v), min(u, v)
+    d = max(u - v, _ORDER_FLOOR)
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    L = _gap_and_log(lo, hi)[1]
+    base, p, e = (hi, v, d) if v >= 0.0 else (lo, -u, -d)
+    with np.errstate(invalid="ignore"):  # 0/0 at x = y = 0
+        w = (lo / hi) ** p
+    out = _base_exp(base, np.log1p(w / (1.0 + w) * np.expm1(-d * L)) / e)
+    return np.where(hi > lo, np.minimum(np.maximum(out, lo), hi), lo)
+
+
+def _wgeom_values(a: float, b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x (y/x)^b, which is x at x = y, in place on the ratio; x^a y^b where
+    # y/x raises a flag (a zero argument, a ratio past the normal floats)
+    try:
+        with np.errstate(all="raise"):
+            r = np.asarray(y / x)
+    except FloatingPointError:
+        fi = np.finfo(float)
+        with np.errstate(all="ignore"):
+            r = y / x
+            return np.where((r >= fi.tiny) & (r <= fi.max), x * r ** b, x ** a * y ** b)
+    return np.multiply(np.power(r, b, out=r), x, out=r)
 
 
 def _quasi_values(spec: MeanSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -487,14 +488,12 @@ def mean_values(spec: MeanSpec, x, y) -> np.ndarray:
     if f is MeanFamily.GINI:
         return _gini_values(spec.params[0], spec.params[1], x, y)
     if f is MeanFamily.LEHMER:
-        u = spec.params[0]
-        return (x ** (u + 1.0) + y ** (u + 1.0)) / (x ** u + y ** u)
+        return _gini_values(spec.params[0] + 1.0, spec.params[0], x, y)
     if f is MeanFamily.WEIGHTED_ARITHMETIC:
         a, b = spec.params
         return a * x + b * y
     if f is MeanFamily.WEIGHTED_GEOMETRIC:
-        a, b = spec.params
-        return x ** a * y ** b
+        return _wgeom_values(spec.params[0], spec.params[1], x, y)
     if f is MeanFamily.QUASI_ARITHMETIC:
         return _quasi_values(spec, x, y)
     if f is MeanFamily.LOGARITHMIC:

@@ -27,6 +27,10 @@ __all__ = ["quadrature", "simpson_nodes", "composite_simpson",
            "cumulative_simpson", "CubicHermite"]
 
 DEPTH_CAP = 60
+# a level may leave at most this many intervals pending; an integrand whose
+# rounding noise exceeds its target would otherwise double them until memory
+# runs out (well-posed integrands keep a handful pending)
+PENDING_CAP = 1024
 # below this many ulps of its own magnitude an interval's nodes (the closest
 # 0.042 half-widths apart) are no longer distinct doubles: it cannot be split
 RESOLUTION_ULPS = 64
@@ -69,7 +73,8 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
     the same nodes: the result is a float, or the array of the k integrals,
     each meeting tol.  ``breaks`` inside (a, b) split the initial panels.
     Raises ConvergenceError when an interval misses its target at depth 60
-    or is too narrow to split, DomainError on a non-finite integrand value.
+    or is too narrow to split, or when more than 1024 intervals are pending
+    at once; DomainError on a non-finite integrand value.
     """
     a, b = float(a), float(b)
     if not b > a:
@@ -100,6 +105,9 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
             return float(accepted[0]) if scalar else accepted
         mid = np.concatenate([mid[~done] - hw[~done] / 2.0, mid[~done] + hw[~done] / 2.0])
         hw = np.tile(hw[~done] / 2.0, 2)
+        if len(mid) > PENDING_CAP:
+            raise ConvergenceError(
+                f"adaptive quadrature left more than {PENDING_CAP} intervals pending on [{a}, {b}]")
         if np.any(hw <= RESOLUTION_ULPS * np.spacing(np.abs(mid) + hw)):
             raise ConvergenceError(f"adaptive quadrature cannot resolve [{a}, {b}] in doubles")
     raise ConvergenceError(f"adaptive quadrature exceeded depth {DEPTH_CAP} on [{a}, {b}]")

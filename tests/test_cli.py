@@ -126,6 +126,34 @@ def test_cbs_integral():
     assert data["middle"] == pytest.approx(7.0 / 144.0, rel=1e-9)
 
 
+def test_cbs_integral_past_the_quadrature_budget_exits_three():
+    # at tol 1e-17 the integrand's rounding noise exceeds the target: the
+    # quadrature stops at its pending-interval cap with a typed error (the
+    # process used to grow until numpy could not allocate, and exit 1)
+    result = run("cbs", "integral", "--mean", "power:2", "--f", "exp:1", "--g", "affine:1,2",
+                 "--a", "0", "--b", "1", "--tol", "1e-17")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
+def test_cbs_integral_near_equal_gini_orders():
+    # the spec is echoed in full (it was gini:1,1, another mean), and the
+    # integrand is smooth enough for the quadrature to converge
+    result = run("cbs", "integral", "--mean", "gini:1,0.999999999", "--f", "exp:1",
+                 "--g", "affine:1,2", "--a", "0", "--b", "1")
+    data = payload(result)
+    assert result.exit_code == 0
+    assert data["ordered"] is True
+    assert data["mean"] == "gini:1,0.999999999"
+
+
+def test_means_eval_weighted_geometric_at_equal_arguments():
+    result = run("means", "eval", "--spec", "wgeom:0.75,0.25", "--x", "2", "--y", "2")
+    assert result.exit_code == 0
+    assert payload(result)["value"] == 2.0
+
+
 def test_cbs_q():
     result = run("cbs", "q", "--mean", "power:2", "--f", "poly:1", "--g", "pow:1",
                  "--q", "0.5")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ineqmeans import DomainError, bounds, bounds_grid, elliptic_k, quadrature
+from ineqmeans import ConvergenceError, DomainError, bounds, bounds_grid, elliptic_k, quadrature
 from ineqmeans.elliptic import KMethod
 
 
@@ -29,6 +29,26 @@ def test_k_against_scipy_oracle():
 
 def test_k_unbounded_near_one():
     assert elliptic_k(1.0 - 1e-6) > elliptic_k(0.9)
+
+
+def test_k_quadrature_near_one_against_mpmath():
+    # under the root 1 - x^2 sin^2 is written (1 - x)(1 + x) + x^2 cos^2, which
+    # does not cancel at theta = pi/2; at x = 0.99999 the cancelling form
+    # doubled its pending intervals until memory ran out
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for x in (0.99999, 0.999999):
+            ref = float(mp.ellipk(mp.mpf(x) ** 2))
+            assert elliptic_k(x, KMethod.QUADRATURE) == pytest.approx(ref, rel=1e-13)
+            assert elliptic_k(x, KMethod.QUADRATURE) == pytest.approx(elliptic_k(x), rel=1e-13)
+
+
+def test_k_quadrature_closer_to_one_raises():
+    # the integrand's peak is too narrow for the quadrature budget: a typed
+    # error, not an allocation without limit (the AGM route serves there)
+    with pytest.raises(ConvergenceError):
+        elliptic_k(1.0 - 1e-12, KMethod.QUADRATURE)
+    assert elliptic_k(1.0 - 1e-12) > elliptic_k(1.0 - 1e-6)
 
 
 def test_k_domain():

@@ -629,6 +629,20 @@ def test_blocked_comparator_early_exit_and_undetermined_match_reference():
             == _reference_verdict(one, one, 40, 3, ChainKind.MEAN_FORM))
 
 
+def test_witnesses_re_run_to_their_middles():
+    # a witness names f and g with every digit of their coefficients, so
+    # parsing it back reproduces both middle terms to the last bit
+    a, b = parse_mean("power:0.5"), parse_mean("power:2")
+    kind = ChainKind.LOG_DERIV_FORM
+    verdict = compare_generalizations(a, b, 1000, 13, kind)
+    assert len(verdict.witnesses) == 2
+    for w in verdict.witnesses:
+        f, g = parse_function(w.f), parse_function(w.g)
+        assert f.to_string() == w.f and g.to_string() == w.g
+        assert _reference_middle(kind, a, f, g, w.b) == w.middle_a
+        assert _reference_middle(kind, b, f, g, w.b) == w.middle_b
+
+
 def test_blocked_comparator_memory_does_not_scale_with_trials():
     # an early-exit pair asked for 10^9 trials stops after a few blocks and
     # allocates no more than the block working set

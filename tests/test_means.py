@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqmeans import (DomainError, ExtOrder, OrderKind, ParameterError,
-                       chain_catalog, check_axioms, check_h_conditions,
-                       check_h_function, conjugate_eval, entropy, eval_mean,
-                       full_catalog, h_of, mean_values, mediant, parse_mean,
-                       rado_power_bound_orders)
+from ineqmeans import (DomainError, ExtOrder, FunctionFamily, FunctionSpec, MeanFamily,
+                       MeanSpec, OrderKind, ParameterError, chain_catalog, check_axioms,
+                       check_h_conditions, check_h_function, conjugate_eval, entropy,
+                       eval_mean, full_catalog, h_of, mean_values, mediant, parse_function,
+                       parse_mean, rado_power_bound_orders)
+from ineqmeans.means import _QUASI_GENERATORS
 from ineqmeans.sampling import log_uniform, make_rng
 
 
@@ -29,6 +30,56 @@ def spec(s):
 def test_parse_round_trip(text):
     sp = parse_mean(text)
     assert parse_mean(sp.to_string()) == sp
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _mean_specs(draw, depth=1):
+    family = draw(st.sampled_from([f for f in MeanFamily
+                                   if depth or f is not MeanFamily.ITERATED]))
+    if family in (MeanFamily.POWER, MeanFamily.RADO):
+        return MeanSpec(family, order=ExtOrder.of(draw(st.floats(allow_nan=False)),
+                                                  minus_one_exceptional=family is MeanFamily.RADO))
+    if family is MeanFamily.GINI:
+        return MeanSpec(family, params=(draw(_finite), draw(_finite)))
+    if family is MeanFamily.LEHMER:
+        return MeanSpec(family, params=(draw(_finite),))
+    if family in (MeanFamily.WEIGHTED_ARITHMETIC, MeanFamily.WEIGHTED_GEOMETRIC):
+        a = draw(st.floats(0.0, 1.0))
+        return MeanSpec(family, params=(a, 1.0 - a))
+    if family is MeanFamily.QUASI_ARITHMETIC:
+        gen = draw(st.sampled_from(_QUASI_GENERATORS))
+        p = draw(_finite.filter(lambda p: p != 0.0)) if gen == "pow" else None
+        return MeanSpec(family, generator=gen, gen_power=p)
+    if family is MeanFamily.ITERATED:
+        return MeanSpec(family, inner=(draw(_mean_specs(0)), draw(_mean_specs(0))))
+    return MeanSpec(family)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mean_specs())
+def test_spec_strings_round_trip(sp):
+    # %g keeps six digits: gini:1,0.999999999 was written gini:1,1, another
+    # mean; every drawn parameter now survives to_string and parse_mean
+    assert parse_mean(sp.to_string()) == sp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(FunctionFamily)), st.lists(_finite, min_size=1, max_size=4))
+def test_function_strings_round_trip(family, coeffs):
+    n = {FunctionFamily.EXP: 1, FunctionFamily.POWER: 1, FunctionFamily.AFFINE: 2}
+    f = FunctionSpec(family, tuple((coeffs * 2)[:n.get(family, len(coeffs))]))
+    assert parse_function(f.to_string()) == f
+
+
+def test_round_tripping_numbers_keep_their_short_form():
+    assert parse_mean("gini:0.25,-0.25").to_string() == "gini:0.25,-0.25"
+    assert parse_mean("power:-inf").to_string() == "power:-inf"
+    assert parse_mean("power:0.123456789").to_string() == "power:0.123456789"
+    assert parse_function("poly:1.6741406716243536,1,0.5").to_string() == \
+        "poly:1.6741406716243536,1,0.5"
 
 
 def test_parse_case_insensitive():
@@ -220,6 +271,82 @@ def test_small_order_power_kernel_against_mpmath():
                         got = mean_values(spec(f"power:{order!r}"), x, y)
                         assert np.array_equal(got, mean_values(spec(f"quasi:pow,{order!r}"), x, y))
                         assert float(np.max(np.abs(got - ref) / ref)) <= 4e-15, (order, base)
+
+
+def test_gini_near_equal_orders_against_mpmath():
+    # same-sign orders closer than 0.5 take the log route, which loses nothing
+    # as u - v -> 0 (the plain quotient was off by 2.7e-7 at gini:1,0.999999999
+    # and 2.1e-6 at gini:1e-10,0); ratios 1 + 1e-9 .. 1 + 1e6, either order
+    mp = pytest.importorskip("mpmath")
+    gaps = np.logspace(-9.0, 6.0, 46)
+    pairs = [(1.0, 0.999999999), (1e-8, 0.0), (1e-10, 0.0), (3.0, 2.999),
+             (-3.0, -2.999), (0.001, 0.0), (0.0, -0.001)]
+    with mp.workdps(50):
+        for u, v in pairs:
+            du = mp.mpf(u) - mp.mpf(v)
+            for base in (1e-3, 1.0, 2.0, 1e3):
+                lo = np.full_like(gaps, base)
+                hi = base * (1.0 + gaps)
+                ref = np.array([float(((mp.mpf(a) ** u + mp.mpf(b) ** u)
+                                       / (mp.mpf(a) ** v + mp.mpf(b) ** v)) ** (1 / du))
+                                for a, b in zip(lo, hi)])
+                for x, y in ((lo, hi), (hi, lo)):
+                    got = mean_values(spec(f"gini:{u!r},{v!r}"), x, y)
+                    assert float(np.max(np.abs(got - ref) / ref)) <= 4e-15, (u, v, base)
+
+
+def test_gini_scale_members_share_one_kernel():
+    # power:a, gini:a,0 and quasi:pow,a are one evaluation, and so are
+    # lehmer:u and gini:u+1,u, on the plain and the log route alike, at
+    # zero and equal arguments too
+    rng = make_rng(23)
+    x = log_uniform(rng, size=2000)
+    y = log_uniform(rng, size=2000)
+    x[:100] = y[:100]
+    x[100:150] = 0.0
+    y[150:200] = 0.0
+    for a in (3.0, 0.5, -0.7, 0.49, 1e-8, -0.3, -1e-300):
+        power = mean_values(spec(f"power:{a!r}"), x, y)
+        assert np.array_equal(power, mean_values(spec(f"gini:{a!r},0"), x, y)), a
+        assert np.array_equal(power, mean_values(spec(f"quasi:pow,{a!r}"), x, y)), a
+    for u in (1.0, 0.0, 2.5, -0.25):
+        assert np.array_equal(mean_values(spec(f"lehmer:{u!r}"), x, y),
+                              mean_values(spec(f"gini:{u + 1.0!r},{u!r}"), x, y)), u
+
+
+def test_lehmer_orders_with_an_inexact_gap_against_mpmath():
+    # for these orders (u + 1) - u is 1 -+ an ulp in doubles; the kernel takes
+    # the power 1/((u + 1) - u) of the quotient, which cancels the rounding of
+    # u + 1 in the numerator's exponent to first order (the bare quotient was
+    # 2.2e-14 off here, at arguments near 1e20)
+    mp = pytest.importorskip("mpmath")
+    rng = make_rng(31)
+    for u in (1.5973891463707857, 3.9122819049566204, 3.139860020343368):
+        assert (u + 1.0) - u != 1.0
+        for scale in (1e-20, 1.0, 1e20):
+            x = scale * log_uniform(rng, 0.05, 20.0, size=100)
+            y = scale * log_uniform(rng, 0.05, 20.0, size=100)
+            with mp.workdps(50):
+                c = mp.mpf(u) + 1
+                ref = np.array([float((mp.mpf(a) ** c + mp.mpf(b) ** c)
+                                      / (mp.mpf(a) ** u + mp.mpf(b) ** u)) for a, b in zip(x, y)])
+            got = mean_values(spec(f"lehmer:{u!r}"), x, y)
+            assert float(np.max(np.abs(got - ref) / ref)) <= 2e-15, (u, scale)
+
+
+def test_weighted_geometric_is_exact_at_equal_arguments():
+    # x (y/x)^b is x at x = y (x^a y^b gave 1.9999999999999998 at (2, 2));
+    # zero arguments and ratios past the float range keep x^a y^b's values
+    s = spec("wgeom:0.75,0.25")
+    rng = make_rng(29)
+    x = log_uniform(rng, 1e-300, 1e300, size=1000)
+    assert np.array_equal(mean_values(s, x, x), x)
+    assert eval_mean(s, 2.0, 2.0) == 2.0
+    assert eval_mean(s, 0.0, 3.0) == 0.0 and eval_mean(s, 3.0, 0.0) == 0.0
+    assert eval_mean(spec("wgeom:0,1"), 0.0, 3.0) == 3.0
+    assert eval_mean(spec("wgeom:1,0"), 3.0, 0.0) == 3.0
+    for a, b in ((1e-300, 1e300), (1e300, 1e-300), (1e300, 1e-10), (1e-320, 1.0)):
+        assert eval_mean(s, a, b) == pytest.approx(a ** 0.75 * b ** 0.25, rel=1e-15)
 
 
 def test_subnormal_orders_give_the_order_zero_mean():

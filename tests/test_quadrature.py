@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ def test_depth_cap_raises():
 
     with pytest.raises(ConvergenceError):
         quadrature(f, 0.0, 1.0, tol=1e-15)
+
+
+def test_pending_interval_cap_raises_before_memory_grows():
+    # rounding noise far above the target fails every split, so the pending
+    # intervals would double each level; past PENDING_CAP the call raises
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="pending"):
+            quadrature(lambda t: np.exp(t) * (1.0 + 1e-9 * np.sin(1e7 * t)), 0.0, 1.0,
+                       tol=1e-17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_bad_interval_rejected():
