@@ -85,7 +85,12 @@ HORNER_SPECS = (
 )
 
 
-@pytest.mark.parametrize("spec", HORNER_SPECS, ids=str)
+def _short_id(spec):
+    """The spec with each coefficient at %g: a short label, not a spec string."""
+    return f"{spec.family.value}:" + ",".join("%g" % c for c in spec.coeffs)
+
+
+@pytest.mark.parametrize("spec", HORNER_SPECS, ids=_short_id)
 def test_horner_matches_polyval_bit_for_bit(spec):
     polyval = np.polynomial.polynomial.polyval
     dcoef = tuple(i * c for i, c in enumerate(spec.coeffs))[1:] or (0.0,)
