@@ -1,7 +1,8 @@
 """Semantic exception hierarchy.
 
 The CLI maps these onto exit codes: parameter problems are usage errors
-(exit 2), domain and convergence problems are numeric errors (exit 3).
+(exit 2), domain, convergence and reproducibility problems are numeric
+errors (exit 3).
 """
 
 
@@ -23,3 +24,7 @@ class ConvergenceError(IneqMeansError, RuntimeError):
 
 class BracketError(ConvergenceError):
     """A root bracket could not be established on the search interval."""
+
+
+class ReproducibilityError(IneqMeansError, RuntimeError):
+    """A sampled result does not rebuild from its documented seed and index."""

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, ReproducibilityError
 from .functions import (_VALIDATION_POINTS, FunctionFamily, FunctionSpec, _grid,
                         validate_nonneg_derivative, validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
@@ -41,7 +41,7 @@ from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate
 from .quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
                          quadrature, simpson_nodes)
 from .reports import ChainReport, chain_report
-from .sampling import spawn_rng
+from .sampling import spawn_raw, spawn_rng
 
 __all__ = ["ChainKind", "integral_mean_chain", "integral_logderiv_chain",
            "logderiv_phi1", "product_identity_check", "general_h_chain",
@@ -460,80 +460,174 @@ _BLOCK_FIRST = 8
 _BLOCK_CAP = 32
 
 
+# catalog kinds in draw order; each member takes the first _KIND_ARITY of the
+# three coefficients drawn for it
+_KIND_FAMILIES = (FunctionFamily.EXP, FunctionFamily.AFFINE, FunctionFamily.POLY,
+                  FunctionFamily.EXP_OF_POLY)
+_KIND_ARITY = (1, 2, 3, 2)
+
+
+def _catalog_member(kind: int, c) -> FunctionSpec:
+    return FunctionSpec(_KIND_FAMILIES[kind], tuple(float(v) for v in c[:_KIND_ARITY[kind]]))
+
+
+def _draw_member(rng) -> tuple:
+    # positive increasing catalog member: its kind, then three coefficients
+    # log-uniform in [0.1, 10]
+    return int(rng.integers(0, len(_KIND_FAMILIES))), 10.0 ** rng.uniform(-1.0, 1.0, size=3)
+
+
 def _sample_function(rng) -> FunctionSpec:
-    # positive increasing catalog member; coefficients log-uniform in [0.1, 10]
-    kind = int(rng.integers(0, 4))
-    c = 10.0 ** rng.uniform(-1.0, 1.0, size=3)
-    if kind == 0:
-        return FunctionSpec(FunctionFamily.EXP, (float(c[0]),))
-    if kind == 1:
-        return FunctionSpec(FunctionFamily.AFFINE, (float(c[0]), float(c[1])))
-    if kind == 2:
-        return FunctionSpec(FunctionFamily.POLY, tuple(float(v) for v in c))
-    return FunctionSpec(FunctionFamily.EXP_OF_POLY, (float(c[0]), float(c[1])))
+    return _catalog_member(*_draw_member(rng))
 
 
-def _sample_trials(seed: int, start: int, stop: int) -> list:
-    """(f, g, interval index) of trials start..stop-1, each drawn from its own
+def _sample_trials(seed: int, start: int, stop: int) -> tuple:
+    """Kinds (2, n) and coefficients (2, n, 3) of f and g, and interval
+    indices (n,), of trials start..stop-1, each drawn from its own
     spawn_rng(seed, i) stream, so a trial does not depend on its block."""
-    out = []
-    for i in range(start, stop):
-        rng = spawn_rng(seed, i)
-        f = _sample_function(rng)
-        g = _sample_function(rng)
-        out.append((f, g, int(rng.integers(0, len(_COMPARE_INTERVALS)))))
-    return out
+    n = stop - start
+    kinds = np.empty((2, n), dtype=np.int64)
+    coeffs = np.empty((2, n, 3))
+    intervals = np.empty(n, dtype=np.int64)
+    for row in range(n):
+        rng = spawn_rng(seed, start + row)
+        for member in range(2):
+            kinds[member, row], coeffs[member, row] = _draw_member(rng)
+        intervals[row] = rng.integers(0, len(_COMPARE_INTERVALS))
+    return kinds, coeffs, intervals
 
 
-def _catalog_rows(specs: Sequence[FunctionSpec], xs: np.ndarray, derivative: bool):
-    """Values (and derivatives, else None) of catalog members, one per row of xs.
+_MASK32 = 0xFFFFFFFF
+
+
+def _lemire(draws: np.ndarray, n: int) -> tuple:
+    """Generator.integers(0, n) on 32-bit draws, by Lemire's multiply-shift
+    as numpy does it: the values, and where numpy rejects the draw and takes
+    another."""
+    m = draws * np.uint64(n)
+    return (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(_MASK32)) < (2**32 - n) % n
+
+
+def _draw_block(seed: int, start: int, stop: int) -> tuple:
+    """_sample_trials(seed, start, stop), read off the first eight raw words
+    of each trial's stream (``spawn_raw``).
+
+    PCG64 serves a 32-bit draw from the low half of a fresh word and keeps
+    the high half for the next one; ``integers(0, k)`` takes a 32-bit draw and
+    ``uniform`` a whole word. So f's kind is the low half of word 0 and its
+    coefficients words 1-3, g's kind the high half of word 0 and its
+    coefficients words 4-6, and the interval the low half of word 7. A trial
+    with a draw numpy would reject (only the interval's can, with
+    probability 2**-32) is drawn on its own.
+    """
+    w = spawn_raw(seed, start, stop)
+    mask = np.uint64(_MASK32)
+    kind_f, redraw_f = _lemire(w[:, 0] & mask, len(_KIND_FAMILIES))
+    kind_g, redraw_g = _lemire(w[:, 0] >> np.uint64(32), len(_KIND_FAMILIES))
+    intervals, redraw = _lemire(w[:, 7] & mask, len(_COMPARE_INTERVALS))
+    kinds = np.stack([kind_f, kind_g])
+    # uniform(-1, 1) is -1 + 2 * (the word's top 53 bits / 2**53)
+    coeffs = 10.0 ** (-1.0 + 2.0 * ((w[:, 1:7] >> np.uint64(11)) * 2.0 ** -53))
+    coeffs = coeffs.reshape(-1, 2, 3).transpose(1, 0, 2)
+    for row in np.flatnonzero(redraw | redraw_f | redraw_g):
+        k, c, j = _sample_trials(seed, start + row, start + row + 1)
+        kinds[:, row], coeffs[:, row], intervals[row] = k[:, 0], c[:, 0], j[0]
+    return kinds, coeffs, intervals
+
+
+def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivative: bool):
+    """Values (and derivatives, else None) of catalog members on the rows of
+    xs: member [..., i], of kind kinds[..., i] with the drawn coefficients
+    coeffs[..., i, :], on row i.
 
     Every catalog family is an optional exp of c0 + c1 t + c2 t^2 (exp:k is
     (0, k, 0)); Horner in numpy polyval's order on the zero-padded
     coefficients reproduces FunctionSpec.__call__ and .derivative bit for bit.
     """
-    coeffs = np.zeros((len(specs), 3))
-    exp_rows = np.zeros(len(specs), dtype=bool)
-    for i, spec in enumerate(specs):
-        if spec.family is FunctionFamily.EXP:
-            coeffs[i, 1] = spec.coeffs[0]
-        else:
-            coeffs[i, :len(spec.coeffs)] = spec.coeffs
-        exp_rows[i] = spec.family in (FunctionFamily.EXP, FunctionFamily.EXP_OF_POLY)
-    c0, c1, c2 = coeffs[:, 0:1], coeffs[:, 1:2], coeffs[:, 2:3]
-    values = c0 + (c1 + c2 * xs) * xs
+    # kinds 0-3 are exp:k (the polynomial k t), affine:c0,c1, poly:c0,c1,c2
+    # and exppoly:c0,c1
+    k = kinds[..., None]
+    c0 = np.where(k == 0, 0.0, coeffs[..., 0:1])
+    c1 = np.where(k == 0, coeffs[..., 0:1], coeffs[..., 1:2])
+    c2 = np.where(k == 2, coeffs[..., 2:3], 0.0)
+    exp_rows = (kinds == 0) | (kinds == 3)
+    values = c2 * xs  # c0 + (c1 + c2 t) t, in place
+    values += c1
+    values *= xs
+    values += c0
     values[exp_rows] = np.exp(values[exp_rows])
     if not derivative:
         return values, None
-    slopes = c1 + (2.0 * c2) * xs
+    slopes = (2.0 * c2) * xs
+    slopes += c1
     slopes[exp_rows] *= values[exp_rows]
     return values, slopes
 
 
+class _Block(NamedTuple):
+    """A block of trials, one row each: the half-steps h, f and g on the
+    grids, and for the log-derivative form what its two middle terms share:
+    f', g', f'/f, g'/g and (f g)^2 at the even nodes."""
+
+    h: np.ndarray
+    fv: np.ndarray
+    gv: np.ndarray
+    dfv: Optional[np.ndarray] = None
+    dgv: Optional[np.ndarray] = None
+    lf: Optional[np.ndarray] = None
+    lg: Optional[np.ndarray] = None
+    fg2: Optional[np.ndarray] = None
+
+
+def _block(draws: tuple, nodes: np.ndarray, steps: np.ndarray, logderiv: bool) -> _Block:
+    """f and g of every trial of a block from one _catalog_rows call."""
+    kinds, coeffs, intervals = draws
+    values, slopes = _catalog_rows(kinds, coeffs, nodes[intervals], logderiv)
+    fv, gv = values
+    if not logderiv:
+        return _Block(steps[intervals], fv, gv)
+    lf, lg = slopes / values
+    return _Block(steps[intervals], fv, gv, slopes[0], slopes[1], lf, lg,
+                  (fv[:, ::2] * gv[:, ::2]) ** 2)
+
+
 # The comparator keeps its own fixed-grid integrator, batched over blocks of
-# trials: at 1000 trials a whole trial (sampling, then both middle terms)
-# costs about 0.10 ms in the mean form and 0.13 ms in the log-derivative form,
-# against 0.22 and 0.34 ms one trial at a time and about 1.3 ms for one
-# adaptive chain (medians, 2-vCPU x86 VM, Python 3.11, numpy 2.4).
-def _middle_fixed(kind: ChainKind, spec: MeanSpec, fv: np.ndarray, gv: np.ndarray,
-                  dfv: Optional[np.ndarray], dgv: Optional[np.ndarray],
-                  h: np.ndarray) -> np.ndarray:
-    """Middle terms of a block: row i holds f, g (and f', g' for the
-    log-derivative form) on a 2 * _COMPARE_PANELS + 1 node grid of half-step h[i]."""
+# trials. At 1000 trials a whole trial (its draws read off its raw stream
+# words, then both middle terms) costs about 0.05 ms in the mean form and
+# 0.08 ms in the log-derivative form, against 0.10 and 0.13 ms when each trial
+# built its own Generator and about 1.3 ms for one adaptive chain (medians,
+# 2-vCPU x86 VM, Python 3.11, numpy 2.4).
+def _middle_fixed(kind: ChainKind, spec: MeanSpec, block: _Block) -> np.ndarray:
+    """Middle terms of a block of trials on 2 * _COMPARE_PANELS + 1 node
+    grids, row i with half-step block.h[i]."""
+    h = block.h
     if kind is ChainKind.MEAN_FORM:
-        m = mean_values(spec, fv, gv)
-        conj = conjugate_from_mean(fv, gv, m)
+        m = mean_values(spec, block.fv, block.gv)
+        conj = conjugate_from_mean(block.fv, block.gv, m)
         return composite_simpson(m * m, h) * composite_simpson(conj * conj, h)
-    mv = _logderiv_mean(spec)(fv, gv, dfv, dgv)
+    if spec.family is MeanFamily.MEDIANT:  # of the formal fractions f'/f and g'/g
+        mv = _logderiv_mean(spec)(block.fv, block.gv, block.dfv, block.dgv)
+    else:
+        mv = mean_values(spec, block.lf, block.lg)
     v = cumulative_simpson(mv, h)
-    fe, ge = fv[:, ::2], gv[:, ::2]
     phi1 = np.exp(2.0 * v)
-    phi2 = (fe * ge) ** 2 * np.exp(-2.0 * v)
+    phi2 = block.fg2 * np.exp(-2.0 * v)
     return composite_simpson(phi1, 2.0 * h) * composite_simpson(phi2, 2.0 * h)
 
 
-def _witness(trial, ma: float, mb: float) -> Witness:
-    f, g, j = trial
+def _witness(seed: int, index: int, draws: tuple, row: int, ma: float, mb: float) -> Witness:
+    """The witness of trial ``index``, row ``row`` of the block ``draws``. Its
+    f and g are rebuilt the documented way, _sample_function on
+    spawn_rng(seed, index), and must be the members the block drew."""
+    rng = spawn_rng(seed, index)
+    f, g = _sample_function(rng), _sample_function(rng)
+    j = int(rng.integers(0, len(_COMPARE_INTERVALS)))
+    kinds, coeffs, intervals = draws
+    if (f, g, j) != (_catalog_member(kinds[0, row], coeffs[0, row]),
+                     _catalog_member(kinds[1, row], coeffs[1, row]), intervals[row]):
+        raise ReproducibilityError(
+            f"trial {index} of seed {seed} does not rebuild from spawn_rng: numpy's "
+            "Generator draws no longer match their raw-word reading")
     return Witness(f.to_string(), g.to_string(), 0.0, _COMPARE_INTERVALS[j], ma, mb)
 
 
@@ -549,9 +643,11 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     UNDETERMINED when every trial ties.  Trials are seeded independently by
     index, so the verdict does not depend on evaluation order.
 
-    Trials are evaluated in blocks (8 rows, doubling up to 32) and scanned
-    in index order; a block's rows are computed exactly as lone trials
-    would be, so blocking changes no digit of the verdict.
+    Trials are drawn and evaluated in blocks (8 rows, doubling up to 32)
+    and scanned in index order; a block's rows are computed exactly as lone
+    trials would be, so blocking changes no digit of the verdict.  A
+    witness's f and g are rebuilt from spawn_rng(seed, index); should they
+    differ from the block's draws, ReproducibilityError is raised.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -559,20 +655,17 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     nodes = np.stack([xs for xs, _ in grids])
     steps = np.array([h for _, h in grids])
     logderiv = kind is ChainKind.LOG_DERIV_FORM
-    best_a = best_b = None  # (separation, Witness)
+    best_a = best_b = None  # (separation, _witness arguments)
     wins_a = wins_b = 0
     ran = 0
     size = _BLOCK_FIRST
     while ran < trials:
-        block = _sample_trials(seed, ran, min(ran + size, trials))
+        draws = _draw_block(seed, ran, min(ran + size, trials))
         size = min(2 * size, _BLOCK_CAP)
-        intervals = [j for _, _, j in block]
-        xs, h = nodes[intervals], steps[intervals]
-        fv, dfv = _catalog_rows([f for f, _, _ in block], xs, logderiv)
-        gv, dgv = _catalog_rows([g for _, g, _ in block], xs, logderiv)
-        middles_a = _middle_fixed(kind, spec_a, fv, gv, dfv, dgv, h).tolist()
-        middles_b = _middle_fixed(kind, spec_b, fv, gv, dfv, dgv, h).tolist()
-        for trial, ma, mb in zip(block, middles_a, middles_b):
+        block = _block(draws, nodes, steps, logderiv)
+        middles_a = _middle_fixed(kind, spec_a, block).tolist()
+        middles_b = _middle_fixed(kind, spec_b, block).tolist()
+        for row, (ma, mb) in enumerate(zip(middles_a, middles_b)):
             ran += 1
             scale = max(abs(ma), abs(mb))
             diff = (mb - ma) / scale
@@ -581,16 +674,17 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
             if diff > 0:
                 wins_a += 1
                 if best_a is None or diff > best_a[0]:
-                    best_a = (diff, _witness(trial, ma, mb))
+                    best_a = (diff, (ran - 1, draws, row, ma, mb))
             else:
                 wins_b += 1
                 if best_b is None or -diff > best_b[0]:
-                    best_b = (-diff, _witness(trial, ma, mb))
+                    best_b = (-diff, (ran - 1, draws, row, ma, mb))
             if wins_a and wins_b:
-                return OrderVerdict(Relation.INCOMPARABLE,
-                                    (best_a[1], best_b[1]), ran, seed)
+                return OrderVerdict(Relation.INCOMPARABLE, (_witness(seed, *best_a[1]),
+                                                            _witness(seed, *best_b[1])),
+                                    ran, seed)
     if wins_a:
-        return OrderVerdict(Relation.A_PREC_B, (best_a[1],), ran, seed)
+        return OrderVerdict(Relation.A_PREC_B, (_witness(seed, *best_a[1]),), ran, seed)
     if wins_b:
-        return OrderVerdict(Relation.B_PREC_A, (best_b[1],), ran, seed)
+        return OrderVerdict(Relation.B_PREC_A, (_witness(seed, *best_b[1]),), ran, seed)
     return OrderVerdict(Relation.UNDETERMINED, (), ran, seed)

@@ -400,10 +400,13 @@ def _gini_values(u: float, v: float, x: np.ndarray, y: np.ndarray) -> np.ndarray
     # ((x^u + y^u)/(x^v + y^v))^(1/(u - v)) and its u = v limit: the one kernel
     # of the power (v = 0) and Lehmer (u = v + 1) means (notes/decisions.md, "Gini scale")
     if abs(u - v) >= 0.5 or u * v < 0.0:
-        # a zero argument at a negative order: inf ** (1/(u - v)) = 0, the limit
-        with np.errstate(divide="ignore") if min(u, v) < 0.0 else contextlib.nullcontext():
+        # a zero argument at a negative order: inf ** (1/(u - v)) = 0, the
+        # limit; for v > 0 the quotient is 0/0 at x = y = 0, where the limit is 0
+        quiet = min(u, v) < 0.0 or v > 0.0
+        with np.errstate(divide="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
             q = (x ** u + y ** u) / (2.0 if v == 0.0 else x ** v + y ** v)
-            return q if u - v == 1.0 else q ** (1.0 / (u - v))
+            out = q if u - v == 1.0 else q ** (1.0 / (u - v))
+        return np.where((x == 0.0) & (y == 0.0), 0.0, out) if v > 0.0 else out
     # same-sign orders: with u >= v, d = u - v, t = lo/hi, L = ln(hi/lo) and
     # s = t^v/(1 + t^v), ln(M/hi) = log1p(s expm1(-d L))/d, -s L at d = 0.
     # For u <= 0, M_{u,v}(x, y) = 1/M_{-v,-u}(1/x, 1/y) puts it on the base lo

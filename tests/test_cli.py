@@ -62,6 +62,14 @@ def test_means_axioms_pass_and_fail_exit_codes():
     assert json.loads(asym.stdout)["symmetry"]["status"] == "fail"
 
 
+@pytest.mark.parametrize("spec", ["lehmer:1", "gini:2,1"])
+def test_means_eval_gini_plain_route_at_zero_arguments(spec):
+    # (x^u + y^u)/(x^v + y^v) is 0/0 at x = y = 0 for v > 0; the mean's limit is 0
+    result = run("means", "eval", "--spec", spec, "--x", "0", "--y", "0")
+    assert result.exit_code == 0, result.stderr
+    assert payload(result)["value"] == 0.0
+
+
 def test_means_h_check():
     ok = run("means", "h-check", "--spec", "power:0", "--grid", "0,0.5,1,2")
     assert ok.exit_code == 0
@@ -277,6 +285,8 @@ BOUNDARY_INPUTS = (
     ("means eval --spec power:2 --x 1e200 --y 1e200", 3),
     ("means h-check --spec max --grid 0,1,800", 3),
     ("young classify --x 5 --y 1e300 --p 4", 3),
+    ("compare --a power:0 --b power:2 --trials 5 --seed -1", 2),
+    ("means axioms --spec power:2 --samples 10 --seed -1", 2),
 )
 
 
@@ -376,3 +386,20 @@ def test_fuzz_lorentz_chain(spec, xs, ys, lift_x, lift_y):
     data = _check_contract(result)
     if data is not None:
         assert (result.exit_code == 1) is (data["ordered"] is False)
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 1, -1, 2**32 - 1, 2**32, 2**64 + 7, 2**100, -2**70]),
+                   st.integers())
+
+
+@_FUZZ
+@given(seed=_SEEDS)
+def test_fuzz_seeds(seed):
+    # any integer seed: a verdict or report for seeds >= 0, a usage error below
+    for argv in (("compare", "--a", "power:0", "--b", "power:2", "--trials", "3"),
+                 ("means", "axioms", "--spec", "power:2", "--samples", "5")):
+        result = run(*argv, f"--seed={seed}")
+        data = _check_contract(result)
+        assert (result.exit_code == 2) is (seed < 0), result.stderr
+        if data is not None:
+            assert data["seed"] == seed

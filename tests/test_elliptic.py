@@ -43,6 +43,18 @@ def test_k_quadrature_near_one_against_mpmath():
             assert elliptic_k(x, KMethod.QUADRATURE) == pytest.approx(elliptic_k(x), rel=1e-13)
 
 
+@pytest.mark.parametrize("k", range(1, 12))
+def test_k_quadrature_meets_its_target_up_to_one_minus_1e_11(k):
+    # the quadrature's own target, max(tol, tol K), against 40 digits; with
+    # the peak at the rounded pi/2 instead of at 0 it is 1.26x past it at k = 10
+    mp = pytest.importorskip("mpmath")
+    x = 1.0 - 10.0 ** -k
+    with mp.workdps(40):
+        ref = mp.ellipk(mp.mpf(x) ** 2)
+        got = elliptic_k(x, KMethod.QUADRATURE, tol=1e-12)
+        assert abs(got - ref) <= max(1e-12, 1e-12 * float(ref))
+
+
 def test_k_quadrature_closer_to_one_raises():
     # the integrand's peak is too narrow for the quadrature budget: a typed
     # error, not an allocation without limit (the AGM route serves there)

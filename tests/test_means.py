@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,20 @@ def test_zero_argument_limits():
     assert eval_mean(spec("power:-2"), 0.0, 3.0) == 0.0
     assert eval_mean(spec("rado:-3"), 0.0, 3.0) == 0.0
     assert eval_mean(spec("identric"), 0.0, 3.0) == pytest.approx(3.0 / math.e, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["lehmer:1", "lehmer:0.25", "gini:2,1", "gini:3,0.5",
+                                  "gini:0.75,0.5", "power:2"])
+def test_both_arguments_zero_give_zero(name):
+    # the plain Gini quotient is 0/0 there for v > 0; the limit is 0, with no
+    # floating-point warning, and the other elements keep their values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_mean(spec(name), 0.0, 0.0) == 0.0
+        x, y = np.array([0.0, 0.0, 2.0, 1.0]), np.array([0.0, 3.0, 0.0, 4.0])
+        got = mean_values(spec(name), x, y)
+    assert got[0] == 0.0
+    assert np.array_equal(got[1:], mean_values(spec(name), x[1:], y[1:]))
 
 
 def test_positivity_required_families_raise_on_zero():
