@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate
 from .quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
                          quadrature, simpson_nodes)
 from .reports import ChainReport, chain_report
-from .sampling import spawn_raw, spawn_rng
+from .sampling import _MASK32, spawn_raw, spawn_rng
 
 __all__ = ["ChainKind", "integral_mean_chain", "integral_logderiv_chain",
            "logderiv_phi1", "product_identity_check", "general_h_chain",
@@ -467,6 +467,19 @@ _KIND_FAMILIES = (FunctionFamily.EXP, FunctionFamily.AFFINE, FunctionFamily.POLY
 _KIND_ARITY = (1, 2, 3, 2)
 
 
+def _kind_slots(family: FunctionFamily, arity: int) -> tuple:
+    # where c0, c1, c2 of the member's c0 + c1 t + c2 t^2 sit in
+    # (0, drawn coefficients...); exp:k is exp(k t)
+    if family is FunctionFamily.EXP:
+        return (0, 1, 0)
+    return tuple(j + 1 if j < arity else 0 for j in range(3))
+
+
+_KIND_SLOTS = np.array([_kind_slots(f, n) for f, n in zip(_KIND_FAMILIES, _KIND_ARITY)])
+_KIND_EXP = np.array([f in (FunctionFamily.EXP, FunctionFamily.EXP_OF_POLY)
+                      for f in _KIND_FAMILIES])
+
+
 def _catalog_member(kind: int, c) -> FunctionSpec:
     return FunctionSpec(_KIND_FAMILIES[kind], tuple(float(v) for v in c[:_KIND_ARITY[kind]]))
 
@@ -495,9 +508,6 @@ def _sample_trials(seed: int, start: int, stop: int) -> tuple:
             kinds[member, row], coeffs[member, row] = _draw_member(rng)
         intervals[row] = rng.integers(0, len(_COMPARE_INTERVALS))
     return kinds, coeffs, intervals
-
-
-_MASK32 = 0xFFFFFFFF
 
 
 def _lemire(draws: np.ndarray, n: int) -> tuple:
@@ -544,13 +554,10 @@ def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivat
     (0, k, 0)); Horner in numpy polyval's order on the zero-padded
     coefficients reproduces FunctionSpec.__call__ and .derivative bit for bit.
     """
-    # kinds 0-3 are exp:k (the polynomial k t), affine:c0,c1, poly:c0,c1,c2
-    # and exppoly:c0,c1
-    k = kinds[..., None]
-    c0 = np.where(k == 0, 0.0, coeffs[..., 0:1])
-    c1 = np.where(k == 0, coeffs[..., 0:1], coeffs[..., 1:2])
-    c2 = np.where(k == 2, coeffs[..., 2:3], 0.0)
-    exp_rows = (kinds == 0) | (kinds == 3)
+    padded = np.concatenate([np.zeros(coeffs.shape[:-1] + (1,)), coeffs], axis=-1)
+    poly = np.take_along_axis(padded, _KIND_SLOTS[kinds], axis=-1)
+    c0, c1, c2 = poly[..., 0:1], poly[..., 1:2], poly[..., 2:3]
+    exp_rows = _KIND_EXP[kinds]
     values = c2 * xs  # c0 + (c1 + c2 t) t, in place
     values += c1
     values *= xs
@@ -564,54 +571,26 @@ def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivat
     return values, slopes
 
 
-class _Block(NamedTuple):
-    """A block of trials, one row each: the half-steps h, f and g on the
-    grids, and for the log-derivative form what its two middle terms share:
-    f', g', f'/f, g'/g and (f g)^2 at the even nodes."""
-
-    h: np.ndarray
-    fv: np.ndarray
-    gv: np.ndarray
-    dfv: Optional[np.ndarray] = None
-    dgv: Optional[np.ndarray] = None
-    lf: Optional[np.ndarray] = None
-    lg: Optional[np.ndarray] = None
-    fg2: Optional[np.ndarray] = None
-
-
-def _block(draws: tuple, nodes: np.ndarray, steps: np.ndarray, logderiv: bool) -> _Block:
-    """f and g of every trial of a block from one _catalog_rows call."""
-    kinds, coeffs, intervals = draws
-    values, slopes = _catalog_rows(kinds, coeffs, nodes[intervals], logderiv)
-    fv, gv = values
-    if not logderiv:
-        return _Block(steps[intervals], fv, gv)
-    lf, lg = slopes / values
-    return _Block(steps[intervals], fv, gv, slopes[0], slopes[1], lf, lg,
-                  (fv[:, ::2] * gv[:, ::2]) ** 2)
-
-
 # The comparator keeps its own fixed-grid integrator, batched over blocks of
 # trials. At 1000 trials a whole trial (its draws read off its raw stream
 # words, then both middle terms) costs about 0.05 ms in the mean form and
 # 0.08 ms in the log-derivative form, against 0.10 and 0.13 ms when each trial
 # built its own Generator and about 1.3 ms for one adaptive chain (medians,
 # 2-vCPU x86 VM, Python 3.11, numpy 2.4).
-def _middle_fixed(kind: ChainKind, spec: MeanSpec, block: _Block) -> np.ndarray:
-    """Middle terms of a block of trials on 2 * _COMPARE_PANELS + 1 node
-    grids, row i with half-step block.h[i]."""
-    h = block.h
+def _middle_fixed(kind: ChainKind, spec: MeanSpec, fv: np.ndarray, gv: np.ndarray,
+                  dfv: Optional[np.ndarray], dgv: Optional[np.ndarray],
+                  h: np.ndarray) -> np.ndarray:
+    """Middle terms of a block: row i holds f, g (and f', g' for the
+    log-derivative form) on a 2 * _COMPARE_PANELS + 1 node grid of half-step h[i]."""
     if kind is ChainKind.MEAN_FORM:
-        m = mean_values(spec, block.fv, block.gv)
-        conj = conjugate_from_mean(block.fv, block.gv, m)
+        m = mean_values(spec, fv, gv)
+        conj = conjugate_from_mean(fv, gv, m)
         return composite_simpson(m * m, h) * composite_simpson(conj * conj, h)
-    if spec.family is MeanFamily.MEDIANT:  # of the formal fractions f'/f and g'/g
-        mv = _logderiv_mean(spec)(block.fv, block.gv, block.dfv, block.dgv)
-    else:
-        mv = mean_values(spec, block.lf, block.lg)
+    mv = _logderiv_mean(spec)(fv, gv, dfv, dgv)
     v = cumulative_simpson(mv, h)
+    fe, ge = fv[:, ::2], gv[:, ::2]
     phi1 = np.exp(2.0 * v)
-    phi2 = block.fg2 * np.exp(-2.0 * v)
+    phi2 = (fe * ge) ** 2 * np.exp(-2.0 * v)
     return composite_simpson(phi1, 2.0 * h) * composite_simpson(phi2, 2.0 * h)
 
 
@@ -662,9 +641,12 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     while ran < trials:
         draws = _draw_block(seed, ran, min(ran + size, trials))
         size = min(2 * size, _BLOCK_CAP)
-        block = _block(draws, nodes, steps, logderiv)
-        middles_a = _middle_fixed(kind, spec_a, block).tolist()
-        middles_b = _middle_fixed(kind, spec_b, block).tolist()
+        kinds, coeffs, intervals = draws
+        (fv, gv), slopes = _catalog_rows(kinds, coeffs, nodes[intervals], logderiv)
+        dfv, dgv = (None, None) if slopes is None else slopes
+        h = steps[intervals]
+        middles_a = _middle_fixed(kind, spec_a, fv, gv, dfv, dgv, h).tolist()
+        middles_b = _middle_fixed(kind, spec_b, fv, gv, dfv, dgv, h).tolist()
         for row, (ma, mb) in enumerate(zip(middles_a, middles_b)):
             ran += 1
             scale = max(abs(ma), abs(mb))

@@ -133,10 +133,10 @@ class _StateWords:
         return self.words
 
 
-def spawn_raw(seed: int, start: int, stop: int, words: int = 8) -> np.ndarray:
-    """The first ``words`` raw 64-bit outputs of the streams spawn_rng(seed, i)
+def spawn_raw(seed: int, start: int, stop: int) -> np.ndarray:
+    """The first eight raw 64-bit outputs of the streams spawn_rng(seed, i)
     for i in start..stop-1: row i - start equals
-    ``spawn_rng(seed, i).bit_generator.random_raw(words)`` bit for bit."""
+    ``spawn_rng(seed, i).bit_generator.random_raw(8)`` bit for bit."""
     from numpy.random import PCG64, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
@@ -150,7 +150,7 @@ def spawn_raw(seed: int, start: int, stop: int, words: int = 8) -> np.ndarray:
     wide = [SeedSequence((seed, i)).generate_state(4, np.uint64) for i in range(split, stop)]
     if wide:
         state = np.concatenate([state, np.stack(wide)])
-    out = np.empty((stop - start, words), dtype=np.uint64)
+    out = np.empty((stop - start, 8), dtype=np.uint64)
     for row, s in zip(out, state):
-        row[:] = PCG64(_StateWords(s)).random_raw(words)
+        row[:] = PCG64(_StateWords(s)).random_raw(8)
     return out

@@ -31,8 +31,8 @@ def test_spawn_raw_equals_spawn_rng_words(seed, start):
 def test_spawn_raw_across_two_word_indices_and_empty_ranges():
     # from index 2**32 on the index is two entropy words
     start = 2**32 - 2
-    want = [spawn_rng(3, i).bit_generator.random_raw(5) for i in range(start, start + 4)]
-    assert np.array_equal(spawn_raw(3, start, start + 4, words=5), np.stack(want))
+    want = [spawn_rng(3, i).bit_generator.random_raw(8) for i in range(start, start + 4)]
+    assert np.array_equal(spawn_raw(3, start, start + 4), np.stack(want))
     assert spawn_raw(3, 7, 7).shape == (0, 8)
     assert spawn_raw(3, 2**70, 2**70).shape == (0, 8)
 
