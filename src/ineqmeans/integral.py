@@ -21,14 +21,20 @@ near-equal terms (Phi1 and g^2 when max picks Lg) cancel.
 Middle terms of two refinements are partially ordered by pointwise
 domination; the sampling comparator searches a fixed function catalog for
 directional evidence or a certified two-sided (incomparable) witness pair.
-It evaluates its trials in blocks on stacked fixed grids, with the same
-digits as one trial at a time (notes/decisions.md, "Comparator blocks").
+Each trial's middle terms come from a fixed number of Gauss-Kronrod panels
+with an error bar, a panel edge moved onto each kink of a min/max-type mean
+(notes/decisions.md, "Comparator panels").  Trials are evaluated in blocks
+of stacked rows, with the same digits as one trial at a time
+(notes/decisions.md, "Comparator blocks").
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,8 +44,10 @@ from .functions import (_VALIDATION_POINTS, FunctionFamily, FunctionSpec, _grid,
                         validate_nonneg_derivative, validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     conjugate_values, mean_values)
-from .quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
-                         quadrature, simpson_nodes)
+# composite_simpson has no caller left; the traced benchmark binds it by name
+# until its fixed-grid spans move (ROADMAP item 5)
+from .quadrature import (_NODES, _WEIGHTS, CubicHermite, _cumulative_weights,
+                         composite_simpson, cumulative_simpson, quadrature, simpson_nodes)
 from .reports import ChainReport, chain_report
 from .sampling import _MASK32, spawn_raw, spawn_rng
 
@@ -452,12 +460,16 @@ class OrderVerdict:
     seed: int
 
 
-_COMPARE_PANELS = 512
 _COMPARE_INTERVALS = (0.5, 1.0, 2.0)
+# GK15 panels per row: 120 nodes in the mean form, 480 in the log-derivative
+# form, whose factors exp(+-2v) amplify the inner integral's error
+_PANELS = {ChainKind.MEAN_FORM: 8, ChainKind.LOG_DERIV_FORM: 32}
 # trials per evaluated block: small at first so an early exit wastes few
 # trials, then doubling up to a cap that bounds the working set (a few MB)
 _BLOCK_FIRST = 8
 _BLOCK_CAP = 32
+# QUADPACK's floor on a rule's error estimate, relative to its total
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 
 # catalog kinds in draw order; each member takes the first _KIND_ARITY of the
@@ -547,8 +559,9 @@ def _draw_block(seed: int, start: int, stop: int) -> tuple:
 
 def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivative: bool):
     """Values (and derivatives, else None) of catalog members on the rows of
-    xs: member [..., i], of kind kinds[..., i] with the drawn coefficients
-    coeffs[..., i, :], on row i.
+    xs: member [m, i], of kind kinds[m, i] with the drawn coefficients
+    coeffs[m, i, :], on row i, xs[..., i, :] (any leading axes of xs are
+    shared by every member); the result has shape (len(kinds),) + xs.shape.
 
     Every catalog family is an optional exp of c0 + c1 t + c2 t^2 (exp:k is
     (0, k, 0)); Horner in numpy polyval's order on the zero-padded
@@ -556,12 +569,14 @@ def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivat
     """
     padded = np.concatenate([np.zeros(coeffs.shape[:-1] + (1,)), coeffs], axis=-1)
     poly = np.take_along_axis(padded, _KIND_SLOTS[kinds], axis=-1)
-    c0, c1, c2 = poly[..., 0:1], poly[..., 1:2], poly[..., 2:3]
-    exp_rows = _KIND_EXP[kinds]
+    # (members, 1 per leading axis of xs, rows, 1 point)
+    shape = kinds.shape[:1] + (1,) * (xs.ndim - 2) + kinds.shape[1:] + (1,)
+    c0, c1, c2 = (poly[..., i].reshape(shape) for i in range(3))
     values = c2 * xs  # c0 + (c1 + c2 t) t, in place
     values += c1
     values *= xs
     values += c0
+    exp_rows = np.broadcast_to(_KIND_EXP[kinds].reshape(shape[:-1]), values.shape[:-1])
     values[exp_rows] = np.exp(values[exp_rows])
     if not derivative:
         return values, None
@@ -571,27 +586,159 @@ def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivat
     return values, slopes
 
 
-# The comparator keeps its own fixed-grid integrator, batched over blocks of
-# trials. At 1000 trials a whole trial (its draws read off its raw stream
-# words, then both middle terms) costs about 0.05 ms in the mean form and
-# 0.08 ms in the log-derivative form, against 0.10 and 0.13 ms when each trial
-# built its own Generator and about 1.3 ms for one adaptive chain (medians,
-# 2-vCPU x86 VM, Python 3.11, numpy 2.4).
-def _middle_fixed(kind: ChainKind, spec: MeanSpec, fv: np.ndarray, gv: np.ndarray,
-                  dfv: Optional[np.ndarray], dgv: Optional[np.ndarray],
-                  h: np.ndarray) -> np.ndarray:
-    """Middle terms of a block: row i holds f, g (and f', g' for the
-    log-derivative form) on a 2 * _COMPARE_PANELS + 1 node grid of half-step h[i]."""
+def _panel_nodes(edges: np.ndarray) -> tuple:
+    """Nodes (15, rows, P), node-major, and half-widths (rows, P) of the GK15
+    panels between consecutive edges (rows, P + 1)."""
+    hw = np.diff(edges, axis=-1) / 2.0
+    mid = edges[:, :-1] + hw
+    return mid + hw * _NODES[:, None, None], hw
+
+
+@dataclass(frozen=True)
+class _PanelRows:
+    """A block's rows on their panels: f, g (and f', g' in the log-derivative
+    form) at the nodes, (15, rows, P), and the panels' half-widths."""
+
+    hw: np.ndarray  # (rows, P)
+    fv: np.ndarray
+    gv: np.ndarray
+    dfv: Optional[np.ndarray]
+    dgv: Optional[np.ndarray]
+
+
+def _rows_on_panels(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray,
+                    nodes: np.ndarray, hw: np.ndarray) -> _PanelRows:
+    (fv, gv), slopes = _catalog_rows(kinds, coeffs, nodes, kind is ChainKind.LOG_DERIV_FORM)
+    return _PanelRows(hw, fv, gv, *((None, None) if slopes is None else slopes))
+
+
+def _member_gap(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray, ts: np.ndarray):
+    """f - g (mean form) or Lf - Lg of the catalog rows at ts: where it
+    changes sign, min/max-type means kink."""
+    (fv, gv), slopes = _catalog_rows(kinds, coeffs, ts, kind is ChainKind.LOG_DERIV_FORM)
+    return fv - gv if slopes is None else _logderiv_gap(fv, gv, *slopes)
+
+
+def _snap(edges: np.ndarray, roots: np.ndarray) -> Optional[np.ndarray]:
+    """``edges`` of one row with an interior edge moved onto each root
+    (sorted): the nearest one, else the next free one to its right, else to
+    its left. None when there are more roots than interior edges."""
+    panels = len(edges) - 1
+    step = (edges[-1] - edges[0]) / panels
+    k = np.clip(np.rint((roots - edges[0]) / step).astype(int), 1, panels - 1)
+    for i in range(1, len(k)):
+        k[i] = max(k[i], k[i - 1] + 1)
+    k[-1] = min(k[-1], panels - 1)
+    for i in range(len(k) - 2, -1, -1):
+        k[i] = min(k[i], k[i + 1] - 1)
+    if k[0] < 1:
+        return None
+    out = edges.copy()
+    out[k] = roots
+    return out
+
+
+def _snapped_rows(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray, edges: np.ndarray,
+                  first: int) -> _PanelRows:
+    """The block on panels with an edge on each crossing of the kink gap, for
+    means that kink on the diagonal.
+
+    _find_kinks finds each row's crossings from its own scan grid, one
+    catalog call scanning the whole block. A trial with more crossings than
+    interior panel edges raises ConvergenceError; ``first`` is the index of
+    the block's first trial.
+    """
+    scan = np.stack([_grid(lo, hi, _SCAN_POINTS) for lo, hi in edges[:, [0, -1]].tolist()])
+    gaps = _member_gap(kind, kinds, coeffs, scan)
+    moved = edges.copy()
+    for row in np.nonzero((np.sign(gaps[:, :-1]) * np.sign(gaps[:, 1:]) < 0).any(axis=1))[0]:
+        mine = kinds[:, row:row + 1], coeffs[:, row:row + 1]
+        roots = _find_kinks(lambda t: _member_gap(kind, *mine, t[None])[0],
+                            edges[row, 0], edges[row, -1], gaps[row])
+        if not roots:
+            continue
+        snapped = _snap(edges[row], np.array(roots))
+        if snapped is None:
+            raise ConvergenceError(f"trial {first + row}: {len(roots)} kinks, more than the "
+                                   f"{len(edges[row]) - 2} interior panel edges to snap")
+        moved[row] = snapped
+    return _rows_on_panels(kind, kinds, coeffs, *_panel_nodes(moved))
+
+
+def _per_panel(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weights (15, c) applied panel by panel to node-major values (15, ...):
+    (c, ...).
+
+    numpy's own einsum loop, not a BLAS matrix product: node by node it adds
+    weight times value into every panel's sums, so each panel's 15 terms are
+    added in node order, the same in a block of any size (a BLAS may choose
+    its summation order by the matrix's size or alignment).
+    """
+    sums = np.einsum("kn,kc->cn", values.reshape(len(values), -1), weights)
+    return sums.reshape(weights.shape[1:] + values.shape[1:])
+
+
+def _panel_integrals(values: np.ndarray, hw: np.ndarray) -> tuple:
+    """Totals of each of values (k, 15, rows, P) over the GK15 panels of
+    half-widths hw (rows, P), and their error estimates: the sum over panels
+    of max(|K15 - G7|, 50 eps |K15|)."""
+    est, diff = np.stack([_per_panel(v, _WEIGHTS) for v in values], axis=1) * hw
+    err = np.maximum(np.abs(diff), _ROUNDING * np.abs(est))
+    return est.sum(axis=-1), err.sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _inner_weights() -> np.ndarray:
+    """(15, 17): a panel's inner integral at its 15 nodes (the integration
+    matrix S^T), its K15 total and its K15 - G7 difference.  Built on the
+    comparator's first call, so commands that never compare do not build it."""
+    return np.concatenate([_cumulative_weights().T, _WEIGHTS], axis=1)
+
+
+# At 1000 trials a whole trial (its draws read off its raw stream words, its
+# f and g on the panels, then both middle terms) costs about half of what it
+# cost on the 1025-node Simpson grids these panels replaced in the mean form
+# (0.033 against 0.066 ms) and four fifths in the log-derivative form (0.072
+# against 0.087 ms), and an adaptive chain over ten times more (medians over
+# seeds 1-7 of power:0 against power:2 and power:0.5 against power:1.5, a
+# loaded 2-vCPU x86 VM, Python 3.11, numpy 2.4).
+def _middle_fixed(kind: ChainKind, spec: MeanSpec, rows: _PanelRows) -> tuple:
+    """Middle terms of a block, one per row, and their relative error bars.
+
+    The mean form integrates M^2 and M*^2 over the row's panels. The
+    log-derivative form takes v = int_0^x M(Lf, Lg) at every node (the
+    integration matrix within a panel plus the totals of the panels before
+    it) and integrates Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v). A bar sums
+    each factor's error estimate relative to its total, plus, in the
+    log-derivative form, the inner integral's estimate twice per factor:
+    an error e in v moves exp(+-2v) by a relative 2e.
+    """
     if kind is ChainKind.MEAN_FORM:
-        m = mean_values(spec, fv, gv)
-        conj = conjugate_from_mean(fv, gv, m)
-        return composite_simpson(m * m, h) * composite_simpson(conj * conj, h)
-    mv = _logderiv_mean(spec)(fv, gv, dfv, dgv)
-    v = cumulative_simpson(mv, h)
-    fe, ge = fv[:, ::2], gv[:, ::2]
-    phi1 = np.exp(2.0 * v)
-    phi2 = (fe * ge) ** 2 * np.exp(-2.0 * v)
-    return composite_simpson(phi1, 2.0 * h) * composite_simpson(phi2, 2.0 * h)
+        m = mean_values(spec, rows.fv, rows.gv)
+        conj = conjugate_from_mean(rows.fv, rows.gv, m)
+        (i1, i2), (e1, e2) = _panel_integrals((m * m, conj * conj), rows.hw)
+        return i1 * i2, e1 / np.abs(i1) + e2 / np.abs(i2)
+    mv = _logderiv_mean(spec)(rows.fv, rows.gv, rows.dfv, rows.dgv)
+    sums = _per_panel(mv, _inner_weights())
+    sums *= rows.hw
+    totals = sums[15]
+    inner = np.maximum(np.abs(sums[16]), _ROUNDING * np.abs(totals)).sum(axis=-1)
+    start = np.zeros_like(totals)
+    np.cumsum(totals[:, :-1], axis=-1, out=start[:, 1:])
+    # written in place, one factor after the other: a fresh array per step
+    # made the whole trial about a quarter slower, and the two factors
+    # interleaved at each node (no contiguous run per node for the panel
+    # sums) made this function twice as slow on a 32-row block
+    phi = np.empty((2, 15) + rows.hw.shape)
+    np.add(sums[:15], start, out=phi[0])
+    phi[0] *= 2.0
+    np.negative(phi[0], out=phi[1])
+    np.exp(phi, out=phi)
+    fg = rows.fv * rows.gv
+    fg *= fg
+    phi[1] *= fg
+    (i1, i2), (e1, e2) = _panel_integrals(phi, rows.hw)
+    return i1 * i2, e1 / np.abs(i1) + e2 / np.abs(i2) + 4.0 * inner
 
 
 def _witness(seed: int, index: int, draws: tuple, row: int, ma: float, mb: float) -> Witness:
@@ -619,21 +766,32 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     least one strict win (a directional verdict is only consistency
     evidence), INCOMPARABLE once strict wins in both directions are
     witnessed (a genuine two-witness certificate, reported), and
-    UNDETERMINED when every trial ties.  Trials are seeded independently by
-    index, so the verdict does not depend on evaluation order.
+    UNDETERMINED when every trial ties.  A trial is a strict win when the
+    middles differ, relative to the larger, by more than tie_rtol plus the
+    error bars of both.  Trials are seeded independently by index, so the
+    verdict does not depend on evaluation order.
 
-    Trials are drawn and evaluated in blocks (8 rows, doubling up to 32)
-    and scanned in index order; a block's rows are computed exactly as lone
-    trials would be, so blocking changes no digit of the verdict.  A
-    witness's f and g are rebuilt from spawn_rng(seed, index); should they
+    Each trial's middles come from fixed Gauss-Kronrod panels (8 per row in
+    the mean form, 32 in the log-derivative form).  For means that kink on
+    the diagonal (min, max, power:+-inf) an interior panel edge is moved
+    onto each crossing of f and g (mean form) or of their log-derivatives;
+    a trial with more crossings than interior edges raises ConvergenceError.
+    Trials are drawn and evaluated in blocks (8 rows, doubling up to 32) and
+    scanned in index order; a block's rows are computed exactly as lone
+    trials would be (every sum runs in a fixed order, none through a matrix
+    product), so blocking changes no digit of the verdict.
+    A witness's f and g are rebuilt from spawn_rng(seed, index); should they
     differ from the block's draws, ReproducibilityError is raised.
     """
+    if isinstance(trials, bool) or not isinstance(trials, Integral):
+        raise ParameterError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    grids = [simpson_nodes(0.0, b, _COMPARE_PANELS) for b in _COMPARE_INTERVALS]
-    nodes = np.stack([xs for xs, _ in grids])
-    steps = np.array([h for _, h in grids])
-    logderiv = kind is ChainKind.LOG_DERIV_FORM
+    if not (isinstance(tie_rtol, Real) and math.isfinite(tie_rtol) and tie_rtol >= 0):
+        raise ParameterError(f"tie_rtol must be finite and >= 0, got {tie_rtol!r}")
+    edges = np.stack([np.linspace(0.0, b, _PANELS[kind] + 1) for b in _COMPARE_INTERVALS])
+    nodes, hw = _panel_nodes(edges)
+    snap = (_kinks_on_diagonal(spec_a), _kinks_on_diagonal(spec_b))
     best_a = best_b = None  # (separation, _witness arguments)
     wins_a = wins_b = 0
     ran = 0
@@ -642,16 +800,18 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
         draws = _draw_block(seed, ran, min(ran + size, trials))
         size = min(2 * size, _BLOCK_CAP)
         kinds, coeffs, intervals = draws
-        (fv, gv), slopes = _catalog_rows(kinds, coeffs, nodes[intervals], logderiv)
-        dfv, dgv = (None, None) if slopes is None else slopes
-        h = steps[intervals]
-        middles_a = _middle_fixed(kind, spec_a, fv, gv, dfv, dgv, h).tolist()
-        middles_b = _middle_fixed(kind, spec_b, fv, gv, dfv, dgv, h).tolist()
+        # the plain panels, and the snapped ones for a mean that kinks
+        rows = {kinked: (_snapped_rows(kind, kinds, coeffs, edges[intervals], ran) if kinked else
+                         _rows_on_panels(kind, kinds, coeffs, nodes[:, intervals], hw[intervals]))
+                for kinked in set(snap)}
+        (middles_a, bars_a), (middles_b, bars_b) = (
+            [x.tolist() for x in _middle_fixed(kind, spec, rows[kinked])]
+            for spec, kinked in zip((spec_a, spec_b), snap))
         for row, (ma, mb) in enumerate(zip(middles_a, middles_b)):
             ran += 1
             scale = max(abs(ma), abs(mb))
             diff = (mb - ma) / scale
-            if abs(diff) <= tie_rtol:
+            if abs(diff) <= tie_rtol + bars_a[row] + bars_b[row]:
                 continue
             if diff > 0:
                 wins_a += 1

@@ -10,9 +10,15 @@ initial panels at kinks (notes/decisions.md, "Integration engine").  The
 point set and summation order depend only on the inputs, so results are
 bit-reproducible.
 
+The same 15 nodes carry the comparator's fixed panels:
+``_cumulative_weights`` builds the spectral integration matrix
+S[j, k] = int_{-1}^{x_j} l_k of the degree-14 interpolant through them
+(Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, *Approximation Theory
+and Approximation Practice*, ch. 19), which gives a panel's cumulative
+integral at its own nodes.
+
 Fixed-grid helpers (plain and cumulative Simpson, a cubic Hermite interpolant
-with exact slopes) serve the log-derivative tabulation and the comparator,
-whose blocks pass the Simpson helpers a ``(k, n)`` stack, one step per row.
+with exact slopes) serve the log-derivative tabulation.
 """
 
 from __future__ import annotations
@@ -48,6 +54,28 @@ _GK15 = np.array([  # Kronrod node in [0, 1), K15 weight, G7 weight (QUADPACK qk
 _NODES = np.concatenate([-_GK15[:-1, 0], _GK15[::-1, 0]])
 _W = np.concatenate([_GK15, _GK15[-2::-1]])
 _WEIGHTS = np.stack([_W[:, 1], _W[:, 1] - _W[:, 2]], axis=1)  # columns K15 and K15 - G7
+
+
+def _cumulative_weights() -> np.ndarray:
+    """S[j, k] = int_{-1}^{x_j} l_k for the Lagrange basis l_k of the 15
+    Kronrod nodes x_j: weights that integrate their degree-14 interpolant
+    from -1 to each node.
+
+    K15 itself, mapped onto [-1, x_j], integrates each l_k exactly (it is
+    exact to degree 22), from the values of l_k at the mapped nodes.
+    Plain numpy: numpy.polynomial would cost its import, about 2 ms, and a
+    first LAPACK solve about 0.6 MB of peak memory.
+    """
+    half = (_NODES + 1.0) / 2.0
+    ts = half[:, None] * (_NODES + 1.0) - 1.0  # row j: K15's nodes on [-1, x_j]
+    # l_k(t) = w_k prod_m (t - x_m) / (t - x_k), w_k = 1 / prod_{m != k} (x_k - x_m);
+    # no mapped node falls on a Kronrod node
+    gaps = _NODES[:, None] - _NODES
+    np.fill_diagonal(gaps, 1.0)
+    apart = ts[..., None] - _NODES
+    # basis[j, i, k] = l_k(ts[j, i])
+    basis = apart.prod(axis=-1)[..., None] / gaps.prod(axis=-1) / apart
+    return half[:, None] * (_WEIGHTS[:, :1] * basis).sum(axis=1)
 
 
 def _vectorize(f, probe: np.ndarray):

@@ -18,13 +18,14 @@ from ineqmeans import ChainKind, integral, parse_function, parse_mean
 for kind in ChainKind:
     integral.compare_generalizations(parse_mean("power:0"), parse_mean("power:2"),
                                      40, 5, kind)
+compare = dict(tr.calls)
 integral.integral_mean_chain(parse_function("exp:1"), parse_function("affine:1,2"),
                              0.0, 1.0, parse_mean("power:2"), tol=1e-9)
 before = dict(tr.calls)
 integral.integral_logderiv_chain(parse_function("exp:2"), parse_function("affine:2,1"),
                                  0.0, 1.0, parse_mean("power:2"))
 logderiv = {{name: n - before.get(name, 0) for name, n in tr.calls.items()}}
-print(json.dumps({{"summary": tr.summary(), "logderiv": logderiv}}))
+print(json.dumps({{"summary": tr.summary(), "compare": compare, "logderiv": logderiv}}))
 """
 
 
@@ -36,10 +37,15 @@ def test_traced_bench_layers_bind():
     out = json.loads(done.stdout)
     summary = out["summary"]
     for span in ("compare", "integral.middle_fixed", "sampling.spawn_rng",
-                 "means.mean_values", "fixedgrid.simpson_nodes",
-                 "fixedgrid.composite_simpson", "fixedgrid.cumulative_simpson",
+                 "means.mean_values", "fixedgrid.cumulative_simpson",
                  "integral.mean_chain", "quadrature", "validate.positive"):
         assert summary["calls"].get(span, 0) > 0, span
+    # the comparator integrates on its own fixed panels: no Simpson helper and
+    # no adaptive quadrature under compare
+    compare = out["compare"]
+    assert compare.get("integral.middle_fixed", 0) > 0
+    assert not [span for span in compare
+                if span.startswith("fixedgrid.") or span.startswith("quadrature")], compare
     # entered from the log-derivative chain itself
     for span in ("integral.logderiv_chain", "integral.tabulate", "hermite",
                  "validate.positive", "validate.nonneg_derivative",

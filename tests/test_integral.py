@@ -5,16 +5,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ineqmeans import (ChainKind, DomainError, MeanFamily, OrderVerdict, ParameterError,
-                       Relation, Witness, chain_catalog, compare_generalizations,
+from ineqmeans import (ChainKind, ConvergenceError, DomainError, MeanFamily, OrderVerdict,
+                       ParameterError, Relation, Witness, chain_catalog, compare_generalizations,
                        general_h_chain, integral_logderiv_chain, integral_mean_chain,
                        logderiv_phi1, mean_values, parse_function, parse_mean,
                        product_identity_check)
 from ineqmeans import integral
-from ineqmeans.functions import FunctionSpec
+from ineqmeans.functions import FunctionFamily, FunctionSpec
 from ineqmeans.integral import (_find_kinks, _logderiv_integrand, _logderiv_mean,
                                 _PiecewiseAntiderivative, _sample_function, _tabulate_segment)
 from ineqmeans.means import conjugate_from_mean
+from ineqmeans.quadrature import _NODES as GK_NODES
+from ineqmeans.quadrature import _WEIGHTS as GK_WEIGHTS
+from ineqmeans.quadrature import _cumulative_weights as cumulative_weights
 from ineqmeans.quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
                                   quadrature, simpson_nodes)
 from ineqmeans.reports import chain_report
@@ -545,25 +548,86 @@ def test_verdict_deterministic_for_fixed_seed():
 # the block-batched comparator against a per-trial reference
 # ---------------------------------------------------------------------------
 
+# The per-trial reference: the comparator's rule written out for one trial,
+# on FunctionSpec calls, with its own panel and snapping code.
+REF_PANELS = {ChainKind.MEAN_FORM: 8, ChainKind.LOG_DERIV_FORM: 32}
+REF_ROUNDING = 50.0 * np.finfo(float).eps
+
+
+def _reference_panels(edges):
+    hw = np.diff(edges) / 2.0
+    mid = edges[:-1] + hw
+    return (mid[:, None] + hw[:, None] * GK_NODES).ravel(), hw
+
+
+def _reference_gap(kind, f, g, t):
+    if kind is ChainKind.MEAN_FORM:
+        return f(t) - g(t)
+    return f.derivative(t) / f(t) - g.derivative(t) / g(t)
+
+
+def _reference_snap(b, panels, roots):
+    # the nearest interior edge for each root, pushed right past the edges
+    # already taken, then left off the end
+    edges = np.linspace(0.0, b, panels + 1)
+    taken = []
+    for root in roots:
+        k = min(max(int(np.rint(root / (b / panels))), 1), panels - 1)
+        taken.append(max(k, taken[-1] + 1) if taken else k)
+    for i in reversed(range(len(taken))):
+        taken[i] = min(taken[i], (taken[i + 1] if i + 1 < len(taken) else panels) - 1)
+    assert not taken or taken[0] >= 1, "more crossings than interior edges"
+    edges[taken] = roots
+    return edges
+
+
+def _reference_sums(values, weights):
+    # each panel's 15 weighted terms, added in node order
+    nodes = values.reshape(-1, 15)
+    out = nodes[:, 0:1] * weights[0]
+    for k in range(1, 15):
+        out = out + nodes[:, k:k + 1] * weights[k]
+    return out
+
+
+def _reference_integral(values, hw):
+    sums = _reference_sums(values, GK_WEIGHTS) * hw[:, None]
+    est = sums[:, 0]
+    return est.sum(), np.maximum(np.abs(sums[:, 1]), REF_ROUNDING * np.abs(est)).sum()
+
+
 def _reference_middle(kind, spec, f, g, b):
-    # one trial on its own 1025-node grid, as the comparator ran before blocking
-    xs, h = simpson_nodes(0.0, b, 512)
-    fv = np.asarray(f(xs), dtype=float)
-    gv = np.asarray(g(xs), dtype=float)
+    """(middle, relative bar) of one trial on its own GK15 panels."""
+    panels = REF_PANELS[kind]
+    nodes, hw = _reference_panels(np.linspace(0.0, b, panels + 1))
+    if integral._kinks_on_diagonal(spec):
+        roots = _find_kinks(lambda t: _reference_gap(kind, f, g, t), 0.0, b)
+        if roots:
+            nodes, hw = _reference_panels(_reference_snap(b, panels, roots))
+    fv = np.asarray(f(nodes), dtype=float)
+    gv = np.asarray(g(nodes), dtype=float)
+    inner = 0.0
     if kind is ChainKind.MEAN_FORM:
         m = mean_values(spec, fv, gv)
-        conj = conjugate_from_mean(fv, gv, m)
-        return composite_simpson(m * m, h) * composite_simpson(conj * conj, h)
-    dfv, dgv = f.derivative(xs), g.derivative(xs)
-    if spec.family is MeanFamily.MEDIANT:
-        mv = (dfv + dgv) / (fv + gv)
+        phi1, phi2 = m * m, conjugate_from_mean(fv, gv, m) ** 2
     else:
-        mv = mean_values(spec, dfv / fv, dgv / gv)
-    v = cumulative_simpson(mv, h)
-    fe, ge = fv[::2], gv[::2]
-    phi1 = np.exp(2.0 * v)
-    phi2 = (fe * ge) ** 2 * np.exp(-2.0 * v)
-    return composite_simpson(phi1, 2.0 * h) * composite_simpson(phi2, 2.0 * h)
+        dfv, dgv = f.derivative(nodes), g.derivative(nodes)
+        if spec.family is MeanFamily.MEDIANT:
+            mv = (dfv + dgv) / (fv + gv)
+        else:
+            mv = mean_values(spec, dfv / fv, dgv / gv)
+        # the integration matrix within each panel, plus the panels before it
+        sums = _reference_sums(mv, np.concatenate([cumulative_weights().T, GK_WEIGHTS], axis=1))
+        sums = sums * hw[:, None]
+        v, start = [], 0.0
+        for p in range(panels):
+            v.append(sums[p, :15] + start)
+            start += sums[p, 15]
+        inner = np.maximum(np.abs(sums[:, 16]), REF_ROUNDING * np.abs(sums[:, 15])).sum()
+        v = 2.0 * np.concatenate(v)
+        phi1, phi2 = np.exp(v), (fv * gv) ** 2 * np.exp(-v)
+    (i1, e1), (i2, e2) = _reference_integral(phi1, hw), _reference_integral(phi2, hw)
+    return i1 * i2, e1 / abs(i1) + e2 / abs(i2) + 4.0 * inner
 
 
 def _reference_verdict(spec_a, spec_b, trials, seed, kind, tie_rtol=1e-9):
@@ -574,10 +638,10 @@ def _reference_verdict(spec_a, spec_b, trials, seed, kind, tie_rtol=1e-9):
         f = _sample_function(rng)
         g = _sample_function(rng)
         b_end = float((0.5, 1.0, 2.0)[int(rng.integers(0, 3))])
-        ma = _reference_middle(kind, spec_a, f, g, b_end)
-        mb = _reference_middle(kind, spec_b, f, g, b_end)
+        ma, bar_a = _reference_middle(kind, spec_a, f, g, b_end)
+        mb, bar_b = _reference_middle(kind, spec_b, f, g, b_end)
         diff = (mb - ma) / max(abs(ma), abs(mb))
-        if abs(diff) <= tie_rtol:
+        if abs(diff) <= tie_rtol + bar_a + bar_b:
             continue
         w = Witness(f.to_string(), g.to_string(), 0.0, b_end, ma, mb)
         if diff > 0:
@@ -639,8 +703,8 @@ def test_witnesses_re_run_to_their_middles():
     for w in verdict.witnesses:
         f, g = parse_function(w.f), parse_function(w.g)
         assert f.to_string() == w.f and g.to_string() == w.g
-        assert _reference_middle(kind, a, f, g, w.b) == w.middle_a
-        assert _reference_middle(kind, b, f, g, w.b) == w.middle_b
+        assert _reference_middle(kind, a, f, g, w.b)[0] == w.middle_a
+        assert _reference_middle(kind, b, f, g, w.b)[0] == w.middle_b
 
 
 def test_blocked_comparator_memory_does_not_scale_with_trials():
@@ -655,3 +719,143 @@ def test_blocked_comparator_memory_does_not_scale_with_trials():
         tracemalloc.stop()
     assert got == compare_generalizations(a, b, 1000, 13, ChainKind.LOG_DERIV_FORM)
     assert peak < 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the comparator's panels: error bars, kinks, and argument checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(ChainKind))
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_max_min_pair_never_gives_a_directional_verdict(kind, seed):
+    # min = f + g - max pointwise (and Lf + Lg - max of the log-derivatives),
+    # so the two middle terms are equal in both forms: every strict win
+    # would be integration error (the Simpson grid reported b-prec-a)
+    verdict = compare_generalizations(parse_mean("power:inf"), parse_mean("power:-inf"),
+                                      200, seed, kind)
+    assert verdict.relation is Relation.UNDETERMINED
+    assert verdict.trials == 200
+
+
+def _scalar_member(spec):
+    """f and f' of a catalog member as plain float callables."""
+    c = spec.coeffs
+
+    def poly(t):
+        return sum(ci * t ** i for i, ci in enumerate(c))
+
+    def dpoly(t):
+        return sum(i * ci * t ** (i - 1) for i, ci in enumerate(c) if i)
+
+    if spec.family is FunctionFamily.EXP:
+        return (lambda t: math.exp(c[0] * t)), (lambda t: c[0] * math.exp(c[0] * t))
+    if spec.family is FunctionFamily.EXP_OF_POLY:
+        return (lambda t: math.exp(poly(t))), (lambda t: dpoly(t) * math.exp(poly(t)))
+    return poly, dpoly
+
+
+SCALAR_MEANS = {
+    "power:0": lambda x, y: math.sqrt(x * y),
+    "power:0.5": lambda x, y: ((math.sqrt(x) + math.sqrt(y)) / 2.0) ** 2,
+    "power:2": lambda x, y: math.sqrt((x * x + y * y) / 2.0),
+    "min": min,
+    "max": max,
+}
+
+
+def _quad_middle(kind, mean, f, g, b):
+    """The middle term by scipy's quad at epsrel 1e-13, split at the crossings
+    of f and g (mean form) or of their log-derivatives; nested in the
+    log-derivative form."""
+    integrate = pytest.importorskip("scipy.integrate")
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    (fs, dfs), (gs, dgs) = _scalar_member(f), _scalar_member(g)
+    if kind is ChainKind.MEAN_FORM:
+        def gap(t):
+            return fs(t) - gs(t)
+    else:
+        def gap(t):
+            return dfs(t) / fs(t) - dgs(t) / gs(t)
+    ts = np.linspace(0.0, b, 4097)
+    d = np.array([gap(t) for t in ts])
+    roots = [brentq(gap, ts[i], ts[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+             for i in np.nonzero(d[:-1] * d[1:] < 0)[0]]
+
+    def quad(fn, hi):
+        points = [r for r in roots if 0.0 < r < hi] or None
+        return integrate.quad(fn, 0.0, hi, epsabs=0.0, epsrel=1e-13, limit=200,
+                              points=points)[0]
+
+    if kind is ChainKind.MEAN_FORM:
+        return (quad(lambda t: mean(fs(t), gs(t)) ** 2, b)
+                * quad(lambda t: (fs(t) * gs(t) / mean(fs(t), gs(t))) ** 2, b))
+    cache = {}
+
+    def v(x):
+        if x not in cache:
+            cache[x] = 2.0 * quad(lambda t: mean(dfs(t) / fs(t), dgs(t) / gs(t)), x) if x else 0.0
+        return cache[x]
+
+    return (quad(lambda x: math.exp(v(x)), b)
+            * quad(lambda x: (fs(x) * gs(x)) ** 2 * math.exp(-v(x)), b))
+
+
+@pytest.mark.parametrize("kind, spec", [
+    (ChainKind.MEAN_FORM, "power:0"), (ChainKind.MEAN_FORM, "power:2"),
+    (ChainKind.MEAN_FORM, "min"), (ChainKind.MEAN_FORM, "max"),
+    (ChainKind.LOG_DERIV_FORM, "power:0.5"), (ChainKind.LOG_DERIV_FORM, "power:2"),
+    (ChainKind.LOG_DERIV_FORM, "min"), (ChainKind.LOG_DERIV_FORM, "max")])
+def test_panel_middles_lie_within_their_bars(kind, spec):
+    # 64 trials of one block: each middle is within its bar of scipy's; for
+    # min and max, the rows where f and g (or Lf and Lg) cross are snapped
+    mean = parse_mean(spec)
+    kinds, coeffs, intervals = integral._draw_block(5, 0, 64)
+    edges = np.stack([np.linspace(0.0, b, integral._PANELS[kind] + 1)
+                      for b in integral._COMPARE_INTERVALS])[intervals]
+    rows = integral._rows_on_panels(kind, kinds, coeffs, *integral._panel_nodes(edges))
+    if integral._kinks_on_diagonal(mean):
+        plain = rows
+        rows = integral._snapped_rows(kind, kinds, coeffs, edges, 0)
+        assert np.any(rows.hw != plain.hw, axis=1).sum() >= 8
+    middles, bars = integral._middle_fixed(kind, mean, rows)
+    for row in range(64):
+        f = integral._catalog_member(kinds[0, row], coeffs[0, row])
+        g = integral._catalog_member(kinds[1, row], coeffs[1, row])
+        b = integral._COMPARE_INTERVALS[intervals[row]]
+        want = _quad_middle(kind, SCALAR_MEANS[spec], f, g, b)
+        assert abs(middles[row] - want) <= bars[row] * abs(middles[row]), (row, f, g, b)
+
+
+def test_snap_moves_the_nearest_free_interior_edge():
+    edges = np.linspace(0.0, 1.0, 5)  # interior edges 0.25, 0.5, 0.75
+    snapped = [integral._snap(edges, np.array(roots)).tolist()
+               for roots in ([0.3], [0.26, 0.3], [0.9, 0.95, 0.99], [0.01, 0.02])]
+    assert snapped == [[0.0, 0.3, 0.5, 0.75, 1.0],
+                       [0.0, 0.26, 0.3, 0.75, 1.0],  # the second takes the next edge
+                       [0.0, 0.9, 0.95, 0.99, 1.0],  # pushed back from the end
+                       [0.0, 0.01, 0.02, 0.75, 1.0]]
+    assert integral._snap(edges, np.array([0.1, 0.2, 0.3, 0.4])) is None
+
+
+def test_a_trial_with_more_kinks_than_interior_edges_raises(monkeypatch):
+    # on two panels a row has one interior edge; f and g of trial 188 of
+    # seed 3 cross twice
+    monkeypatch.setitem(integral._PANELS, ChainKind.MEAN_FORM, 2)
+    with pytest.raises(ConvergenceError, match="trial 188: 2 kinks"):
+        compare_generalizations(parse_mean("max"), parse_mean("min"), 200, 3)
+
+
+@pytest.mark.parametrize("trials, tie_rtol", [(5, float("nan")), (5, -1.0), (5, float("inf")),
+                                              (2.5, 1e-9), (5.0, 1e-9), (True, 1e-9)])
+def test_compare_rejects_bad_tie_rtol_and_trials(trials, tie_rtol):
+    # a NaN or negative tie_rtol gave b-prec-a for identical means, and a
+    # fractional trial count a numpy error from the sampler
+    one = parse_mean("power:1")
+    with pytest.raises(ParameterError):
+        compare_generalizations(one, one, trials, 3, tie_rtol=tie_rtol)
+
+
+def test_compare_accepts_numpy_integer_trials_and_zero_tie_rtol():
+    one = parse_mean("power:1")
+    verdict = compare_generalizations(one, one, np.int64(5), 3, tie_rtol=np.float32(0.0))
+    assert verdict.relation is Relation.UNDETERMINED and verdict.trials == 5

@@ -6,8 +6,8 @@ import pytest
 
 from ineqmeans import (ConvergenceError, ParameterError, mean_values, parse_function, parse_mean,
                        quadrature)
-from ineqmeans.quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
-                                  simpson_nodes)
+from ineqmeans.quadrature import (_NODES, _WEIGHTS, CubicHermite, _cumulative_weights,
+                                  composite_simpson, cumulative_simpson, simpson_nodes)
 
 
 def test_constant():
@@ -115,6 +115,21 @@ def test_deterministic():
     a = quadrature(f, 0.0, 2.0, tol=1e-11)
     b = quadrature(f, 0.0, 2.0, tol=1e-11)
     assert a == b
+
+
+def test_integration_matrix_ends_in_the_k15_weights():
+    # the nodes and the basis are symmetric, x_{14-j} = -x_j, so
+    # int_{x_j}^1 l_k = int_{-1}^{x_{14-j}} l_{14-k}: each row, extended to
+    # x = 1, integrates the interpolant over the whole panel, which is K15
+    s = _cumulative_weights()
+    assert np.abs(s + s[::-1, ::-1] - _WEIGHTS[:, 0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("degree", range(15))
+def test_integration_matrix_is_exact_to_degree_14(degree):
+    # S applied to x^d at the 15 nodes gives int_{-1}^{x_j} t^d dt
+    exact = (_NODES ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+    assert np.abs(_cumulative_weights() @ _NODES ** degree - exact).max() <= 1e-15
 
 
 def test_composite_and_cumulative_simpson_agree():
