@@ -14,9 +14,12 @@ squares of homogeneous expressions, which is why it has no discrete
 counterpart.  Both families extend to an arbitrary admissible h-function
 via M(u, v) = (u + v) h(ln(v/u)).
 
-Both forms share one assembler: the five integrals [fg, Phi1, Phi2, f^2,
-g^2] come from one adaptive quadrature on shared nodes, so the errors of
-near-equal terms (Phi1 and g^2 when max picks Lg) cancel.
+In both forms the five integrals [fg, Phi1, Phi2, f^2, g^2] share their
+nodes, so the errors of near-equal terms (Phi1 and g^2 when max picks Lg)
+cancel.  The mean form integrates them with one adaptive quadrature.  The
+log-derivative form runs its inner integral int_a^x M(Lf, Lg) and the outer
+ones on one adaptive Gauss-Kronrod partition, with f, g, f' and g' evaluated
+once per node (notes/decisions.md, "Log-derivative partition").
 
 Middle terms of two refinements are partially ordered by pointwise
 domination; the sampling comparator searches a fixed function catalog for
@@ -44,10 +47,12 @@ from .functions import (_VALIDATION_POINTS, FunctionFamily, FunctionSpec, _grid,
                         validate_nonneg_derivative, validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     conjugate_values, mean_values)
-# composite_simpson has no caller left; the traced benchmark binds it by name
-# until its fixed-grid spans move (ROADMAP item 5)
-from .quadrature import (_NODES, _WEIGHTS, CubicHermite, _cumulative_weights,
-                         composite_simpson, cumulative_simpson, quadrature, simpson_nodes)
+from .quadrature import (_NODES, _WEIGHTS, _adapt, _bisect, _cumulative_weights,
+                         quadrature)
+# no caller left in the package: the traced benchmark binds these names here
+# until its fixed-grid and Hermite spans move (ROADMAP item 5)
+from .quadrature import (CubicHermite, composite_simpson,  # noqa: F401
+                         cumulative_simpson, simpson_nodes)
 from .reports import ChainReport, chain_report
 from .sampling import _MASK32, spawn_raw, spawn_rng
 
@@ -81,26 +86,8 @@ def _mean_fn_from_h(h: Callable[[float], float]) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# the three-term chain, both forms
+# mean-form chain
 # ---------------------------------------------------------------------------
-
-def _chain_terms(f, g, a: float, b: float, factors: Callable, tol: float,
-                 breaks: Sequence[float] = ()) -> tuple:
-    """(int fg)^2, int Phi1 * int Phi2 and int f^2 int g^2 from one quadrature.
-
-    ``factors(t, f(t), g(t))`` returns (Phi1, Phi2) at the nodes t; ``breaks``
-    are the points where they may kink.  Each caller judges the terms at the
-    tolerance they were computed to.
-    """
-    def integrand(t):
-        ft = np.asarray(f(t), dtype=float)
-        gt = np.asarray(g(t), dtype=float)
-        phi1, phi2 = factors(t, ft, gt)
-        return np.stack([ft * gt, phi1, phi2, ft * ft, gt * gt])
-
-    fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, tol, breaks=breaks).tolist()
-    return fg ** 2, mid1 * mid2, ff * gg
-
 
 def _kinks_on_diagonal(spec: MeanSpec) -> bool:
     """True when M(x, y) is not differentiable where x = y (min/max types)."""
@@ -114,21 +101,26 @@ def _kinks_on_diagonal(spec: MeanSpec) -> bool:
 
 def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
                 kinked: bool) -> ChainReport:
-    """The mean-form chain of f, g, validated here; ``kinked`` marks a mean
-    that kinks on the diagonal, so the integrands kink where f and g cross."""
+    """The mean-form chain of f, g, validated here, from one quadrature of
+    [fg, M^2, M*^2, f^2, g^2]; ``kinked`` marks a mean that kinks on the
+    diagonal, so the integrands kink where f and g cross."""
     fe = validate_positive(f, a, b, "f")
     ge = validate_positive(g, a, b, "g")
 
-    def factors(t, ft, gt):
+    def integrand(t):
+        ft = np.asarray(f(t), dtype=float)
+        gt = np.asarray(g(t), dtype=float)
         m = mfn(ft, gt)
-        return m * m, conjugate_from_mean(ft, gt, m) ** 2
+        return np.stack([ft * gt, m * m, conjugate_from_mean(ft, gt, m) ** 2, ft * ft, gt * gt])
 
     breaks = ()
     if kinked:
         odd = _scan_odd_nodes(a, b)
         breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
                              a, b, _fill_odd(fe, f(odd)) - _fill_odd(ge, g(odd)))
-    return chain_report(*_chain_terms(f, g, a, b, factors, tol, breaks), tol)
+    fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, tol, breaks=breaks).tolist()
+    # judged at the tolerance the terms were computed to
+    return chain_report(fg ** 2, mid1 * mid2, ff * gg, tol)
 
 
 def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
@@ -154,15 +146,10 @@ def _of_logderivs(mfn: Callable) -> Callable:
     return lambda fv, gv, dfv, dgv: mfn(dfv / fv, dgv / gv)
 
 
-def _logderiv_integrand(f: FunctionSpec, g: FunctionSpec, lmean: Callable) -> Callable:
-    """t -> lmean(f(t), g(t), f'(t), g'(t)), e.g. M(Lf(t), Lg(t)) from _logderiv_mean."""
-    return lambda t: lmean(np.asarray(f(t), dtype=float), np.asarray(g(t), dtype=float),
-                           f.derivative(t), g.derivative(t))
-
-
 # The scan grid linspace(a, b, 1025) holds the 513-node validation grid at its
-# even nodes bit for bit (notes/decisions.md, "Tabulation"), so the samples a
-# validator returns fill half of it and only the 512 odd nodes are new.
+# even nodes bit for bit (notes/decisions.md, "Log-derivative partition"), so
+# the samples a validator returns fill half of it and only the 512 odd nodes
+# are new.
 _SCAN_POINTS = 2 * _VALIDATION_POINTS - 1
 
 
@@ -204,110 +191,165 @@ def _find_kinks(diff_fn: Callable, a: float, b: float,
     return [k for k in kinks if a + eps < k < b - eps]
 
 
-@dataclass(frozen=True)
-class _PiecewiseAntiderivative:
-    """Segment-wise cumulative tables glued continuously at the breakpoints."""
+# The log-derivative partition starts from this many uniform panels, plus the
+# kinks: from one panel a chain needed 2.7 levels, each a fixed cost
+# (notes/decisions.md, "Log-derivative partition").
+_START_PANELS = 8
 
-    starts: np.ndarray  # left endpoint of each segment
-    tables: tuple       # CubicHermite per segment, holding absolute values
+
+@dataclass(frozen=True)
+class _Antiderivative:
+    """v(x) = int_a^x lmean on an accepted GK15 partition of [a, b].
+
+    The intervals run left to right; ``values`` holds lmean, f and g at their
+    15 nodes, node-major (3, 15, n), and ``sample`` evaluates that stack at
+    new nodes.  Within an interval v is the integral of the degree-14 interpolant
+    of lmean through its nodes (the integration matrix S, or K15 mapped onto
+    [-1, u] at other points), plus ``start``, the K15 totals of the intervals
+    to its left.
+    """
+
+    a: float
+    b: float
+    sample: Callable
+    tol: float  # the inner target that every interval meets
+    mid: np.ndarray
+    hw: np.ndarray
+    depth: np.ndarray
+    values: np.ndarray
+    sums: np.ndarray   # (17, n): S applied to lmean, its K15 and K15 - G7, times hw
+    start: np.ndarray  # (n,)
+
+    @classmethod
+    def on(cls, a: float, b: float, sample: Callable, tol: float, mid: np.ndarray,
+           hw: np.ndarray, depth: np.ndarray, values: np.ndarray) -> "_Antiderivative":
+        values = np.ascontiguousarray(values)
+        sums = _per_panel(values[0], _inner_weights())
+        sums *= hw
+        start = np.zeros_like(hw)
+        np.cumsum(sums[15, :-1], out=start[1:])
+        return cls(a, b, sample, tol, mid, hw, depth, values, sums, start)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.starts, xs, side="right") - 1,
-                      0, len(self.tables) - 1)
-        out = np.empty_like(xs)
-        for i, table in enumerate(self.tables):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = table(xs[mask])
-        return out
+        flat = xs.ravel()
+        out = np.empty(flat.shape)
+        # the weights take (points, 15, 15) temporaries: a block of points at a time
+        for lo in range(0, len(flat), 1024):
+            out[lo:lo + 1024] = self._at(flat[lo:lo + 1024])
+        return out.reshape(xs.shape)
+
+    def _at(self, xs: np.ndarray) -> np.ndarray:
+        idx = np.clip(np.searchsorted(self.mid - self.hw, xs, side="right") - 1,
+                      0, len(self.mid) - 1)
+        weights = _cumulative_weights(np.clip((xs - self.mid[idx]) / self.hw[idx], -1.0, 1.0))
+        m = self.values[0][:, idx]
+        # node by node, as the panel sums add them
+        inner = weights[:, 0] * m[0]
+        for k in range(1, 15):
+            inner += weights[:, k] * m[k]
+        inner *= self.hw[idx]
+        return inner + self.start[idx]
+
+    def refined(self, bad: np.ndarray) -> "_Antiderivative":
+        """The table with each ``bad`` interval bisected and its halves
+        adapted to the inner target again.  The halves count as one level
+        deeper than the deepest bad interval, so the engine's caps bound the
+        refinement."""
+        depth = int(self.depth[bad].max())
+        mid, hw = _bisect(self.mid[bad], self.hw[bad], depth, self.a, self.b)
+        keep = ~bad
+        halves = _adapt(self.sample, self.a, self.b, self.tol, mid, hw, judged=1,
+                        accepted=float(self.sums[15, keep].sum()),
+                        depth=depth + 1).partition()
+        merged = [np.concatenate([old[..., keep], new], axis=-1)
+                  for old, new in zip((self.mid, self.hw, self.depth, self.values), halves)]
+        order = np.argsort(merged[0])
+        return self.on(self.a, self.b, self.sample, self.tol, *(x[..., order] for x in merged))
 
 
-def _tabulate_segment(m_integrand, a, b, inner_tol, offset, seed=None):
-    prev = mv = None
-    panels = 128
-    while panels <= 16384:
-        # linspace grids nest exactly: the previous grid is every second node
-        # of this one, so only the new odd nodes are evaluated, and a seed on
-        # the scan grid holds every grid up to 512 panels
-        if seed is not None and 2 * panels < len(seed):
-            h = (b - a) / (2 * panels)  # simpson_nodes' half-step
-            new = seed[::(len(seed) - 1) // (2 * panels)]
-        else:
-            xs, h = simpson_nodes(a, b, panels)
-            new = np.asarray(m_integrand(xs if mv is None else xs[1::2]), dtype=float)
-        if not np.isfinite(new).all():
-            raise DomainError("log-derivative integrand is not finite on [a, b]")
-        if mv is None or len(new) == 2 * panels + 1:
-            mv = new
-        else:
-            fine = np.empty(2 * panels + 1)
-            fine[::2] = mv
-            fine[1::2] = new
-            mv = fine
-        v = cumulative_simpson(mv, h)
-        total = v[-1]
-        if prev is not None and abs(total - prev) <= inner_tol * max(1.0, abs(total)):
-            return CubicHermite(a, (b - a) / panels, v + offset, mv[::2]), total
-        prev = total
-        panels *= 2
-    raise ConvergenceError("antiderivative tabulation did not converge")
+def _tabulate_antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
+                             lmean: Callable, inner_tol: float,
+                             breaks: Sequence[float] = ()) -> _Antiderivative:
+    """int_a^x lmean(f, g, f', g') on the GK15 partition that meets inner_tol:
+    8 uniform panels and the ``breaks`` (interior kinks) to start, each
+    interval bisected until lmean meets its share of the target."""
+    edges = _grid(a, b, _START_PANELS + 1)
+    if len(breaks):
+        edges = np.union1d(edges, breaks)
+    hw = np.diff(edges) / 2.0
+    mid = edges[:-1] + hw
+
+    def sample(t):  # one evaluation of each of f, g, f' and g'
+        fv = np.asarray(f(t), dtype=float)
+        gv = np.asarray(g(t), dtype=float)
+        return np.stack([lmean(fv, gv, f.derivative(t), g.derivative(t)), fv, gv])
+
+    return _Antiderivative.on(a, b, sample, inner_tol,
+                              *_adapt(sample, a, b, inner_tol, mid, hw, judged=1).partition())
 
 
-def _tabulate_antiderivative(m_integrand: Callable, a: float, b: float,
-                             inner_tol: float, breaks: Sequence[float] = (),
-                             seed: Optional[np.ndarray] = None):
-    """Adaptively refined cumulative-Simpson tables with exact Hermite slopes.
-
-    ``breaks`` marks interior kinks (e.g. crossings of the log-derivatives
-    under a min/max mean); each smooth segment gets its own uniform table.
-    ``seed``, the integrand on the scan grid of [a, b], serves the grids up
-    to 512 panels; it is given only when there are no breaks.
-    """
-    edges = [a] + sorted(breaks) + [b]
-    tables = []
-    offset = 0.0
-    for left, right in zip(edges, edges[1:]):
-        table, total = _tabulate_segment(m_integrand, left, right, inner_tol, offset, seed)
-        tables.append(table)
-        offset += total
-    if len(tables) == 1:
-        return tables[0]
-    return _PiecewiseAntiderivative(np.asarray(edges[:-1]), tuple(tables))
+def _outer_integrals(table: _Antiderivative, tol: float) -> tuple:
+    """The five chain integrals [fg, Phi1, Phi2, f^2, g^2] on the table's
+    nodes, Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v), and the mask of the
+    intervals where one of them misses its width share of max(tol, tol |I|)."""
+    fv, gv = table.values[1], table.values[2]
+    rows = np.empty((15, 5) + table.hw.shape)
+    np.multiply(fv, gv, out=rows[:, 0])
+    np.add(table.sums[:15], table.start, out=rows[:, 1])  # v at every node
+    rows[:, 1] *= 2.0
+    np.negative(rows[:, 1], out=rows[:, 2])
+    np.exp(rows[:, 1:3], out=rows[:, 1:3])
+    rows[:, 2] *= rows[:, 0] * rows[:, 0]
+    np.multiply(fv, fv, out=rows[:, 3])
+    np.multiply(gv, gv, out=rows[:, 4])
+    if not np.isfinite(rows).all():
+        raise DomainError("log-derivative chain integrand is not finite on [a, b]")
+    sums = _per_panel(rows, _WEIGHTS)
+    sums *= table.hw
+    totals = sums[0].sum(axis=-1)
+    target = np.maximum(tol, tol * np.abs(totals)) / (table.b - table.a)
+    bad = ~(np.abs(sums[1]) <= target[:, None] * (2.0 * table.hw)).all(axis=0)
+    return totals, bad
 
 
 def _logderiv_gap(fv, gv, dfv, dgv):
     return dfv / fv - dgv / gv
 
 
-def _logderiv_scan(f: FunctionSpec, g: FunctionSpec, a: float, b: float):
-    """Validate the pair; return (f, g, f', g') on the scan grid and the
-    crossings of Lf - Lg, where min/max-type means kink."""
-    scan = _validate_logderiv_pair(f, g, a, b)
-    breaks = _find_kinks(_logderiv_integrand(f, g, _logderiv_gap), a, b, _logderiv_gap(*scan))
-    return scan, breaks
-
-
-def _logderiv_table(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
-                    inner_tol: float, scan: tuple, breaks: list):
-    """Table of int_a^x lmean(f, g, f', g'); without breaks its grids up to
-    512 panels come from lmean on the scan."""
-    return _tabulate_antiderivative(_logderiv_integrand(f, g, lmean), a, b, inner_tol, breaks,
-                                    None if breaks else lmean(*scan))
+def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
+                     kinked: bool) -> list:
+    """Validate f, g for the log-derivative forms on their 513-node grids.
+    ``kinked`` marks a mean that kinks on the diagonal: then the crossings of
+    Lf - Lg are returned, scanned from the validators' samples plus f, g, f'
+    and g' at the 512 odd scan nodes; else no breaks."""
+    fe = validate_positive(f, a, b, "f")
+    ge = validate_positive(g, a, b, "g")
+    if (fe <= 0).any() or (ge <= 0).any():
+        raise DomainError("log-derivative chain requires strictly positive f, g")
+    dfe = validate_nonneg_derivative(f, a, b, "f")
+    dge = validate_nonneg_derivative(g, a, b, "g")
+    if not kinked:
+        return []
+    odd = _scan_odd_nodes(a, b)
+    scan = (_fill_odd(fe, f(odd)), _fill_odd(ge, g(odd)),
+            _fill_odd(dfe, f.derivative(odd)), _fill_odd(dge, g.derivative(odd)))
+    return _find_kinks(lambda t: _logderiv_gap(f(t), g(t), f.derivative(t), g.derivative(t)),
+                       a, b, _logderiv_gap(*scan))
 
 
 def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
-                    inner_tol: float, outer_tol: float) -> ChainReport:
-    scan, breaks = _logderiv_scan(f, g, a, b)
-    table = _logderiv_table(f, g, a, b, lmean, inner_tol, scan, breaks)
-
-    def factors(t, ft, gt):
-        v = 2.0 * table(t)
-        return np.exp(v), (ft * gt) ** 2 * np.exp(-v)
-
-    # the table's error enters Phi1 and Phi2 alongside the quadrature's
-    return chain_report(*_chain_terms(f, g, a, b, factors, outer_tol, breaks),
-                        max(inner_tol, outer_tol))
+                    inner_tol: float, outer_tol: float, kinked: bool) -> ChainReport:
+    breaks = _logderiv_breaks(f, g, a, b, kinked)
+    table = _tabulate_antiderivative(f, g, a, b, lmean, inner_tol, breaks)
+    while True:
+        totals, bad = _outer_integrals(table, outer_tol)
+        if not bad.any():
+            break
+        table = table.refined(bad)
+    fg, mid1, mid2, ff, gg = totals.tolist()
+    # the inner integral's error enters Phi1 and Phi2 alongside the outer one
+    return chain_report(fg ** 2, mid1 * mid2, ff * gg, max(inner_tol, outer_tol))
 
 
 def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
@@ -315,11 +357,14 @@ def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float
                             outer_tol: float = 1e-8) -> ChainReport:
     """Chain with Phi1 = exp(2 int_a^x M(Lf, Lg)) and Phi2 = f^2 g^2 / Phi1.
 
-    Requires f, g positive with nonnegative derivatives on [a, b].  The inner
-    antiderivative is tabulated on an adaptively refined grid (split at
-    crossings of the log-derivatives, where min/max-type means kink) and
-    interpolated by cubics with exact slopes before the outer adaptive
-    quadrature, which integrates the five chain integrands on shared nodes.
+    Requires f, g positive with nonnegative derivatives on [a, b].  Inner and
+    outer integrals share one adaptive Gauss-Kronrod partition: started from
+    8 uniform panels (and the crossings of the log-derivatives, where
+    min/max-type means kink), bisected until M(Lf, Lg) meets inner_tol; its
+    antiderivative at every node comes from the spectral integration matrix
+    plus the totals to the left, and the five chain integrands are formed at
+    the same nodes.  An interval where one of them misses outer_tol is
+    bisected, and the outer integrals are taken again.
 
     Nonnegative log-derivatives alone do not make the right inequality hold
     for every mean: when Lf - Lg changes sign, means far from the arithmetic
@@ -328,21 +373,8 @@ def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float
     give exact equality with the right side and every intermediate mean stays
     inside the chain.  The report carries honest slacks either way.
     """
-    return _logderiv_chain(f, g, a, b, _logderiv_mean(spec), inner_tol, outer_tol)
-
-
-def _validate_logderiv_pair(f, g, a, b) -> tuple:
-    """Validate f, g for the log-derivative forms; return (f, g, f', g') on
-    the scan grid, whose even nodes are the validators' samples."""
-    fe = validate_positive(f, a, b, "f")
-    ge = validate_positive(g, a, b, "g")
-    if (fe <= 0).any() or (ge <= 0).any():
-        raise DomainError("log-derivative chain requires strictly positive f, g")
-    dfe = validate_nonneg_derivative(f, a, b, "f")
-    dge = validate_nonneg_derivative(g, a, b, "g")
-    odd = _scan_odd_nodes(a, b)
-    return (_fill_odd(fe, f(odd)), _fill_odd(ge, g(odd)),
-            _fill_odd(dfe, f.derivative(odd)), _fill_odd(dge, g.derivative(odd)))
+    return _logderiv_chain(f, g, a, b, _logderiv_mean(spec), inner_tol, outer_tol,
+                           _kinks_on_diagonal(spec))
 
 
 def logderiv_phi1(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
@@ -353,8 +385,8 @@ def logderiv_phi1(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     invariant under f, g -> lam f, lam g rather than quadratic in lam) can be
     witnessed directly.
     """
-    scan, breaks = _logderiv_scan(f, g, a, b)
-    table = _logderiv_table(f, g, a, b, _logderiv_mean(spec), inner_tol, scan, breaks)
+    breaks = _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec))
+    table = _tabulate_antiderivative(f, g, a, b, _logderiv_mean(spec), inner_tol, breaks)
     return lambda x: np.exp(2.0 * table(x))
 
 
@@ -384,9 +416,9 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
         phi2_vals = (np.asarray(phi2(xs), dtype=float) if phi2 is not None
                      else conjugate_values(spec, fx, gx) ** 2)
     else:
-        scan, breaks = _logderiv_scan(f, g, a, b)
+        breaks = _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec))
         lmean = _logderiv_mean(spec)
-        table1 = _logderiv_table(f, g, a, b, lmean, 1e-12, scan, breaks)
+        table1 = _tabulate_antiderivative(f, g, a, b, lmean, 1e-12, breaks)
         phi1_vals = np.exp(2.0 * table1(xs))
         if phi2 is not None:
             phi2_vals = np.asarray(phi2(xs), dtype=float)
@@ -394,7 +426,7 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
             def complement(fv, gv, dfv, dgv):
                 return dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv)
 
-            table2 = _logderiv_table(f, g, a, b, complement, 1e-12, scan, breaks)
+            table2 = _tabulate_antiderivative(f, g, a, b, complement, 1e-12, breaks)
             fa = float(f(a))
             ga = float(g(a))
             phi2_vals = (fa * ga) ** 2 * np.exp(2.0 * table2(xs))
@@ -428,7 +460,8 @@ def general_h_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     mfn = _mean_fn_from_h(h)
     if kind is ChainKind.MEAN_FORM:
         return _mean_chain(f, g, a, b, mfn, tol, kinked=True)  # h is opaque
-    return _logderiv_chain(f, g, a, b, _of_logderivs(mfn), tol, max(tol, 1e-8))
+    # h is opaque: scan for crossings of the log-derivatives
+    return _logderiv_chain(f, g, a, b, _of_logderivs(mfn), tol, max(tol, 1e-8), kinked=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,23 @@ initial panels at kinks (notes/decisions.md, "Integration engine").  The
 point set and summation order depend only on the inputs, so results are
 bit-reproducible.
 
-The same 15 nodes carry the comparator's fixed panels:
-``_cumulative_weights`` builds the spectral integration matrix
-S[j, k] = int_{-1}^{x_j} l_k of the degree-14 interpolant through them
-(Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, *Approximation Theory
-and Approximation Practice*, ch. 19), which gives a panel's cumulative
-integral at its own nodes.
+The loop is ``_adapt``, which also keeps every level's node values, so a
+caller can read the accepted partition back left to right
+(``_Adaptation.partition``): the log-derivative chain integrates its inner
+and outer integrands on one such partition (notes/decisions.md,
+"Log-derivative partition").  ``_bisect`` splits intervals and holds the
+depth, pending and resolution caps.
 
-Fixed-grid helpers (plain and cumulative Simpson, a cubic Hermite interpolant
-with exact slopes) serve the log-derivative tabulation.
+``_cumulative_weights`` builds the spectral integration matrix
+S[j, k] = int_{-1}^{u_j} l_k of the degree-14 interpolant through the 15
+nodes (Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, *Approximation
+Theory and Approximation Practice*, ch. 19): at the nodes themselves it
+gives a panel's cumulative integral at its own nodes, and at any u in
+[-1, 1] the integral up to u.
+
+The fixed-grid helpers (plain and cumulative Simpson, a cubic Hermite
+interpolant with exact slopes) have no caller in the package; the traced
+benchmark binds them by name until its spans move.
 """
 
 from __future__ import annotations
@@ -56,25 +64,31 @@ _W = np.concatenate([_GK15, _GK15[-2::-1]])
 _WEIGHTS = np.stack([_W[:, 1], _W[:, 1] - _W[:, 2]], axis=1)  # columns K15 and K15 - G7
 
 
-def _cumulative_weights() -> np.ndarray:
-    """S[j, k] = int_{-1}^{x_j} l_k for the Lagrange basis l_k of the 15
-    Kronrod nodes x_j: weights that integrate their degree-14 interpolant
-    from -1 to each node.
+def _cumulative_weights(upper: np.ndarray = _NODES) -> np.ndarray:
+    """S[j, k] = int_{-1}^{u_j} l_k for the Lagrange basis l_k of the 15
+    Kronrod nodes and upper ends u_j in [-1, 1] (the nodes themselves by
+    default): weights that integrate their degree-14 interpolant from -1 to
+    each u_j.
 
-    K15 itself, mapped onto [-1, x_j], integrates each l_k exactly (it is
+    K15 itself, mapped onto [-1, u_j], integrates each l_k exactly (it is
     exact to degree 22), from the values of l_k at the mapped nodes.
     Plain numpy: numpy.polynomial would cost its import, about 2 ms, and a
     first LAPACK solve about 0.6 MB of peak memory.
     """
-    half = (_NODES + 1.0) / 2.0
-    ts = half[:, None] * (_NODES + 1.0) - 1.0  # row j: K15's nodes on [-1, x_j]
-    # l_k(t) = w_k prod_m (t - x_m) / (t - x_k), w_k = 1 / prod_{m != k} (x_k - x_m);
-    # no mapped node falls on a Kronrod node
+    half = (np.asarray(upper, dtype=float) + 1.0) / 2.0
+    ts = half[:, None] * (_NODES + 1.0) - 1.0  # row j: K15's nodes on [-1, u_j]
+    # l_k(t) = w_k prod_m (t - x_m) / (t - x_k), w_k = 1 / prod_{m != k} (x_k - x_m)
     gaps = _NODES[:, None] - _NODES
     np.fill_diagonal(gaps, 1.0)
     apart = ts[..., None] - _NODES
+    # a mapped node on a Kronrod node x_k (none does at the default ends)
+    # takes l_k = 1 and the other l = 0
+    hit = apart == 0.0
+    on_node = hit.any(axis=-1)
+    apart[on_node] = 1.0
     # basis[j, i, k] = l_k(ts[j, i])
     basis = apart.prod(axis=-1)[..., None] / gaps.prod(axis=-1) / apart
+    basis[on_node] = hit[on_node]
     return half[:, None] * (_WEIGHTS[:, :1] * basis).sum(axis=1)
 
 
@@ -94,6 +108,90 @@ def _vectorize(f, probe: np.ndarray):
     return g, g(probe)
 
 
+def _nodes(mid: np.ndarray, hw: np.ndarray) -> np.ndarray:
+    """The 15 nodes of each interval, interval by interval."""
+    return (mid[:, None] + hw[:, None] * _NODES).ravel()
+
+
+def _bisect(mid: np.ndarray, hw: np.ndarray, depth: int, a: float, b: float) -> tuple:
+    """Both halves of each interval, the left halves first, for intervals
+    ``depth`` bisections below the start panels.
+
+    Raises ConvergenceError past 1024 halves, when a half is too narrow to
+    split in doubles, or at depth 60.
+    """
+    mid = np.concatenate([mid - hw / 2.0, mid + hw / 2.0])
+    hw = np.tile(hw / 2.0, 2)
+    if len(mid) > PENDING_CAP:
+        raise ConvergenceError(
+            f"adaptive quadrature left more than {PENDING_CAP} intervals pending on [{a}, {b}]")
+    if np.any(hw <= RESOLUTION_ULPS * np.spacing(np.abs(mid) + hw)):
+        raise ConvergenceError(f"adaptive quadrature cannot resolve [{a}, {b}] in doubles")
+    if depth + 1 >= DEPTH_CAP:
+        raise ConvergenceError(f"adaptive quadrature exceeded depth {DEPTH_CAP} on [{a}, {b}]")
+    return mid, hw
+
+
+@dataclass(frozen=True)
+class _Adaptation:
+    """What ``_adapt`` did: the judged rows' accepted sums, added level by
+    level (``quadrature``'s result), and each evaluated level as (depth,
+    midpoints, half-widths, values (k, 15 n) or (15 n,), accepted mask)."""
+
+    total: np.ndarray
+    levels: tuple
+
+    def partition(self) -> tuple:
+        """The accepted intervals left to right: midpoints, half-widths,
+        depths, and every row's values at their nodes, node-major
+        (k, 15, intervals)."""
+        mid = np.concatenate([m[done] for _, m, _, _, done in self.levels])
+        hw = np.concatenate([h[done] for _, _, h, _, done in self.levels])
+        depth = np.concatenate([np.full(np.count_nonzero(done), d)
+                                for d, _, _, _, done in self.levels])
+        values = np.concatenate([v.reshape(-1, len(m), 15)[:, done]
+                                 for _, m, _, v, done in self.levels], axis=1)
+        order = np.argsort(mid)
+        return mid[order], hw[order], depth[order], values[:, order].transpose(0, 2, 1).copy()
+
+
+def _adapt(f, a: float, b: float, tol: float, mid: np.ndarray, hw: np.ndarray,
+           values: np.ndarray = None, judged: int = None, accepted: float = 0.0,
+           depth: int = 0) -> _Adaptation:
+    """Bisect the pending intervals (mid, hw) of [a, b] until each meets its
+    width share of max(tol, tol |I|) in every judged row.
+
+    f maps the nodes of a level to their values: (n,) or a (k, n) stack;
+    ``values`` holds the first level's when the caller has them.  Only the
+    first ``judged`` rows (all when None) are integrated and judged; the rest
+    ride along in the levels.  ``accepted`` is the sum of intervals accepted
+    before (I counts it), and ``depth`` that of the pending intervals.
+    DomainError on a non-finite value.
+    """
+    span = b - a
+    levels = []
+    total = None
+    while True:
+        if values is None:
+            values = np.asarray(f(_nodes(mid, hw)), dtype=float)
+        if not np.isfinite(values).all():
+            raise DomainError("integrand is not finite on [a, b]")
+        rows = values if judged is None else values[:judged]
+        if total is None:
+            total = np.full(1 if rows.ndim == 1 else len(rows), accepted)
+        sums = (rows.reshape(-1, 15) @ _WEIGHTS).reshape(len(total), len(mid), 2) * hw[:, None]
+        est, err = sums[..., 0], np.abs(sums[..., 1])
+        target = np.maximum(tol, tol * np.abs(total + est.sum(axis=1))) / span
+        done = (err <= target[:, None] * (2.0 * hw)).all(axis=0)
+        total += est[:, done].sum(axis=1)
+        levels.append((depth, mid, hw, values, done))
+        if done.all():
+            return _Adaptation(total, tuple(levels))
+        mid, hw = _bisect(mid[~done], hw[~done], depth, a, b)
+        depth += 1
+        values = None
+
+
 def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
     """Integrate f over [a, b] to an absolute+relative error target tol.
 
@@ -109,36 +207,13 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
         raise ParameterError(f"quadrature requires b > a, got [{a}, {b}]")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    span = b - a
     edges = np.array([a] + sorted(float(t) for t in breaks if a < t < b) + [b])
     hw = np.diff(edges) / 2.0
     mid = edges[:-1] + hw
-    fv = None
-    for _ in range(DEPTH_CAP):
-        xs = (mid[:, None] + hw[:, None] * _NODES).ravel()
-        if fv is None:  # the first level doubles as the probe
-            fv, vals = _vectorize(f, xs)
-            scalar = vals.ndim == 1
-            accepted = np.zeros(1 if scalar else len(vals))
-        else:
-            vals = np.asarray(fv(xs), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("integrand is not finite on [a, b]")
-        sums = (vals.reshape(-1, 15) @ _WEIGHTS).reshape(len(accepted), len(mid), 2) * hw[:, None]
-        est, err = sums[..., 0], np.abs(sums[..., 1])
-        target = np.maximum(tol, tol * np.abs(accepted + est.sum(axis=1))) / span
-        done = np.all(err <= target[:, None] * (2.0 * hw), axis=0)
-        accepted += est[:, done].sum(axis=1)
-        if bool(np.all(done)):
-            return float(accepted[0]) if scalar else accepted
-        mid = np.concatenate([mid[~done] - hw[~done] / 2.0, mid[~done] + hw[~done] / 2.0])
-        hw = np.tile(hw[~done] / 2.0, 2)
-        if len(mid) > PENDING_CAP:
-            raise ConvergenceError(
-                f"adaptive quadrature left more than {PENDING_CAP} intervals pending on [{a}, {b}]")
-        if np.any(hw <= RESOLUTION_ULPS * np.spacing(np.abs(mid) + hw)):
-            raise ConvergenceError(f"adaptive quadrature cannot resolve [{a}, {b}] in doubles")
-    raise ConvergenceError(f"adaptive quadrature exceeded depth {DEPTH_CAP} on [{a}, {b}]")
+    # the first level doubles as the probe
+    fv, values = _vectorize(f, _nodes(mid, hw))
+    total = _adapt(fv, a, b, tol, mid, hw, values).total
+    return float(total[0]) if values.ndim == 1 else total
 
 
 def simpson_nodes(a: float, b: float, panels: int):

@@ -37,8 +37,8 @@ def test_traced_bench_layers_bind():
     out = json.loads(done.stdout)
     summary = out["summary"]
     for span in ("compare", "integral.middle_fixed", "sampling.spawn_rng",
-                 "means.mean_values", "fixedgrid.cumulative_simpson",
-                 "integral.mean_chain", "quadrature", "validate.positive"):
+                 "means.mean_values", "integral.mean_chain", "quadrature",
+                 "validate.positive"):
         assert summary["calls"].get(span, 0) > 0, span
     # the comparator integrates on its own fixed panels: no Simpson helper and
     # no adaptive quadrature under compare
@@ -46,9 +46,13 @@ def test_traced_bench_layers_bind():
     assert compare.get("integral.middle_fixed", 0) > 0
     assert not [span for span in compare
                 if span.startswith("fixedgrid.") or span.startswith("quadrature")], compare
-    # entered from the log-derivative chain itself
-    for span in ("integral.logderiv_chain", "integral.tabulate", "hermite",
-                 "validate.positive", "validate.nonneg_derivative",
-                 "fixedgrid.cumulative_simpson", "means.mean_values", "quadrature"):
-        assert out["logderiv"].get(span, 0) > 0, span
+    # entered from the log-derivative chain itself, which integrates on its
+    # own Gauss-Kronrod partition: no Simpson helper, no Hermite table and no
+    # call of quadrature
+    logderiv = out["logderiv"]
+    for span in ("integral.logderiv_chain", "integral.tabulate", "validate.positive",
+                 "validate.nonneg_derivative", "means.mean_values"):
+        assert logderiv.get(span, 0) > 0, span
+    assert not [span for span, n in logderiv.items() if n and (
+        span.startswith(("fixedgrid.", "hermite")) or span == "quadrature")], logderiv
     assert summary["counts"]["compare.trials_run"] == 80

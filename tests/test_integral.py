@@ -12,14 +12,11 @@ from ineqmeans import (ChainKind, ConvergenceError, DomainError, MeanFamily, Ord
                        product_identity_check)
 from ineqmeans import integral
 from ineqmeans.functions import FunctionFamily, FunctionSpec
-from ineqmeans.integral import (_find_kinks, _logderiv_integrand, _logderiv_mean,
-                                _PiecewiseAntiderivative, _sample_function, _tabulate_segment)
+from ineqmeans.integral import _find_kinks, _sample_function
 from ineqmeans.means import conjugate_from_mean
 from ineqmeans.quadrature import _NODES as GK_NODES
 from ineqmeans.quadrature import _WEIGHTS as GK_WEIGHTS
 from ineqmeans.quadrature import _cumulative_weights as cumulative_weights
-from ineqmeans.quadrature import (CubicHermite, composite_simpson, cumulative_simpson,
-                                  quadrature, simpson_nodes)
 from ineqmeans.reports import chain_report
 from ineqmeans.sampling import make_rng, spawn_rng
 from test_acceptance import _increasing_pair, _suitable_pair
@@ -242,72 +239,111 @@ def test_logderiv_equality_chain_is_judged_at_its_tolerances():
     assert report == chain_report(report.left, report.middle, report.right, 1e-8)
 
 
-def test_tabulation_reuses_nested_grid_values_bit_for_bit():
-    # each panel doubling evaluates only the new odd nodes, and a seed on the
-    # 1025-node scan grid serves every grid up to 512 panels; evaluating every
-    # node of every grid, as a reference, gives the same table bit for bit
-    f = parse_function("poly:0.135914,6.47054,0.238318")
-    g = parse_function("exp:2")
-    m_integrand = _logderiv_integrand(f, g, _logderiv_mean(parse_mean("power:2")))
-    evaluated = []
-
-    def counted(t):
-        evaluated.append(len(t))
-        return m_integrand(t)
-
-    unseeded = _tabulate_segment(m_integrand, 0.0, 1.0, 1e-12, 0.5)
-    seeded = _tabulate_segment(counted, 0.0, 1.0, 1e-12, 0.5,
-                               m_integrand(np.linspace(0.0, 1.0, 1025)))
-    prev, panels = None, 128
-    while True:
-        xs, h = simpson_nodes(0.0, 1.0, panels)
-        mv = m_integrand(xs)
-        v = cumulative_simpson(mv, h)
-        if prev is not None and abs(v[-1] - prev) <= 1e-12 * max(1.0, abs(v[-1])):
-            break
-        prev, panels = v[-1], 2 * panels
-    assert panels >= 1024
-    assert evaluated == [p for p in (1024, 2048, 4096, 8192, 16384) if p <= panels]
-    for table, total in (unseeded, seeded):
-        assert table.step == 1.0 / panels and total == v[-1]
-        assert np.array_equal(table.values, v + 0.5) and np.array_equal(table.slopes, mv[::2])
+def _reference_lmean(spec):
+    def lmean(fv, gv, dfv, dgv):
+        if spec.family is MeanFamily.MEDIANT:
+            return (dfv + dgv) / (fv + gv)
+        return mean_values(spec, dfv / fv, dgv / gv)
+    return lmean
 
 
-def _reference_logderiv_table(f, g, a, b, lmean, inner_tol, breaks):
-    # every tabulation grid evaluated in full, from scratch
-    m_integrand = _logderiv_integrand(f, g, lmean)
-    edges = [a] + list(breaks) + [b]
-    tables, offset = [], 0.0
-    for left, right in zip(edges, edges[1:]):
-        prev, panels = None, 128
-        while True:
-            xs, h = simpson_nodes(left, right, panels)
-            mv = np.asarray(m_integrand(xs), dtype=float)
-            v = cumulative_simpson(mv, h)
-            if prev is not None and abs(v[-1] - prev) <= inner_tol * max(1.0, abs(v[-1])):
-                break
-            prev, panels = v[-1], 2 * panels
-        tables.append(CubicHermite(left, (right - left) / panels, v + offset, mv[::2]))
-        offset += v[-1]
-    if len(tables) == 1:
-        return tables[0]
-    return _PiecewiseAntiderivative(np.asarray(edges[:-1]), tuple(tables))
+def _reference_adapt(f, g, lmean, a, b, tol, pending, accepted):
+    # bisect the pending (mid, hw, depth) intervals until lmean meets its
+    # width share of max(tol, tol |I|) on each; returns the accepted ones with
+    # lmean, f and g at their 15 nodes
+    kept = []
+    while pending:
+        mids = np.array([p[0] for p in pending])
+        hws = np.array([p[1] for p in pending])
+        xs = (mids[:, None] + hws[:, None] * GK_NODES).ravel()
+        fv, gv = f(xs), g(xs)
+        mv = lmean(fv, gv, f.derivative(xs), g.derivative(xs))
+        sums = _reference_sums(mv, GK_WEIGHTS) * hws[:, None]
+        target = max(tol, tol * abs(accepted + sums[:, 0].sum())) / (b - a)
+        split = []
+        for i, (mid, hw, depth) in enumerate(pending):
+            if abs(sums[i, 1]) <= target * 2.0 * hw:
+                accepted += sums[i, 0]
+                kept.append((mid, hw, depth, np.stack([v[15 * i:15 * i + 15] for v in (mv, fv, gv)])))
+            else:
+                assert depth + 1 < 60
+                split += [(mid - hw / 2.0, hw / 2.0, depth + 1), (mid + hw / 2.0, hw / 2.0, depth + 1)]
+        pending = split
+    return kept
+
+
+class _ReferenceTable:
+    """int_a^x lmean on the reference partition, interval by interval."""
+
+    def __init__(self, intervals):
+        self.intervals = sorted(intervals, key=lambda iv: iv[0])
+        inner = np.concatenate([cumulative_weights().T, GK_WEIGHTS], axis=1)
+        self.sums, self.starts, start = [], [], 0.0
+        for mid, hw, _, values in self.intervals:
+            sums = _reference_sums(values[0], inner)[0] * hw
+            self.sums.append(sums)
+            self.starts.append(start)
+            start += sums[15]
+
+    def at_nodes(self, i):
+        return self.sums[i][:15] + self.starts[i]
+
+    def __call__(self, xs):
+        out = []
+        for x in np.atleast_1d(xs):
+            i = max(j for j, iv in enumerate(self.intervals) if iv[0] - iv[1] <= x or j == 0)
+            mid, hw, _, values = self.intervals[i]
+            w = cumulative_weights(np.array([min(max((x - mid) / hw, -1.0), 1.0)]))[0]
+            inner = w[0] * values[0][0]
+            for k in range(1, 15):
+                inner = inner + w[k] * values[0][k]
+            out.append(inner * hw + self.starts[i])
+        return np.array(out)
+
+
+def _reference_table(f, g, a, b, lmean, inner_tol, breaks):
+    # 8 uniform panels and the breaks, each bisected until lmean meets inner_tol
+    edges = np.union1d(np.linspace(a, b, 9), breaks)
+    hw = np.diff(edges) / 2.0
+    return _reference_adapt(f, g, lmean, a, b, inner_tol,
+                            [(m, h, 0) for m, h in zip(edges[:-1] + hw, hw)], 0.0)
 
 
 def _reference_logderiv_chain(f, g, a, b, spec, inner_tol=1e-10, outer_tol=1e-8):
-    # the kink scan samples its own 1025 nodes, the tables every grid node
-    gap = _logderiv_integrand(f, g, lambda fv, gv, dfv, dgv: dfv / fv - dgv / gv)
-    breaks = _find_kinks(gap, a, b)
-    table = _reference_logderiv_table(f, g, a, b, _logderiv_mean(spec), inner_tol, breaks)
-
-    def integrand(t):
-        ft, gt = f(t), g(t)
-        v = 2.0 * table(t)
-        return np.stack([ft * gt, np.exp(v), (ft * gt) ** 2 * np.exp(-v), ft * ft, gt * gt])
-
-    fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, outer_tol, breaks=breaks).tolist()
+    # the kink scan samples its own 1025 nodes, and only for min/max-type means
+    breaks = []
+    if integral._kinks_on_diagonal(spec):
+        breaks = _find_kinks(lambda t: f.derivative(t) / f(t) - g.derivative(t) / g(t), a, b)
+    lmean = _reference_lmean(spec)
+    intervals = _reference_table(f, g, a, b, lmean, inner_tol, breaks)
+    reopened = 0
+    while True:
+        table = _ReferenceTable(intervals)
+        est, err = [], []
+        for i, (mid, hw, _, (_, fv, gv)) in enumerate(table.intervals):
+            v = table.at_nodes(i)
+            fg = fv * gv
+            rows = (fg, np.exp(2.0 * v), np.exp(-2.0 * v) * (fg * fg), fv * fv, gv * gv)
+            sums = np.array([_reference_sums(r, GK_WEIGHTS)[0] for r in rows]) * hw
+            est.append(sums[:, 0])
+            err.append(np.abs(sums[:, 1]))
+        totals = np.array(est).T.copy().sum(axis=-1)
+        target = np.maximum(outer_tol, outer_tol * np.abs(totals)) / (b - a)
+        bad = [i for i, (mid, hw, _, _) in enumerate(table.intervals)
+               if np.any(err[i] > target * 2.0 * hw)]
+        if not bad:
+            break
+        reopened += 1
+        depth = max(table.intervals[i][2] for i in bad)
+        halves = [(mid + side * hw / 2.0, hw / 2.0, depth + 1)
+                  for side in (-1.0, 1.0) for mid, hw, _, _ in (table.intervals[i] for i in bad)]
+        intervals = [iv for i, iv in enumerate(table.intervals) if i not in bad]
+        intervals += _reference_adapt(
+            f, g, lmean, a, b, inner_tol, halves,
+            np.array([table.sums[i][15] for i in range(len(table.intervals)) if i not in bad]).sum())
+    fg, mid1, mid2, ff, gg = totals.tolist()
     return (chain_report(fg ** 2, mid1 * mid2, ff * gg, max(inner_tol, outer_tol)),
-            table, breaks)
+            table, breaks, reopened)
 
 
 CROSSING_F = parse_function("poly:0.135914,6.47054,0.238318")
@@ -315,31 +351,38 @@ CROSSING_G = parse_function("poly:1.07857,1.56503,8.91331")
 
 
 def test_logderiv_chains_match_from_scratch_reference_bit_for_bit():
-    # the scan grid seeds the kink scan and the tables up to 512 panels; the
-    # reports, Phi1 and the product identity equal those of a chain that
-    # samples every grid afresh, for criterion-09 draws and a crossing pair
+    # the reports, Phi1 and the product identity equal those of a reference
+    # that runs the partition rule with its own loop, sums in node order, for
+    # criterion-09 draws and a crossing pair under three min/max-type means
     means = chain_catalog() + [parse_mean("mediant")]
     draws = [(means[i % len(means)],) + _suitable_pair(spawn_rng(909, i)) for i in range(50)]
-    draws += [(parse_mean(s), CROSSING_F, CROSSING_G, 1.0)
-              for s in ("power:inf", "power:2", "rado:0")]
+    draws += [(parse_mean(s), CROSSING_F, CROSSING_G, 1.0) for s in ("power:inf", "min", "max")]
     with_breaks = 0
     xs = np.linspace(0.0, 0.5, 37)
     for spec, f, g, b in draws:
-        expected, table, breaks = _reference_logderiv_chain(f, g, 0.0, b, spec)
+        expected, table, breaks, _ = _reference_logderiv_chain(f, g, 0.0, b, spec)
         with_breaks += bool(breaks)
         assert integral_logderiv_chain(f, g, 0.0, b, spec) == expected, (spec, f, g, b)
         phi1 = logderiv_phi1(f, g, 0.0, b, spec)
-        assert np.array_equal(phi1(b * xs), np.exp(2.0 * table(b * xs)))
+        assert np.array_equal(phi1(b * xs), np.exp(2.0 * _ReferenceTable(
+            _reference_table(f, g, 0.0, b, _reference_lmean(spec), 1e-10, breaks))(b * xs)))
     assert with_breaks == 3
-    lmean = _logderiv_mean(parse_mean("power:inf"))
-    breaks = _find_kinks(_logderiv_integrand(
-        CROSSING_F, CROSSING_G, lambda fv, gv, dfv, dgv: dfv / fv - dgv / gv), 0.0, 1.0)
+    # an outer target far below the inner one re-opens intervals
+    reopened = 0
+    for spec, f, g, b in draws:
+        expected, _, _, passes = _reference_logderiv_chain(f, g, 0.0, b, spec, 1e-4, 1e-13)
+        reopened += passes
+        assert integral_logderiv_chain(f, g, 0.0, b, spec, 1e-4, 1e-13) == expected, (spec, f, g)
+    assert reopened >= 8
+    lmean = _reference_lmean(parse_mean("power:inf"))
+    breaks = _find_kinks(lambda t: CROSSING_F.derivative(t) / CROSSING_F(t)
+                         - CROSSING_G.derivative(t) / CROSSING_G(t), 0.0, 1.0)
     for f, g, brk in ((EXP2, parse_function("affine:2,1"), []),
                       (CROSSING_F, CROSSING_G, breaks)):
-        table1 = _reference_logderiv_table(f, g, 0.0, 1.0, lmean, 1e-12, brk)
-        table2 = _reference_logderiv_table(
+        table1 = _ReferenceTable(_reference_table(f, g, 0.0, 1.0, lmean, 1e-12, brk))
+        table2 = _ReferenceTable(_reference_table(
             f, g, 0.0, 1.0, lambda fv, gv, dfv, dgv: dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv),
-            1e-12, brk)
+            1e-12, brk))
         grid = np.linspace(0.0, 1.0, 32)
         rhs = (f(grid) * g(grid)) ** 2
         phi = np.exp(2.0 * table1(grid)) * (float(f(0.0)) * float(g(0.0))) ** 2 * np.exp(
@@ -350,48 +393,96 @@ def test_logderiv_chains_match_from_scratch_reference_bit_for_bit():
 
 
 def test_logderiv_chain_samples_each_function_once_per_node(monkeypatch):
-    # no breaks and settled by 512 panels: f, g, f', g' are each evaluated on
-    # the 1025 scan nodes (513 of them by the validators), f and g also on the
-    # outer quadrature nodes, and nowhere else
+    # a smooth mean: f, g, f', g' are each evaluated on the 513 validation
+    # nodes and once at every node the partition ever held, accepted or
+    # bisected; no odd scan node is sampled, and the outer integrands take f
+    # and g from the partition's samples
     f = parse_function("exppoly:0.1,1,0.5")
     g = parse_function("affine:2,1")
     counts = Counter()
+    seen = []
     value, slope = FunctionSpec.__call__, FunctionSpec.derivative
 
     def counted_value(self, t):
         counts[str(self)] += np.size(t)
+        if self == f and np.size(t) != 513:
+            seen.append(np.array(t))
         return value(self, t)
 
     def counted_slope(self, t):
         counts[str(self) + "'"] += np.size(t)
         return slope(self, t)
 
-    outer, steps = [], []
-    quad, tabulate = integral.quadrature, integral._tabulate_antiderivative
+    levels = []
+    adapt = integral._adapt
 
-    def counted_quadrature(fn, *args, **kwargs):
-        def integrand(t):
-            outer.append(np.size(t))
-            return fn(t)
-        return quad(integrand, *args, **kwargs)
-
-    def recorded_tabulate(*args, **kwargs):
-        table = tabulate(*args, **kwargs)
-        steps.append(table.step)
-        return table
+    def recorded_adapt(*args, **kwargs):
+        out = adapt(*args, **kwargs)
+        levels.extend(out.levels)
+        return out
 
     monkeypatch.setattr(FunctionSpec, "__call__", counted_value)
     monkeypatch.setattr(FunctionSpec, "derivative", counted_slope)
-    monkeypatch.setattr(integral, "quadrature", counted_quadrature)
-    monkeypatch.setattr(integral, "_tabulate_antiderivative", recorded_tabulate)
+    monkeypatch.setattr(integral, "_adapt", recorded_adapt)
     report = integral_logderiv_chain(f, g, 0.0, 1.0, parse_mean("power:2"))
     assert report.ordered
     assert min(report.slack_left, report.slack_right) >= -1e-12 * report.scale
-    assert len(steps) == 1 and steps[0] >= 1.0 / 512
-    nodes = sum(outer)
-    assert nodes > 0
-    assert counts == {str(f): 1025 + nodes, str(g): 1025 + nodes,
-                      str(f) + "'": 1025, str(g) + "'": 1025}
+    nodes = 15 * sum(len(mid) for _, mid, _, _, _ in levels)
+    assert nodes >= 120
+    assert counts == {str(f): 513 + nodes, str(g): 513 + nodes,
+                      str(f) + "'": 513 + nodes, str(g) + "'": 513 + nodes}
+    sampled = np.concatenate(seen)
+    assert len(np.unique(sampled)) == len(sampled) == nodes
+
+
+@pytest.mark.parametrize("spec, f, g", [
+    ("power:2", parse_function("exppoly:0.1,1,0.5"), parse_function("affine:2,1")),
+    ("power:inf", CROSSING_F, CROSSING_G),
+], ids=["smooth", "crossing-max"])
+def test_logderiv_phi1_against_nested_scipy(spec, f, g):
+    # Phi1 read off the partition at interior points, against int_0^x
+    # M(Lf, Lg) from scipy; the crossing pair's partition is split at the
+    # crossings of Lf - Lg
+    quad = pytest.importorskip("scipy.integrate").quad
+    mean = parse_mean(spec)
+    breaks = _find_kinks(lambda t: f.derivative(t) / f(t) - g.derivative(t) / g(t), 0.0, 1.0)
+    assert bool(breaks) == (spec == "power:inf")
+
+    def lm(t):
+        return float(mean_values(mean, f.derivative(t) / f(t), g.derivative(t) / g(t)))
+
+    phi1 = logderiv_phi1(f, g, 0.0, 1.0, mean, inner_tol=1e-12)
+    xs = np.array([0.013, 0.1, 0.25, 0.3711, 0.5, 0.618, 0.77, 0.9, 0.999] + breaks)
+    got = phi1(xs)
+    for x, value in zip(xs, got):
+        points = [k for k in breaks if k < x] or None
+        v = quad(lm, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200, points=points)[0]
+        assert abs(value / math.exp(2.0 * v) - 1.0) <= 2e-12, x
+
+
+def test_steep_logderiv_chain_against_nested_scipy():
+    # integral_chains seed 31's steep pair: the uniform Simpson table this
+    # partition replaced gave up at 16384 panels with ConvergenceError
+    quad = pytest.importorskip("scipy.integrate").quad
+    f = parse_function("poly:0.10504704784990125,9.901211739330435,0.19000239786890213")
+    g = parse_function("affine:7.80273825046556,4.20719812552979")
+    report = integral_logderiv_chain(f, g, 0.0, 2.0, parse_mean("power:2"))
+
+    def lm(t):
+        u = float(f.derivative(t)) / float(f(t))
+        w = float(g.derivative(t)) / float(g(t))
+        return math.sqrt((u * u + w * w) / 2.0)
+
+    def v(x):
+        return quad(lm, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    def outer(fn):
+        return quad(fn, 0.0, 2.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    middle = (outer(lambda x: math.exp(2.0 * v(x)))
+              * outer(lambda x: (float(f(x)) * float(g(x))) ** 2 * math.exp(-2.0 * v(x))))
+    assert abs(report.middle - middle) <= 1e-12 * middle
+    assert report.ordered
 
 
 def test_phi1_is_not_homogeneous():

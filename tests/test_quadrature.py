@@ -6,7 +6,7 @@ import pytest
 
 from ineqmeans import (ConvergenceError, ParameterError, mean_values, parse_function, parse_mean,
                        quadrature)
-from ineqmeans.quadrature import (_NODES, _WEIGHTS, CubicHermite, _cumulative_weights,
+from ineqmeans.quadrature import (_NODES, _WEIGHTS, _adapt, _cumulative_weights,
                                   composite_simpson, cumulative_simpson, simpson_nodes)
 
 
@@ -132,6 +132,35 @@ def test_integration_matrix_is_exact_to_degree_14(degree):
     assert np.abs(_cumulative_weights() @ _NODES ** degree - exact).max() <= 1e-15
 
 
+@pytest.mark.parametrize("degree", range(15))
+def test_integration_weights_at_any_upper_end_are_exact_to_degree_14(degree):
+    # K15 mapped onto [-1, u] integrates the interpolant up to any u in
+    # [-1, 1]; at u = 1 the mapped middle node falls on the node 0
+    upper = np.concatenate([np.linspace(-1.0, 1.0, 41), [-0.999, 0.123456789, 0.9999]])
+    exact = (upper ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+    assert np.abs(_cumulative_weights(upper) @ _NODES ** degree - exact).max() <= 1e-15
+
+
+def test_adaptation_returns_its_partition_left_to_right():
+    # the accepted intervals tile [a, b] in order, with the values the
+    # integrand took at their nodes; their K15 sum is quadrature's result
+    rows = (np.exp, lambda t: np.abs(t - 1.0 / 3.0))
+    f = lambda t: np.stack([fn(t) for fn in rows])
+    edges = np.array([0.0, 0.5, 2.0])
+    hw = np.diff(edges) / 2.0
+    adaptation = _adapt(f, 0.0, 2.0, 1e-12, edges[:-1] + hw, hw)
+    mid, hw, depth, values = adaptation.partition()
+    assert len(mid) > 2 and np.all(np.diff(mid) > 0)
+    assert np.abs((mid - hw)[1:] - (mid + hw)[:-1]).max() <= 1e-15
+    assert mid[0] - hw[0] == 0.0 and mid[-1] + hw[-1] == 2.0
+    assert np.array_equal(hw, np.where(mid < 0.5, 0.25, 0.75) / 2.0 ** depth)
+    nodes = mid + hw * _NODES[:, None]
+    assert values.shape == (2, 15, len(mid)) and np.array_equal(values, f(nodes))
+    total = (np.einsum("kn,k->n", values[0], _WEIGHTS[:, 0]) * hw).sum()
+    assert total == pytest.approx(adaptation.total[0], rel=1e-15)
+    assert np.array_equal(adaptation.total, quadrature(f, 0.0, 2.0, 1e-12, breaks=[0.5]))
+
+
 def test_composite_and_cumulative_simpson_agree():
     xs, h = simpson_nodes(0.0, 2.0, 64)
     vals = np.exp(xs)
@@ -140,13 +169,3 @@ def test_composite_and_cumulative_simpson_agree():
     assert cum[-1] == pytest.approx(total, rel=1e-15)
     assert cum[0] == 0.0
     assert total == pytest.approx(math.e ** 2 - 1.0, rel=1e-9)
-
-
-def test_cubic_hermite_reproduces_antiderivative():
-    xs, h = simpson_nodes(0.0, 1.0, 128)
-    vals = np.sin(xs)
-    v = cumulative_simpson(vals, h)
-    table = CubicHermite(0.0, 1.0 / 128, v, vals[::2])
-    probe = np.linspace(0.0, 1.0, 501)
-    exact = 1.0 - np.cos(probe)
-    assert np.max(np.abs(table(probe) - exact)) < 1e-9

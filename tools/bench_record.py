@@ -7,7 +7,9 @@ REV is exported with ``git archive`` into ``.bench_build/record-parent/``;
 the change is this checkout as it stands.  For each workload and seed the
 parent's and the change's ``perfbench/run.py`` run one after the other, each
 in a fresh interpreter; every seed gives one pair, and the side that runs first
-alternates from pair to pair (the parent first on the first).  The file holds
+alternates from pair to pair (the parent first on the first).  Both sides'
+``src`` are byte-compiled before any run, so neither compiles the library
+from source in its timed interpreters, even under PYTHONDONTWRITEBYTECODE.  The file holds
 both result lines (the last stdout line of run.py) of every pair, the
 medians and the parent's quartiles of each end-to-end metric, the number of
 pairs the change wins, and the machine: CPU count and model, Python and
@@ -42,6 +44,11 @@ def _export(rev: str) -> None:
     os.makedirs(PARENT_DIR)
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", PARENT_DIR], input=archive.stdout, check=True)
+
+
+def _compile(checkout: str) -> None:
+    # compileall writes .pyc files whatever PYTHONDONTWRITEBYTECODE says
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
 
 
 def _git(*args: str) -> str:
@@ -90,6 +97,8 @@ def main() -> None:
     p.add_argument("--seconds", type=float, default=25)
     args = p.parse_args()
     _export(args.parent_rev)
+    for checkout in (PARENT_DIR, ROOT):
+        _compile(checkout)
     record = {"parent": _git("rev-parse", args.parent_rev),
               "change": _git("describe", "--always", "--dirty"),
               "seconds": args.seconds, "machine": _machine(), "workloads": {}}
