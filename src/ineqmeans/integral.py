@@ -23,12 +23,13 @@ once per node (notes/decisions.md, "Log-derivative partition").
 
 Middle terms of two refinements are partially ordered by pointwise
 domination; the sampling comparator searches a fixed function catalog for
-directional evidence or a certified two-sided (incomparable) witness pair.
-Each trial's middle terms come from a fixed number of Gauss-Kronrod panels
-with an error bar, a panel edge moved onto each kink of a min/max-type mean
-(notes/decisions.md, "Comparator panels").  Trials are evaluated in blocks
-of stacked rows, with the same digits as one trial at a time
-(notes/decisions.md, "Comparator blocks").
+directional evidence or a certified two-sided (incomparable) witness pair,
+each trial's middles from fixed Gauss-Kronrod panels with an error bar,
+evaluated in blocks of rows with the digits of one trial at a time
+(notes/decisions.md, "Comparator panels" and "Comparator blocks").  The
+chain and the comparator share one kink scan (``_find_kinks``) and, in the
+log-derivative form, one factor kernel: ``_inner_sums`` for v at the nodes,
+``_log_factors`` for Phi1 and Phi2.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .errors import ConvergenceError, DomainError, ParameterError, Reproducibili
 from .functions import (_VALIDATION_POINTS, FunctionFamily, FunctionSpec, _grid,
                         validate_nonneg_derivative, validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
-                    conjugate_values, mean_values)
-from .quadrature import (_NODES, _WEIGHTS, _adapt, _bisect, _cumulative_weights,
-                         quadrature)
+                    mean_values)
+from .quadrature import (_NODES, _WEIGHTS, _accepted, _adapt, _bisect, _cumulative_weights,
+                         _interval, quadrature)
 # no caller left in the package: the traced benchmark binds these names here
 # until its fixed-grid and Hermite spans move (ROADMAP item 5)
 from .quadrature import (CubicHermite, composite_simpson,  # noqa: F401
@@ -115,9 +116,8 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
 
     breaks = ()
     if kinked:
-        odd = _scan_odd_nodes(a, b)
         breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
-                             a, b, _fill_odd(fe, f(odd)) - _fill_odd(ge, g(odd)))
+                             a, b, fe - ge)
     fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, tol, breaks=breaks).tolist()
     # judged at the tolerance the terms were computed to
     return chain_report(fg ** 2, mid1 * mid2, ff * gg, tol)
@@ -153,29 +153,19 @@ def _of_logderivs(mfn: Callable) -> Callable:
 _SCAN_POINTS = 2 * _VALIDATION_POINTS - 1
 
 
-def _scan_odd_nodes(a: float, b: float) -> np.ndarray:
-    return _grid(a, b, _SCAN_POINTS)[1::2]
-
-
-def _fill_odd(even: np.ndarray, odd) -> np.ndarray:
-    """Values on the scan grid from its even-node and odd-node values."""
-    out = np.empty(2 * len(even) - 1)
-    out[::2] = even
-    out[1::2] = odd
-    return out
-
-
 def _find_kinks(diff_fn: Callable, a: float, b: float,
-                scan: Optional[np.ndarray] = None) -> list:
+                even: Optional[np.ndarray] = None) -> list:
     """Interior sign changes of diff_fn (where min/max-type means kink).
 
-    A scan of diff_fn on the 1025-point scan grid brackets each change
-    (``scan`` passes those values when the caller has them); rounds of
-    257-point subdivision then narrow the bracket, to ulp width or for at
-    most 6 rounds.
+    A scan of diff_fn on the 1025-point scan grid brackets each change;
+    ``even`` gives its values at the even nodes (the validation grid) when
+    the caller has them.  Rounds of 257-point subdivision then narrow each
+    bracket, to ulp width or for at most 6 rounds.
     """
     ts = _grid(a, b, _SCAN_POINTS)
-    d = np.asarray(diff_fn(ts) if scan is None else scan, dtype=float)
+    d = np.empty(len(ts))
+    d[::2] = diff_fn(ts[::2]) if even is None else even
+    d[1::2] = diff_fn(ts[1::2])
     kinks = []
     for i in np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]:
         lo, hi, side = ts[i], ts[i + 1], np.sign(d[i])
@@ -195,6 +185,49 @@ def _find_kinks(diff_fn: Callable, a: float, b: float,
 # kinks: from one panel a chain needed 2.7 levels, each a fixed cost
 # (notes/decisions.md, "Log-derivative partition").
 _START_PANELS = 8
+
+
+def _per_panel(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weights (15, c) applied panel by panel to node-major values (15, ...):
+    (c, ...), by numpy's own einsum loop, not a BLAS matrix product: each
+    panel's 15 terms are added in node order, the same in a block of any size
+    (a BLAS may choose its summation order by the matrix's size or alignment).
+    """
+    sums = np.einsum("kn,kc->cn", values.reshape(len(values), -1), weights)
+    return sums.reshape(weights.shape[1:] + values.shape[1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _inner_weights() -> np.ndarray:
+    """(15, 17): a panel's inner integral at its 15 nodes (the integration
+    matrix S^T), its K15 total and its K15 - G7 difference.  Built on first
+    use, so commands without a log-derivative integral do not build it."""
+    return np.concatenate([_cumulative_weights().T, _WEIGHTS], axis=1)
+
+
+def _inner_sums(mv: np.ndarray, hw: np.ndarray) -> tuple:
+    """v = int mv on GK15 panels of half-widths hw (..., P), left to right on
+    the last axis, from node-major mv (15, ..., P): the panel sums (17, ...,
+    P), ``_inner_weights`` times hw, and the K15 totals to each panel's left
+    (..., P), so v = sums[:15] + start at the nodes."""
+    sums = _per_panel(mv, _inner_weights())
+    sums *= hw
+    start = np.zeros_like(hw)
+    np.cumsum(sums[15, ..., :-1], axis=-1, out=start[..., 1:])
+    return sums, start
+
+
+def _log_factors(sums: np.ndarray, start: np.ndarray, fg: np.ndarray,
+                 phi1: np.ndarray, phi2: np.ndarray) -> None:
+    """Phi1 = exp(2v) and Phi2 = (fg)^2 exp(-2v) at the nodes, v from
+    ``_inner_sums``, written into phi1 and phi2 (15, ..., P) one after the
+    other (why: notes/decisions.md, "Comparator panels")."""
+    np.add(sums[:15], start, out=phi1)
+    phi1 *= 2.0
+    np.negative(phi1, out=phi2)
+    np.exp(phi1, out=phi1)
+    np.exp(phi2, out=phi2)
+    phi2 *= fg * fg
 
 
 @dataclass(frozen=True)
@@ -224,32 +257,24 @@ class _Antiderivative:
     def on(cls, a: float, b: float, sample: Callable, tol: float, mid: np.ndarray,
            hw: np.ndarray, depth: np.ndarray, values: np.ndarray) -> "_Antiderivative":
         values = np.ascontiguousarray(values)
-        sums = _per_panel(values[0], _inner_weights())
-        sums *= hw
-        start = np.zeros_like(hw)
-        np.cumsum(sums[15, :-1], out=start[1:])
-        return cls(a, b, sample, tol, mid, hw, depth, values, sums, start)
+        return cls(a, b, sample, tol, mid, hw, depth, values, *_inner_sums(values[0], hw))
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
-        out = np.empty(flat.shape)
+        out = np.empty(xs.size)
         # the weights take (points, 15, 15) temporaries: a block of points at a time
-        for lo in range(0, len(flat), 1024):
-            out[lo:lo + 1024] = self._at(flat[lo:lo + 1024])
+        for lo in range(0, xs.size, 1024):
+            pts = xs.ravel()[lo:lo + 1024]
+            idx = np.clip(np.searchsorted(self.mid - self.hw, pts, side="right") - 1,
+                          0, len(self.mid) - 1)
+            weights = _cumulative_weights(np.clip((pts - self.mid[idx]) / self.hw[idx], -1, 1))
+            m = self.values[0][:, idx]
+            # node by node, as the panel sums add them
+            inner = weights[:, 0] * m[0]
+            for k in range(1, 15):
+                inner += weights[:, k] * m[k]
+            out[lo:lo + 1024] = inner * self.hw[idx] + self.start[idx]
         return out.reshape(xs.shape)
-
-    def _at(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self.mid - self.hw, xs, side="right") - 1,
-                      0, len(self.mid) - 1)
-        weights = _cumulative_weights(np.clip((xs - self.mid[idx]) / self.hw[idx], -1.0, 1.0))
-        m = self.values[0][:, idx]
-        # node by node, as the panel sums add them
-        inner = weights[:, 0] * m[0]
-        for k in range(1, 15):
-            inner += weights[:, k] * m[k]
-        inner *= self.hw[idx]
-        return inner + self.start[idx]
 
     def refined(self, bad: np.ndarray) -> "_Antiderivative":
         """The table with each ``bad`` interval bisected and its halves
@@ -296,11 +321,7 @@ def _outer_integrals(table: _Antiderivative, tol: float) -> tuple:
     fv, gv = table.values[1], table.values[2]
     rows = np.empty((15, 5) + table.hw.shape)
     np.multiply(fv, gv, out=rows[:, 0])
-    np.add(table.sums[:15], table.start, out=rows[:, 1])  # v at every node
-    rows[:, 1] *= 2.0
-    np.negative(rows[:, 1], out=rows[:, 2])
-    np.exp(rows[:, 1:3], out=rows[:, 1:3])
-    rows[:, 2] *= rows[:, 0] * rows[:, 0]
+    _log_factors(table.sums, table.start, rows[:, 0], rows[:, 1], rows[:, 2])
     np.multiply(fv, fv, out=rows[:, 3])
     np.multiply(gv, gv, out=rows[:, 4])
     if not np.isfinite(rows).all():
@@ -308,9 +329,7 @@ def _outer_integrals(table: _Antiderivative, tol: float) -> tuple:
     sums = _per_panel(rows, _WEIGHTS)
     sums *= table.hw
     totals = sums[0].sum(axis=-1)
-    target = np.maximum(tol, tol * np.abs(totals)) / (table.b - table.a)
-    bad = ~(np.abs(sums[1]) <= target[:, None] * (2.0 * table.hw)).all(axis=0)
-    return totals, bad
+    return totals, ~_accepted(sums[1], totals, tol, table.b - table.a, table.hw)
 
 
 def _logderiv_gap(fv, gv, dfv, dgv):
@@ -331,11 +350,8 @@ def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     dge = validate_nonneg_derivative(g, a, b, "g")
     if not kinked:
         return []
-    odd = _scan_odd_nodes(a, b)
-    scan = (_fill_odd(fe, f(odd)), _fill_odd(ge, g(odd)),
-            _fill_odd(dfe, f.derivative(odd)), _fill_odd(dge, g.derivative(odd)))
     return _find_kinks(lambda t: _logderiv_gap(f(t), g(t), f.derivative(t), g.derivative(t)),
-                       a, b, _logderiv_gap(*scan))
+                       a, b, _logderiv_gap(fe, ge, dfe, dge))
 
 
 def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
@@ -373,6 +389,7 @@ def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float
     give exact equality with the right side and every intermediate mean stays
     inside the chain.  The report carries honest slacks either way.
     """
+    a, b = _interval(a, b, inner_tol, outer_tol)
     return _logderiv_chain(f, g, a, b, _logderiv_mean(spec), inner_tol, outer_tol,
                            _kinks_on_diagonal(spec))
 
@@ -383,11 +400,20 @@ def logderiv_phi1(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
 
     Exposed separately so the non-homogeneity of the factors (Phi1 is
     invariant under f, g -> lam f, lam g rather than quadratic in lam) can be
-    witnessed directly.
+    witnessed directly.  It raises ParameterError at a point outside [a, b].
     """
+    a, b = _interval(a, b, inner_tol)
     breaks = _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec))
     table = _tabulate_antiderivative(f, g, a, b, _logderiv_mean(spec), inner_tol, breaks)
-    return lambda x: np.exp(2.0 * table(x))
+    return lambda x: np.exp(2.0 * table(_inside(x, a, b)))
+
+
+def _inside(x, a: float, b: float) -> np.ndarray:
+    """x as floats; ParameterError unless every point lies in [a, b] (NaN not)."""
+    xs = np.asarray(x, dtype=float)
+    if not ((xs >= a) & (xs <= b)).all():
+        raise ParameterError(f"points must lie inside [{a}, {b}]")
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +431,16 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
     second factor (negative-control hook).  Returns (ok, max relative
     deviation).
     """
-    xs = np.asarray(grid if grid is not None else np.linspace(a, b, 32), dtype=float)
-    if np.any(xs < a) or np.any(xs > b):
-        raise ParameterError("grid points must lie inside [a, b]")
+    a, b = _interval(a, b)
+    xs = _inside(grid if grid is not None else np.linspace(a, b, 32), a, b)
     fx = np.asarray(f(xs), dtype=float)
     gx = np.asarray(g(xs), dtype=float)
     rhs = (fx * gx) ** 2
     if kind is ChainKind.MEAN_FORM:
-        phi1_vals = mean_values(spec, fx, gx) ** 2
+        m = mean_values(spec, fx, gx)
+        phi1_vals = m ** 2
         phi2_vals = (np.asarray(phi2(xs), dtype=float) if phi2 is not None
-                     else conjugate_values(spec, fx, gx) ** 2)
+                     else conjugate_from_mean(fx, gx, m) ** 2)
     else:
         breaks = _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec))
         lmean = _logderiv_mean(spec)
@@ -427,11 +453,8 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
                 return dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv)
 
             table2 = _tabulate_antiderivative(f, g, a, b, complement, 1e-12, breaks)
-            fa = float(f(a))
-            ga = float(g(a))
-            phi2_vals = (fa * ga) ** 2 * np.exp(2.0 * table2(xs))
-    dev = np.abs(phi1_vals * phi2_vals - rhs) / np.maximum(np.abs(rhs), 1e-300)
-    worst = float(np.max(dev))
+            phi2_vals = (float(f(a)) * float(g(a))) ** 2 * np.exp(2.0 * table2(xs))
+    worst = float(np.max(np.abs(phi1_vals * phi2_vals - rhs) / np.maximum(np.abs(rhs), 1e-300)))
     return worst <= rtol, worst
 
 
@@ -452,6 +475,7 @@ def general_h_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     bound; this is validated on a grid before use and a violation raises
     ParameterError.
     """
+    a, b = _interval(a, b, tol)
     check = check_h_function(h, validation_grid or _H_VALIDATION_GRID, rtol=1e-9)
     if not check.ok:
         raise ParameterError(
@@ -677,9 +701,10 @@ def _snapped_rows(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray, edges:
     means that kink on the diagonal.
 
     _find_kinks finds each row's crossings from its own scan grid, one
-    catalog call scanning the whole block. A trial with more crossings than
-    interior panel edges raises ConvergenceError; ``first`` is the index of
-    the block's first trial.
+    catalog call scanning the whole block (a crossing row's odd nodes are
+    evaluated again). A trial with more crossings than interior panel edges
+    raises ConvergenceError; ``first`` is the index of the block's first
+    trial.
     """
     scan = np.stack([_grid(lo, hi, _SCAN_POINTS) for lo, hi in edges[:, [0, -1]].tolist()])
     gaps = _member_gap(kind, kinds, coeffs, scan)
@@ -687,7 +712,7 @@ def _snapped_rows(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray, edges:
     for row in np.nonzero((np.sign(gaps[:, :-1]) * np.sign(gaps[:, 1:]) < 0).any(axis=1))[0]:
         mine = kinds[:, row:row + 1], coeffs[:, row:row + 1]
         roots = _find_kinks(lambda t: _member_gap(kind, *mine, t[None])[0],
-                            edges[row, 0], edges[row, -1], gaps[row])
+                            edges[row, 0], edges[row, -1], gaps[row, ::2])
         if not roots:
             continue
         snapped = _snap(edges[row], np.array(roots))
@@ -696,19 +721,6 @@ def _snapped_rows(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray, edges:
                                    f"{len(edges[row]) - 2} interior panel edges to snap")
         moved[row] = snapped
     return _rows_on_panels(kind, kinds, coeffs, *_panel_nodes(moved))
-
-
-def _per_panel(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weights (15, c) applied panel by panel to node-major values (15, ...):
-    (c, ...).
-
-    numpy's own einsum loop, not a BLAS matrix product: node by node it adds
-    weight times value into every panel's sums, so each panel's 15 terms are
-    added in node order, the same in a block of any size (a BLAS may choose
-    its summation order by the matrix's size or alignment).
-    """
-    sums = np.einsum("kn,kc->cn", values.reshape(len(values), -1), weights)
-    return sums.reshape(weights.shape[1:] + values.shape[1:])
 
 
 def _panel_integrals(values: np.ndarray, hw: np.ndarray) -> tuple:
@@ -720,21 +732,8 @@ def _panel_integrals(values: np.ndarray, hw: np.ndarray) -> tuple:
     return est.sum(axis=-1), err.sum(axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
-def _inner_weights() -> np.ndarray:
-    """(15, 17): a panel's inner integral at its 15 nodes (the integration
-    matrix S^T), its K15 total and its K15 - G7 difference.  Built on the
-    comparator's first call, so commands that never compare do not build it."""
-    return np.concatenate([_cumulative_weights().T, _WEIGHTS], axis=1)
-
-
-# At 1000 trials a whole trial (its draws read off its raw stream words, its
-# f and g on the panels, then both middle terms) costs about half of what it
-# cost on the 1025-node Simpson grids these panels replaced in the mean form
-# (0.033 against 0.066 ms) and four fifths in the log-derivative form (0.072
-# against 0.087 ms), and an adaptive chain over ten times more (medians over
-# seeds 1-7 of power:0 against power:2 and power:0.5 against power:1.5, a
-# loaded 2-vCPU x86 VM, Python 3.11, numpy 2.4).
+# per-trial cost against the Simpson grids and the adaptive chain:
+# notes/decisions.md, "Comparator panels"
 def _middle_fixed(kind: ChainKind, spec: MeanSpec, rows: _PanelRows) -> tuple:
     """Middle terms of a block, one per row, and their relative error bars.
 
@@ -751,25 +750,11 @@ def _middle_fixed(kind: ChainKind, spec: MeanSpec, rows: _PanelRows) -> tuple:
         conj = conjugate_from_mean(rows.fv, rows.gv, m)
         (i1, i2), (e1, e2) = _panel_integrals((m * m, conj * conj), rows.hw)
         return i1 * i2, e1 / np.abs(i1) + e2 / np.abs(i2)
-    mv = _logderiv_mean(spec)(rows.fv, rows.gv, rows.dfv, rows.dgv)
-    sums = _per_panel(mv, _inner_weights())
-    sums *= rows.hw
-    totals = sums[15]
-    inner = np.maximum(np.abs(sums[16]), _ROUNDING * np.abs(totals)).sum(axis=-1)
-    start = np.zeros_like(totals)
-    np.cumsum(totals[:, :-1], axis=-1, out=start[:, 1:])
-    # written in place, one factor after the other: a fresh array per step
-    # made the whole trial about a quarter slower, and the two factors
-    # interleaved at each node (no contiguous run per node for the panel
-    # sums) made this function twice as slow on a 32-row block
+    sums, start = _inner_sums(_logderiv_mean(spec)(rows.fv, rows.gv, rows.dfv, rows.dgv),
+                              rows.hw)
+    inner = np.maximum(np.abs(sums[16]), _ROUNDING * np.abs(sums[15])).sum(axis=-1)
     phi = np.empty((2, 15) + rows.hw.shape)
-    np.add(sums[:15], start, out=phi[0])
-    phi[0] *= 2.0
-    np.negative(phi[0], out=phi[1])
-    np.exp(phi, out=phi)
-    fg = rows.fv * rows.gv
-    fg *= fg
-    phi[1] *= fg
+    _log_factors(sums, start, rows.fv * rows.gv, phi[0], phi[1])
     (i1, i2), (e1, e2) = _panel_integrals(phi, rows.hw)
     return i1 * i2, e1 / np.abs(i1) + e2 / np.abs(i2) + 4.0 * inner
 

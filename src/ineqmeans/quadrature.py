@@ -3,19 +3,22 @@
 ``quadrature`` is an adaptive Gauss-Kronrod 7-15 rule (QUADPACK's pair): each
 level evaluates the 15 nodes of every pending interval in one integrand
 batch, accepts an interval when its |K15 - G7| estimate fits its
-width-proportional share of the absolute+relative target, and bisects the
-rest.  An integrand may return a ``(k, n)`` stack: the k integrals share
-every node, and each row must meet its target.  Break points split the
-initial panels at kinks (notes/decisions.md, "Integration engine").  The
-point set and summation order depend only on the inputs, so results are
-bit-reproducible.
+width-proportional share of the absolute+relative target (``_accepted``),
+and bisects the rest.  An integrand may return a ``(k, n)`` stack: the k
+integrals share every node, and each row must meet its target.  Break points
+split the initial panels at kinks (notes/decisions.md, "Integration
+engine").  The point set depends only on the inputs.  ``_adapt`` sums a
+level by one BLAS matrix product, which repeats bit for bit on one numpy and
+BLAS build, and keeps it over node-order sums for its lower rounding noise in
+|K15 - G7| (notes/decisions.md, "Integration engine").  The log-derivative
+partition and the comparator sum node by node (``integral._per_panel``).
 
 The loop is ``_adapt``, which also keeps every level's node values, so a
 caller can read the accepted partition back left to right
 (``_Adaptation.partition``): the log-derivative chain integrates its inner
 and outer integrands on one such partition (notes/decisions.md,
 "Log-derivative partition").  ``_bisect`` splits intervals and holds the
-depth, pending and resolution caps.
+depth, pending and resolution caps, ``_interval`` the argument checks.
 
 ``_cumulative_weights`` builds the spectral integration matrix
 S[j, k] = int_{-1}^{u_j} l_k of the degree-14 interpolant through the 15
@@ -132,6 +135,14 @@ def _bisect(mid: np.ndarray, hw: np.ndarray, depth: int, a: float, b: float) -> 
     return mid, hw
 
 
+def _accepted(diff: np.ndarray, total: np.ndarray, tol: float, span: float,
+              hw: np.ndarray) -> np.ndarray:
+    """Mask of the intervals (half-widths hw) whose K15 - G7 diff (k, n) fits
+    in every row their width share of max(tol, tol |I|), I = total (k,)."""
+    target = np.maximum(tol, tol * np.abs(total)) / span
+    return (np.abs(diff) <= target[:, None] * (2.0 * hw)).all(axis=0)
+
+
 @dataclass(frozen=True)
 class _Adaptation:
     """What ``_adapt`` did: the judged rows' accepted sums, added level by
@@ -168,7 +179,6 @@ def _adapt(f, a: float, b: float, tol: float, mid: np.ndarray, hw: np.ndarray,
     before (I counts it), and ``depth`` that of the pending intervals.
     DomainError on a non-finite value.
     """
-    span = b - a
     levels = []
     total = None
     while True:
@@ -180,9 +190,8 @@ def _adapt(f, a: float, b: float, tol: float, mid: np.ndarray, hw: np.ndarray,
         if total is None:
             total = np.full(1 if rows.ndim == 1 else len(rows), accepted)
         sums = (rows.reshape(-1, 15) @ _WEIGHTS).reshape(len(total), len(mid), 2) * hw[:, None]
-        est, err = sums[..., 0], np.abs(sums[..., 1])
-        target = np.maximum(tol, tol * np.abs(total + est.sum(axis=1))) / span
-        done = (err <= target[:, None] * (2.0 * hw)).all(axis=0)
+        est = sums[..., 0]
+        done = _accepted(sums[..., 1], total + est.sum(axis=1), tol, b - a, hw)
         total += est[:, done].sum(axis=1)
         levels.append((depth, mid, hw, values, done))
         if done.all():
@@ -190,6 +199,16 @@ def _adapt(f, a: float, b: float, tol: float, mid: np.ndarray, hw: np.ndarray,
         mid, hw = _bisect(mid[~done], hw[~done], depth, a, b)
         depth += 1
         values = None
+
+
+def _interval(a, b, *tols) -> tuple:
+    """(a, b) as floats; ParameterError unless b > a and each tol > 0."""
+    a, b = float(a), float(b)
+    if not b > a:
+        raise ParameterError(f"integration requires b > a, got [{a}, {b}]")
+    if not all(tol > 0 for tol in tols):
+        raise ParameterError(f"tolerances must be positive, got {tols}")
+    return a, b
 
 
 def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
@@ -202,11 +221,7 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
     or is too narrow to split, or when more than 1024 intervals are pending
     at once; DomainError on a non-finite integrand value.
     """
-    a, b = float(a), float(b)
-    if not b > a:
-        raise ParameterError(f"quadrature requires b > a, got [{a}, {b}]")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    a, b = _interval(a, b, tol)
     edges = np.array([a] + sorted(float(t) for t in breaks if a < t < b) + [b])
     hw = np.diff(edges) / 2.0
     mid = edges[:-1] + hw

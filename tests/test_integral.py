@@ -9,7 +9,7 @@ from ineqmeans import (ChainKind, ConvergenceError, DomainError, MeanFamily, Ord
                        ParameterError, Relation, Witness, chain_catalog, compare_generalizations,
                        general_h_chain, integral_logderiv_chain, integral_mean_chain,
                        logderiv_phi1, mean_values, parse_function, parse_mean,
-                       product_identity_check)
+                       product_identity_check, quadrature)
 from ineqmeans import integral
 from ineqmeans.functions import FunctionFamily, FunctionSpec
 from ineqmeans.integral import _find_kinks, _sample_function
@@ -350,6 +350,28 @@ CROSSING_F = parse_function("poly:0.135914,6.47054,0.238318")
 CROSSING_G = parse_function("poly:1.07857,1.56503,8.91331")
 
 
+@pytest.mark.parametrize("f, g, b, crossings", [
+    (CROSSING_F, CROSSING_G, 1.0, 0),  # its log-derivatives cross, f and g do not
+    (parse_function("poly:8.419542874820742,0.30216463015850675,6.164191356388866"),
+     parse_function("exp:5.971814374831163"), 0.5, 1),
+], ids=["no-crossing", "crossing"])
+def test_kinked_mean_chain_matches_quadrature_on_a_fresh_kink_scan(f, g, b, crossings):
+    # the chain scans f - g from its validators' samples plus the odd scan
+    # nodes; a scan of its own, then one quadrature, gives the same report
+    spec = parse_mean("power:inf")
+    breaks = _find_kinks(lambda t: f(t) - g(t), 0.0, b)
+    assert len(breaks) == crossings
+
+    def integrand(t):
+        fv, gv = f(t), g(t)
+        m = mean_values(spec, fv, gv)
+        return np.stack([fv * gv, m * m, conjugate_from_mean(fv, gv, m) ** 2, fv * fv, gv * gv])
+
+    fg, mid1, mid2, ff, gg = quadrature(integrand, 0.0, b, 1e-9, breaks=breaks).tolist()
+    assert (integral_mean_chain(f, g, 0.0, b, spec, tol=1e-9)
+            == chain_report(fg ** 2, mid1 * mid2, ff * gg, 1e-9))
+
+
 def test_logderiv_chains_match_from_scratch_reference_bit_for_bit():
     # the reports, Phi1 and the product identity equal those of a reference
     # that runs the partition rule with its own loop, sums in node order, for
@@ -498,6 +520,52 @@ def test_phi1_is_not_homogeneous():
     ratio = float(phi_scaled(1.0)) / float(phi(1.0))
     assert abs(ratio - 4.0) > 1e-3 * 4.0
     assert ratio == pytest.approx(1.0, rel=1e-9)
+
+
+AFFINE_1_2 = parse_function("affine:1,2")
+POWER_2 = parse_mean("power:2")
+LOGDERIV_ENTRIES = {
+    "chain-inner": lambda a, b, tol: integral_logderiv_chain(EXP1, AFFINE_1_2, a, b, POWER_2,
+                                                             inner_tol=tol),
+    "chain-outer": lambda a, b, tol: integral_logderiv_chain(EXP1, AFFINE_1_2, a, b, POWER_2,
+                                                             outer_tol=tol),
+    "phi1": lambda a, b, tol: logderiv_phi1(EXP1, AFFINE_1_2, a, b, POWER_2, inner_tol=tol),
+    "h-chain": lambda a, b, tol: general_h_chain(EXP1, AFFINE_1_2, a, b, lambda t: 0.5,
+                                                 ChainKind.LOG_DERIV_FORM, tol=tol),
+    "identity": lambda a, b, tol: product_identity_check(EXP1, AFFINE_1_2, a, b,
+                                                         ChainKind.LOG_DERIV_FORM, POWER_2),
+}
+
+
+BAD_ARGUMENTS = {"reversed": (1.0, 0.0, 1e-10), "empty": (0.5, 0.5, 1e-10),
+                 "nan-end": (0.0, float("nan"), 1e-10), "zero-tol": (0.0, 1.0, 0.0),
+                 "negative-tol": (0.0, 1.0, -1.0), "nan-tol": (0.0, 1.0, float("nan"))}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in LOGDERIV_ENTRIES for case in BAD_ARGUMENTS
+    # the product identity takes no tolerance
+    if not (entry == "identity" and case.endswith("-tol"))])
+def test_logderiv_entries_reject_bad_intervals_and_tolerances(entry, case):
+    # a reversed interval gave a false violation (slack_right -24.6), an empty
+    # one a divide-by-zero warning and ConvergenceError, and a tolerance of
+    # 0, -1 or NaN bisected to the pending cap
+    with pytest.raises(ParameterError):
+        LOGDERIV_ENTRIES[entry](*BAD_ARGUMENTS[case])
+
+
+@pytest.mark.parametrize("x", [2.0, -1.0, float("nan"), [0.5, float("nan")], [0.0, 1.0 + 1e-15]])
+def test_points_outside_the_interval_are_rejected(x):
+    # Phi1 gave its value at b for x = 2, 1.0 for x = -1 and NaN for NaN; the
+    # product identity's range test let NaN through, to (False, nan)
+    phi1 = logderiv_phi1(EXP1, AFFINE_1_2, 0.0, 1.0, POWER_2)
+    assert np.isfinite(phi1([0.0, 0.5, 1.0])).all()
+    with pytest.raises(ParameterError):
+        phi1(x)
+    for kind in ChainKind:
+        with pytest.raises(ParameterError):
+            product_identity_check(EXP1, AFFINE_1_2, 0.0, 1.0, kind, POWER_2,
+                                   grid=np.atleast_1d(x))
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +983,27 @@ def test_panel_middles_lie_within_their_bars(kind, spec):
         b = integral._COMPARE_INTERVALS[intervals[row]]
         want = _quad_middle(kind, SCALAR_MEANS[spec], f, g, b)
         assert abs(middles[row] - want) <= bars[row] * abs(middles[row]), (row, f, g, b)
+
+
+def test_comparator_log_middles_match_the_chain_kernel_bit_for_bit():
+    # a log-derivative comparator row's middle is Phi1 * Phi2 of the chain's
+    # outer integrals on a table built over that row's 32 fixed panels
+    kind = ChainKind.LOG_DERIV_FORM
+    kinds, coeffs, intervals = integral._draw_block(5, 0, 32)
+    edges = np.stack([np.linspace(0.0, b, integral._PANELS[kind] + 1)
+                      for b in integral._COMPARE_INTERVALS])[intervals]
+    rows = integral._rows_on_panels(kind, kinds, coeffs, *integral._panel_nodes(edges))
+    for spec in ("power:0.5", "power:2", "mediant"):
+        mean = parse_mean(spec)
+        middles, _ = integral._middle_fixed(kind, mean, rows)
+        for row in range(32):
+            fv, gv, dfv, dgv = (v[:, row] for v in (rows.fv, rows.gv, rows.dfv, rows.dgv))
+            hw = rows.hw[row]
+            values = np.stack([integral._logderiv_mean(mean)(fv, gv, dfv, dgv), fv, gv])
+            table = integral._Antiderivative.on(0.0, edges[row, -1], None, 1e-10,
+                                                edges[row, :-1] + hw, hw, np.zeros(32), values)
+            totals, _ = integral._outer_integrals(table, 1e-8)
+            assert middles[row] == totals[1] * totals[2], (spec, row)
 
 
 def test_snap_moves_the_nearest_free_interior_edge():

@@ -13,7 +13,8 @@ from source in its timed interpreters, even under PYTHONDONTWRITEBYTECODE.  The 
 both result lines (the last stdout line of run.py) of every pair, the
 medians and the parent's quartiles of each end-to-end metric, the number of
 pairs the change wins, and the machine: CPU count and model, Python and
-numpy versions.
+numpy versions.  The file is rewritten after each pair, so a failed run
+leaves the pairs recorded before it.
 """
 
 from __future__ import annotations
@@ -113,10 +114,11 @@ def main() -> None:
             pairs.append(pair)
             print(workload, seed, {k: round(pair[k]["metrics"]["work_per_s"]["value"], 1)
                                    for k in ("parent", "change")}, flush=True)
-        record["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1)
-            fh.write("\n")
+            record["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
+            with open(args.out + ".tmp", "w", encoding="utf-8") as fh:
+                json.dump(record, fh, indent=1)
+                fh.write("\n")
+            os.replace(args.out + ".tmp", args.out)  # never a half-written record
 
 
 if __name__ == "__main__":
