@@ -12,6 +12,14 @@ mean reproduces Callebaut's.  The same middle term drives the reversed
 (Lorentz/time-like) chain and the Jackson q-integral analogue, and the
 module also houses the Daykin-Eliezer-Carlitz condition checker and the
 discrete-Fourier-transform support-size uncertainty relation.
+
+The three chains take their five sums from one pass, ``_chain_sums``: it
+walks numpy's pairwise-summation tree down to leaves of at most ``_BLOCK``
+elements, evaluates M, M* and the five products on each leaf while it is
+in cache, and adds the leaf sums back up the same tree, so every sum is
+``np.sum`` of the whole-array product bit for bit (notes/decisions.md,
+"Discrete chains in blocks").  A sum or a chain term past the float range
+is a DomainError naming it.
 """
 
 from __future__ import annotations
@@ -47,15 +55,78 @@ def _positive_vectors(x_vec, y_vec):
     return x, y
 
 
+# Leaf size of the blocked pass: a multiple of 8 and at least numpy's own
+# pairwise block of 128, so every node split here is split alike by np.sum.
+# 2^14 float64 (128 KiB a vector) keeps a leaf's temporaries in a 2 MiB L2.
+_BLOCK = 1 << 14
+
+
+def _pairwise(leaf: Callable[[int, int], np.ndarray], lo: int, n: int) -> np.ndarray:
+    """The leaf sums over [lo, lo + n), added up numpy's pairwise-summation tree.
+
+    numpy sums n > 128 elements as the sum of the first n2 = n//2 - (n//2) % 8
+    and of the other n - n2, so splitting by the same rule down to leaves of
+    at most _BLOCK elements, each summed by np.sum, and adding the leaves back
+    up gives np.sum of the whole array exactly (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 4).
+    """
+    if n <= _BLOCK:
+        return leaf(lo, lo + n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, n - half)
+
+
+_SUM_NAMES = ("sum x_k y_k", "sum M_k^2", "sum M*_k^2", "sum x_k^2", "sum y_k^2")
+
+
+def _chain_sums(x: np.ndarray, y: np.ndarray, spec: MeanSpec, w=None) -> list:
+    """[sum xy, sum M^2, sum M*^2, sum x^2, sum y^2], each weighted by w if given.
+
+    M is evaluated once per element and M* = xy/M taken from its values, a
+    leaf at a time; DomainError when a sum is not finite.
+    """
+    def leaf(lo, hi):
+        xs, ys = x[lo:hi], y[lo:hi]
+        m = mean_values(spec, xs, ys)
+        mc = conjugate_from_mean(xs, ys, m)
+        # the products in the whole-array operand order, each summed as formed
+        pairs = ((xs, ys), (m, m), (mc, mc), (xs, xs), (ys, ys))
+        if w is None:
+            return np.array([np.sum(a * b) for a, b in pairs])
+        ws = w[lo:hi]
+        return np.array([np.sum(ws * a * b) for a, b in pairs])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _pairwise(leaf, 0, len(x)).tolist()
+    for name, value in zip(_SUM_NAMES, sums):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} is not finite ({value!r}): past the float range")
+    return sums
+
+
+def _square(v: float) -> float:
+    # float ** 2 raises OverflowError past the float range; _finite_report names the inf
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _finite_report(left: float, middle: float, right: float,
+                   reverse: bool = False) -> ChainReport:
+    for name, value in (("left", left), ("middle", middle), ("right", right)):
+        if not math.isfinite(value):
+            raise DomainError(f"the chain's {name} term is not finite ({value!r}): "
+                              "past the float range")
+    return chain_report(left, middle, right, reverse=reverse)
+
+
 def cbs_chain(x_vec, y_vec, spec: MeanSpec) -> ChainReport:
     """Mean-parameterized refinement of the discrete Cauchy-Bunyakovsky bound."""
     x, y = _positive_vectors(x_vec, y_vec)
-    m = mean_values(spec, x, y)
-    mc = conjugate_from_mean(x, y, m)
-    left = float(np.sum(x * y)) ** 2
-    middle = float(np.sum(m * m)) * float(np.sum(mc * mc))
-    right = float(np.sum(x * x)) * float(np.sum(y * y))
-    return chain_report(left, middle, right)
+    sxy, smm, scc, sxx, syy = _chain_sums(x, y, spec)
+    return _finite_report(_square(sxy), smm * scc, sxx * syy)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +243,14 @@ def lorentz_chain(x0: float, x_vec, y0: float, y_vec, spec: MeanSpec) -> ChainRe
     x, y = _positive_vectors(x_vec, y_vec)
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise DomainError("lorentz_chain requires finite time components x0, y0")
-    if x0 * x0 < float(np.sum(x * x)) or y0 * y0 < float(np.sum(y * y)):
+    sxy, smm, scc, sxx, syy = _chain_sums(x, y, spec)
+    if x0 * x0 < sxx or y0 * y0 < syy:
         raise DomainError("lorentz_chain requires time-like vectors "
                           "(x0^2 >= sum x_k^2 and likewise for y)")
-    m = mean_values(spec, x, y)
-    mc = conjugate_from_mean(x, y, m)
-    a_mid = float(np.sum(m * m)) * float(np.sum(mc * mc))
-    left = (x0 * y0 - float(np.sum(x * y))) ** 2
-    middle = (x0 * y0 - math.sqrt(a_mid)) ** 2
-    right = (x0 * x0 - float(np.sum(x * x))) * (y0 * y0 - float(np.sum(y * y)))
-    return chain_report(left, middle, right, reverse=True)
+    left = _square(x0 * y0 - sxy)
+    middle = _square(x0 * y0 - math.sqrt(smm * scc))
+    right = (x0 * x0 - sxx) * (y0 * y0 - syy)
+    return _finite_report(left, middle, right, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +296,5 @@ def q_cbs_chain(f: FunctionSpec, g: FunctionSpec, q: float, spec: MeanSpec,
     gv = np.asarray(g(nodes), dtype=float)
     if not (_positive_finite(fv) and _positive_finite(gv)):
         raise DomainError("q_cbs_chain requires f, g finite and positive on (0, 1]")
-    w = (1.0 - q) * nodes
-    m = mean_values(spec, fv, gv)
-    mc = conjugate_from_mean(fv, gv, m)
-    left = float(np.sum(w * fv * gv)) ** 2
-    middle = float(np.sum(w * m * m)) * float(np.sum(w * mc * mc))
-    right = float(np.sum(w * fv * fv)) * float(np.sum(w * gv * gv))
-    return chain_report(left, middle, right)
+    sfg, smm, scc, sff, sgg = _chain_sums(fv, gv, spec, w=(1.0 - q) * nodes)
+    return _finite_report(_square(sfg), smm * scc, sff * sgg)

@@ -126,6 +126,7 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
 def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
                         tol: float = 1e-10) -> ChainReport:
     """Evaluate (int fg)^2 <= int M^2 * int M*^2 <= int f^2 int g^2."""
+    a, b = _interval(a, b, tol)
     return _mean_chain(f, g, a, b, lambda u, v: mean_values(spec, u, v), tol,
                        _kinks_on_diagonal(spec))
 

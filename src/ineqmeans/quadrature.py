@@ -34,6 +34,7 @@ benchmark binds them by name until its spans move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,10 +203,10 @@ def _adapt(f, a: float, b: float, tol: float, mid: np.ndarray, hw: np.ndarray,
 
 
 def _interval(a, b, *tols) -> tuple:
-    """(a, b) as floats; ParameterError unless b > a and each tol > 0."""
+    """(a, b) as floats; ParameterError unless -inf < a < b < inf and each tol > 0."""
     a, b = float(a), float(b)
-    if not b > a:
-        raise ParameterError(f"integration requires b > a, got [{a}, {b}]")
+    if not -math.inf < a < b < math.inf:  # NaN fails too
+        raise ParameterError(f"integration requires finite endpoints with b > a, got [{a}, {b}]")
     if not all(tol > 0 for tol in tols):
         raise ParameterError(f"tolerances must be positive, got {tols}")
     return a, b

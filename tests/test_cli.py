@@ -116,6 +116,19 @@ def test_cbs_discrete_from_csv(tmp_path):
     assert data["right"] == 25.0
 
 
+def test_chain_sums_past_the_float_range_exit_three(tmp_path):
+    # the library names the overflowed sum; stdout stays empty
+    path = tmp_path / "vectors.csv"
+    path.write_text("1e200,1e200\n1,2\n")
+    for argv in (("cbs", "discrete", "--mean", "power:2", "--input", str(path)),
+                 ("lorentz", "chain", "--x0", "1e300", "--x", "1e200", "--y0", "1e300",
+                  "--y", "1e200", "--mean", "power:2")):
+        result = run(*argv)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: sum x_k y_k is not finite")
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_cbs_discrete_non_finite_cell_is_a_usage_error(tmp_path, cell):
     path = tmp_path / "vectors.csv"

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ineqmeans import (DomainError, ParameterError, cbs_chain, cde_check,
 from ineqmeans import discrete, means
 from ineqmeans.functions import FunctionFamily, FunctionSpec
 from ineqmeans.means import conjugate_values
+from ineqmeans.reports import chain_report
 from ineqmeans.sampling import log_uniform, make_rng
 
 
@@ -166,6 +168,166 @@ def test_q_chain_bound_past_float_range_is_a_domain_error(text):
         q_cbs_chain(f, parse_function("poly:1"), 0.5, parse_mean("power:2"))
     with pytest.raises(DomainError):
         q_jackson_integral(f, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the blocked pass (notes/decisions.md, "Discrete chains in blocks")
+# ---------------------------------------------------------------------------
+
+BLOCK = discrete._BLOCK
+BLOCKED_LENGTHS = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 2 ** 17 + 3, 2 ** 20)
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+def _tree_sum(a):
+    return discrete._pairwise(lambda lo, hi: np.sum(a[lo:hi]), 0, len(a))
+
+
+def _wide_mixed(rng, n):
+    return rng.standard_normal(n) * np.exp(rng.uniform(-40.0, 40.0, size=n))
+
+
+def test_block_size_keeps_numpy_splits():
+    assert BLOCK % 8 == 0 and BLOCK >= 128
+
+
+@pytest.mark.parametrize("block", [128, 1024])
+def test_tree_sum_is_numpy_sum_at_every_short_length(monkeypatch, block):
+    # a numpy release that changes its pairwise summation fails here first
+    monkeypatch.setattr(discrete, "_BLOCK", block)
+    rng = make_rng(41)
+    a = _wide_mixed(rng, 3000)
+    got = [_tree_sum(a[:n]) for n in range(1, 3001)]
+    want = [np.sum(a[:n]) for n in range(1, 3001)]
+    assert _bits(got) == _bits(want)
+
+
+def test_tree_sum_is_numpy_sum_across_blocks():
+    rng = make_rng(43)
+    for n in BLOCKED_LENGTHS:
+        a = _wide_mixed(rng, n)
+        assert _bits([_tree_sum(a)]) == _bits([np.sum(a)]), n
+
+
+# The three chains as they were written before the blocked pass, on whole
+# arrays: the pass must reproduce them bit for bit.
+
+def _whole_array_cbs(x_vec, y_vec, spec):
+    x, y = discrete._positive_vectors(x_vec, y_vec)
+    m = means.mean_values(spec, x, y)
+    mc = means.conjugate_from_mean(x, y, m)
+    left = float(np.sum(x * y)) ** 2
+    middle = float(np.sum(m * m)) * float(np.sum(mc * mc))
+    right = float(np.sum(x * x)) * float(np.sum(y * y))
+    return chain_report(left, middle, right)
+
+
+def _whole_array_lorentz(x0, x_vec, y0, y_vec, spec):
+    x, y = discrete._positive_vectors(x_vec, y_vec)
+    m = means.mean_values(spec, x, y)
+    mc = means.conjugate_from_mean(x, y, m)
+    a_mid = float(np.sum(m * m)) * float(np.sum(mc * mc))
+    left = (x0 * y0 - float(np.sum(x * y))) ** 2
+    middle = (x0 * y0 - math.sqrt(a_mid)) ** 2
+    right = (x0 * x0 - float(np.sum(x * x))) * (y0 * y0 - float(np.sum(y * y)))
+    return chain_report(left, middle, right, reverse=True)
+
+
+def _whole_array_q(f, g, q, spec, tail_tol=1e-12):
+    bound = max(f.sup_on_unit(), g.sup_on_unit())
+    nodes = q ** np.arange(discrete._q_tail_length(q, tail_tol, bound * bound))
+    fv = np.asarray(f(nodes), dtype=float)
+    gv = np.asarray(g(nodes), dtype=float)
+    w = (1.0 - q) * nodes
+    m = means.mean_values(spec, fv, gv)
+    mc = means.conjugate_from_mean(fv, gv, m)
+    left = float(np.sum(w * fv * gv)) ** 2
+    middle = float(np.sum(w * m * m)) * float(np.sum(w * mc * mc))
+    right = float(np.sum(w * fv * fv)) * float(np.sum(w * gv * gv))
+    return chain_report(left, middle, right)
+
+
+@pytest.fixture(scope="module")
+def long_pair():
+    rng = make_rng(47)
+    return log_uniform(rng, 1e-3, 1e3, size=2 ** 20), log_uniform(rng, 1e-3, 1e3, size=2 ** 20)
+
+
+@pytest.mark.parametrize("spec", chain_catalog(), ids=str)
+def test_blocked_chains_match_the_whole_array_formulas(long_pair, spec):
+    x, y = long_pair
+    cases = [(x[:n], y[:n]) for n in (1, 7, 64, 129, 5000, 20000, 100003) + BLOCKED_LENGTHS]
+    cases += [(x[::2], y[::2]), (x[:2 * BLOCK + 10:2], y[:2 * BLOCK + 10:2]),
+              (x[:129].tolist(), y[:129].tolist()), (x[:BLOCK + 1].tolist(), y[:BLOCK + 1].tolist())]
+    for u, v in cases:
+        n = len(u)
+        assert _bits(astuple(cbs_chain(u, v, spec))) == \
+            _bits(astuple(_whole_array_cbs(u, v, spec))), n
+        x0 = 2.0 * math.sqrt(float(np.sum(np.square(u))))
+        y0 = 1.5 * math.sqrt(float(np.sum(np.square(v))))
+        assert _bits(astuple(lorentz_chain(x0, u, y0, v, spec))) == \
+            _bits(astuple(_whole_array_lorentz(x0, u, y0, v, spec))), n
+    f = parse_function("affine:0.5,2")
+    g = parse_function("exp:-1")
+    for q in (0.7, 0.999, 0.9999):  # about 80, 2.3e4 and 2.0e5 nodes
+        assert _bits(astuple(q_cbs_chain(f, g, q, spec))) == \
+            _bits(astuple(_whole_array_q(f, g, q, spec))), q
+
+
+def test_blocked_chains_evaluate_each_element_once(monkeypatch):
+    # the multi-block form of test_chains_evaluate_each_mean_once: M is
+    # evaluated leaf by leaf, and the leaves cover each element once
+    n = 3 * BLOCK + 5
+    rng = make_rng(53)
+    x = log_uniform(rng, 1e-2, 1e2, size=n)
+    y = log_uniform(rng, 1e-2, 1e2, size=n)
+    x0 = 3.0 * math.sqrt(float(np.sum(x * x)))
+    y0 = 2.0 * math.sqrt(float(np.sum(y * y)))
+    f = parse_function("affine:0.5,2")
+    g = parse_function("exp:-1")
+    q = 0.999
+    bound = max(f.sup_on_unit(), g.sup_on_unit())
+    q_length = discrete._q_tail_length(q, 1e-12, bound * bound)
+    assert q_length > BLOCK
+    evaluate = discrete.mean_values
+    sizes = []
+
+    def counting(spec, u, v):
+        sizes.append(len(u))
+        return evaluate(spec, u, v)
+
+    monkeypatch.setattr(discrete, "mean_values", counting)
+    for spec in chain_catalog():
+        for chain, length in ((lambda: cbs_chain(x, y, spec), n),
+                              (lambda: lorentz_chain(x0, x, y0, y, spec), n),
+                              (lambda: q_cbs_chain(f, g, q, spec), q_length)):
+            sizes.clear()
+            chain()
+            assert sum(sizes) == length, spec.to_string()
+            assert len(sizes) > 1 and max(sizes) <= BLOCK, sizes
+
+
+def test_sums_and_terms_past_the_float_range_are_domain_errors():
+    # the overflowed sums gave left = inf, middle = nan and ordered = False, a
+    # false violation; the Lorentz chain gave NaN terms or a RuntimeWarning
+    spec = parse_mean("power:2")
+    with pytest.raises(DomainError, match=r"sum x_k y_k"):
+        cbs_chain([1e200, 1.0], [1e200, 2.0], spec)
+    with pytest.raises(DomainError, match=r"sum x_k\^2"):
+        cbs_chain([1e160, 1.0], [1e-160, 2.0], parse_mean("power:0"))
+    with pytest.raises(DomainError, match=r"sum x_k y_k"):
+        lorentz_chain(1e300, [1e200], 1e300, [1e200], spec)
+    # finite sums whose chain terms overflow
+    with pytest.raises(DomainError, match="left term"):
+        cbs_chain([1e100, 1.0], [1e100, 1.0], spec)
+    with pytest.raises(DomainError, match="left term"):
+        lorentz_chain(1e200, [1.0], 1e200, [1.0], spec)
+    big = parse_function("poly:1e150")
+    with pytest.raises(DomainError, match="left term"):
+        q_cbs_chain(big, big, 0.5, spec)
 
 
 # ---------------------------------------------------------------------------

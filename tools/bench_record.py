@@ -13,8 +13,11 @@ from source in its timed interpreters, even under PYTHONDONTWRITEBYTECODE.  The 
 both result lines (the last stdout line of run.py) of every pair, the
 medians and the parent's quartiles of each end-to-end metric, the number of
 pairs the change wins, and the machine: CPU count and model, Python and
-numpy versions.  The file is rewritten after each pair, so a failed run
-leaves the pairs recorded before it.
+numpy versions.  The file is rewritten after each pair.  A run that exits
+non-zero, or whose result is not ``correct`` or has failed inputs, stops the
+recording: the file keeps the pairs before it plus a ``failed_run`` entry,
+the run's side, workload, seed, exit code, detail line and stderr tail are
+printed to stderr, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -32,12 +35,28 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARENT_DIR = os.path.join(ROOT, ".bench_build", "record-parent")
 
 
+STDERR_TAIL_LINES = 20
+
+
+class RunFailed(Exception):
+    """A run.py run that exited non-zero or reported a failed or incorrect result;
+    its one argument is a dict of the exit code, detail line and stderr tail."""
+
+
 def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)],
-                          cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+                          cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if done.returncode == 0 and lines else {}
+    if not result.get("correct") or result.get("failed", 0) > 0:
+        raise RunFailed({
+            "exit_code": done.returncode,
+            # run.py prints the detail line just before the result line
+            "detail": lines[-2] if len(lines) > 1 else "\n".join(lines),
+            "stderr_tail": "\n".join(done.stderr.splitlines()[-STDERR_TAIL_LINES:])})
+    return result
 
 
 def _export(rev: str) -> None:
@@ -90,6 +109,13 @@ def _seeds(text: str) -> list:
     return list(range(int(first), int(last or first) + 1))
 
 
+def _save(record: dict, path: str) -> None:
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    os.replace(path + ".tmp", path)  # never a half-written record
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent-rev", required=True)
@@ -110,15 +136,20 @@ def main() -> None:
             sides = [("parent", PARENT_DIR), ("change", ROOT)]
             pair = {"seed": seed, "first": sides[i % 2][0]}
             for side, checkout in sides[i % 2:] + sides[:i % 2]:
-                pair[side] = _run(checkout, workload, seed, args.seconds)
+                try:
+                    pair[side] = _run(checkout, workload, seed, args.seconds)
+                except RunFailed as exc:
+                    failed = record["failed_run"] = {"side": side, "workload": workload,
+                                                     "seed": seed, **exc.args[0]}
+                    _save(record, args.out)
+                    print("run failed:", *(f"{k}: {v}" for k, v in failed.items()),
+                          sep="\n", file=sys.stderr)
+                    sys.exit(1)
             pairs.append(pair)
             print(workload, seed, {k: round(pair[k]["metrics"]["work_per_s"]["value"], 1)
                                    for k in ("parent", "change")}, flush=True)
             record["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
-            with open(args.out + ".tmp", "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=1)
-                fh.write("\n")
-            os.replace(args.out + ".tmp", args.out)  # never a half-written record
+            _save(record, args.out)
 
 
 if __name__ == "__main__":
