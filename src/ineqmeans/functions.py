@@ -104,6 +104,17 @@ def _spec_number(v: float) -> str:
     return s if float(s) == v else repr(float(v))
 
 
+def _parse_float(token: str, context: str) -> float:
+    """A spec-string token as a float; ParameterError if it is not a number or is NaN."""
+    try:
+        v = float(token)
+    except ValueError:
+        raise ParameterError(f"cannot parse number {token!r} in {context!r}") from None
+    if math.isnan(v):
+        raise ParameterError(f"NaN is not a valid parameter in {context!r}")
+    return v
+
+
 def _horner(coeffs, t):
     """sum c_i t^i by Horner's rule, in numpy polyval's order: c[-1] + t*0,
     then c_i + v*t, so every value equals polyval's bit for bit."""
@@ -119,7 +130,7 @@ def _derivative_coeffs(coeffs) -> tuple:
 
 def parse_function(text: str) -> FunctionSpec:
     """Parse ``poly:c0,c1,...``, ``exp:k``, ``pow:p``, ``affine:c0,c1``,
-    ``exppoly:c0,c1,...`` (case-insensitive)."""
+    ``exppoly:c0,c1,...`` (case-insensitive); every coefficient must be finite."""
     s = text.strip().lower()
     head, _, rest = s.partition(":")
     try:
@@ -128,13 +139,10 @@ def parse_function(text: str) -> FunctionSpec:
         raise ParameterError(f"unknown function family {head!r} in {text!r}") from None
     if not rest:
         raise ParameterError(f"function spec {text!r} is missing coefficients")
-    coeffs = []
-    for tok in rest.split(","):
-        try:
-            coeffs.append(float(tok))
-        except ValueError:
-            raise ParameterError(f"cannot parse coefficient {tok!r} in {text!r}") from None
-    return FunctionSpec(family, tuple(coeffs))
+    coeffs = tuple(_parse_float(tok, text) for tok in rest.split(","))
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ParameterError(f"function coefficients must be finite, got {text!r}")
+    return FunctionSpec(family, coeffs)
 
 
 _VALIDATION_POINTS = 513

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .functions import _spec_number
+from .functions import _parse_float, _spec_number
 from .sampling import log_uniform, make_rng
 
 __all__ = [
@@ -106,23 +106,18 @@ class ExtOrder:
         return cls(OrderKind.FINITE, v)
 
     def as_float(self) -> float:
-        if self.kind is OrderKind.FINITE:
-            return self.value
-        return {
-            OrderKind.ZERO: 0.0,
-            OrderKind.MINUS_ONE: -1.0,
-            OrderKind.NEG_INF: -math.inf,
-            OrderKind.POS_INF: math.inf,
-        }[self.kind]
+        return {OrderKind.ZERO: 0.0, OrderKind.MINUS_ONE: -1.0, OrderKind.NEG_INF: -math.inf,
+                OrderKind.POS_INF: math.inf}.get(self.kind, self.value)
 
     def __str__(self) -> str:
-        if self.kind is OrderKind.FINITE:
-            return _spec_number(self.value)
-        return {OrderKind.ZERO: "0", OrderKind.MINUS_ONE: "-1",
-                OrderKind.NEG_INF: "-inf", OrderKind.POS_INF: "inf"}[self.kind]
+        return _spec_number(self.as_float())
 
 
 _QUASI_GENERATORS = ("id", "ln", "exp", "pow")
+_PARAM_COUNTS = {MeanFamily.GINI: 2, MeanFamily.LEHMER: 1,
+                 MeanFamily.WEIGHTED_ARITHMETIC: 2, MeanFamily.WEIGHTED_GEOMETRIC: 2}
+_OWN_FIELDS = {MeanFamily.POWER: "order", MeanFamily.RADO: "order",
+               MeanFamily.QUASI_ARITHMETIC: "generator", MeanFamily.ITERATED: "inner"}
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,11 @@ class MeanSpec:
     ``order`` is used by the power and Rado scales, ``params`` by Gini (u, v),
     Lehmer (u,) and the weighted families (alpha, beta), ``generator`` (with
     ``gen_power`` for the power generator) by quasi-arithmetic means, and
-    ``inner`` by iterated pairs.
+    ``inner`` by iterated pairs.  Every other field stays at its default, and
+    every parameter is finite: only the orders of the extended scales and the
+    ``pow`` generator's exponent may be infinite.  The constructor is the one
+    place that checks these rules, so every spec equals its own round trip
+    through ``to_string`` and ``parse_mean``.
     """
 
     family: MeanFamily
@@ -144,50 +143,53 @@ class MeanSpec:
 
     def __post_init__(self):
         f = self.family
-        if f in (MeanFamily.POWER, MeanFamily.RADO):
-            if self.order is None:
-                raise ParameterError(f"{f.value} mean requires an order")
-        elif f is MeanFamily.GINI:
-            if len(self.params) != 2:
-                raise ParameterError("gini mean requires parameters (u, v)")
-        elif f is MeanFamily.LEHMER:
-            if len(self.params) != 1:
-                raise ParameterError("lehmer mean requires a single parameter u")
-        elif f in (MeanFamily.WEIGHTED_ARITHMETIC, MeanFamily.WEIGHTED_GEOMETRIC):
-            if len(self.params) != 2:
-                raise ParameterError(f"{f.value} requires weights (alpha, beta)")
+        own = _OWN_FIELDS.get(f)
+        for name in ("order", "generator", "inner"):
+            if name == own and getattr(self, name) is None:
+                raise ParameterError(f"{f.value} mean requires {name}")
+            if name != own and getattr(self, name) is not None:
+                raise ParameterError(f"{f.value} mean takes no {name}")
+        if self.gen_power is not None and self.generator != "pow":
+            raise ParameterError(f"only the pow generator takes an exponent, got "
+                                 f"{self.gen_power!r} for {f.value}")
+        n = _PARAM_COUNTS.get(f, 0)
+        if len(self.params) != n:
+            raise ParameterError(f"{f.value} mean takes {n} parameters, got {self.params}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ParameterError(f"{f.value} parameters must be finite, got {self.params}")
+        if f in (MeanFamily.WEIGHTED_ARITHMETIC, MeanFamily.WEIGHTED_GEOMETRIC):
             a, b = self.params
             if a < 0 or b < 0 or abs(a + b - 1.0) > 1e-12:
                 raise ParameterError(
                     f"weights must satisfy alpha >= 0, beta >= 0, alpha + beta = 1; got {self.params}")
+        elif own == "order":
+            # the tag must be the one ExtOrder.of gives, or the kernels take
+            # the wrong branch
+            if self.order != ExtOrder.of(self.order.as_float(),
+                                         minus_one_exceptional=f is MeanFamily.RADO):
+                raise ParameterError(f"{f.value} order {self.order!r} is not in canonical form")
         elif f is MeanFamily.QUASI_ARITHMETIC:
             if self.generator not in _QUASI_GENERATORS:
                 raise ParameterError(f"unknown quasi-arithmetic generator {self.generator!r}")
-            if self.generator == "pow":
-                if self.gen_power is None or self.gen_power == 0.0:
-                    raise ParameterError("pow generator requires a nonzero exponent")
-        elif f is MeanFamily.ITERATED:
-            if self.inner is None or len(self.inner) != 2:
-                raise ParameterError("iterated mean requires an inner pair of specs")
+            # not abs(p) > 0 rejects NaN as well as 0
+            if self.generator == "pow" and not abs(self.gen_power or 0.0) > 0.0:
+                raise ParameterError("pow generator requires a nonzero exponent")
+        elif f is MeanFamily.ITERATED and len(self.inner) != 2:
+            raise ParameterError("iterated mean requires an inner pair of specs")
 
     # -- string form -------------------------------------------------------
 
     def to_string(self) -> str:
         f = self.family
-        if f is MeanFamily.POWER:
-            return f"power:{self.order}"
-        if f is MeanFamily.RADO:
-            return f"rado:{self.order}"
-        if f in (MeanFamily.GINI, MeanFamily.LEHMER, MeanFamily.WEIGHTED_ARITHMETIC,
-                 MeanFamily.WEIGHTED_GEOMETRIC):
-            return f"{f.value}:" + ",".join(_spec_number(p) for p in self.params)
+        if self.order is not None:
+            return f"{f.value}:{self.order}"
         if f is MeanFamily.QUASI_ARITHMETIC:
-            if self.generator == "pow":
-                return "quasi:pow," + _spec_number(self.gen_power)
-            return f"quasi:{self.generator}"
+            power = "" if self.gen_power is None else "," + _spec_number(self.gen_power)
+            return f"quasi:{self.generator}{power}"
         if f is MeanFamily.ITERATED:
-            return f"iter:{self.inner[0].to_string()}|{self.inner[1].to_string()}"
-        return f.value
+            return f"iter:{self.inner[0]}|{self.inner[1]}"
+        params = ",".join(_spec_number(p) for p in self.params)
+        return f"{f.value}:{params}" if params else f.value
 
     def __str__(self) -> str:
         return self.to_string()
@@ -221,71 +223,38 @@ class MeanSpec:
         return False
 
 
-def _parse_float(token: str, context: str) -> float:
-    try:
-        v = float(token)
-    except ValueError:
-        raise ParameterError(f"cannot parse number {token!r} in {context!r}") from None
-    if math.isnan(v):
-        raise ParameterError(f"NaN is not a valid parameter in {context!r}")
-    return v
-
-
 def parse_mean(text: str) -> MeanSpec:
     """Parse the canonical string grammar, e.g. ``power:2``, ``gini:2,1``,
     ``wgeom:0.7,0.3``, ``quasi:ln``, ``iter:warith:0.5,0.5|power:0``.
 
-    Parsing is case-insensitive; a malformed string raises ParameterError
-    naming the offending token.
+    Parsing is case-insensitive and checks only the string's shape; the
+    per-family rules are MeanSpec's, so a malformed string raises
+    ParameterError from one or the other.
     """
     s = text.strip().lower()
-    if not s:
-        raise ParameterError("empty mean spec")
-    if s.startswith("iter:"):
-        parts = s[len("iter:"):].split("|")
+    head, _, rest = s.partition(":")
+    try:
+        family = MeanFamily(head)
+    except ValueError:
+        raise ParameterError(f"unknown mean family {head!r} in {text!r}") from None
+    if family is MeanFamily.ITERATED:
+        parts = rest.split("|")
         if len(parts) != 2:
             raise ParameterError(f"iter spec needs exactly two '|'-separated means: {text!r}")
-        return MeanSpec(MeanFamily.ITERATED,
-                        inner=(parse_mean(parts[0]), parse_mean(parts[1])))
-    head, _, rest = s.partition(":")
-    simple = {"log": MeanFamily.LOGARITHMIC, "identric": MeanFamily.IDENTRIC,
-              "min": MeanFamily.MIN, "max": MeanFamily.MAX,
-              "mediant": MeanFamily.MEDIANT}
-    if head in simple:
-        if rest:
-            raise ParameterError(f"family {head!r} takes no parameters, got {rest!r}")
-        return MeanSpec(simple[head])
-    if head == "power":
-        return MeanSpec(MeanFamily.POWER, order=ExtOrder.of(_parse_float(rest, s)))
-    if head == "rado":
-        return MeanSpec(MeanFamily.RADO,
-                        order=ExtOrder.of(_parse_float(rest, s), minus_one_exceptional=True))
-    if head == "gini":
-        toks = rest.split(",")
-        if len(toks) != 2:
-            raise ParameterError(f"gini needs two parameters u,v: {text!r}")
-        return MeanSpec(MeanFamily.GINI, params=tuple(_parse_float(t, s) for t in toks))
-    if head == "lehmer":
-        return MeanSpec(MeanFamily.LEHMER, params=(_parse_float(rest, s),))
-    if head in ("warith", "wgeom"):
-        toks = rest.split(",")
-        if len(toks) != 2:
-            raise ParameterError(f"{head} needs two weights alpha,beta: {text!r}")
-        fam = (MeanFamily.WEIGHTED_ARITHMETIC if head == "warith"
-               else MeanFamily.WEIGHTED_GEOMETRIC)
-        return MeanSpec(fam, params=tuple(_parse_float(t, s) for t in toks))
-    if head == "quasi":
-        toks = rest.split(",")
-        gen = toks[0] if toks[0] != "identity" else "id"
-        if gen == "pow":
-            if len(toks) != 2:
-                raise ParameterError(f"quasi:pow needs an exponent: {text!r}")
-            return MeanSpec(MeanFamily.QUASI_ARITHMETIC, generator="pow",
-                            gen_power=_parse_float(toks[1], s))
-        if len(toks) != 1 or gen not in ("id", "ln", "exp"):
-            raise ParameterError(f"unknown quasi generator {rest!r}")
-        return MeanSpec(MeanFamily.QUASI_ARITHMETIC, generator=gen)
-    raise ParameterError(f"unknown mean family {head!r} in {text!r}")
+        return MeanSpec(family, inner=(parse_mean(parts[0]), parse_mean(parts[1])))
+    toks = rest.split(",") if rest else []
+    if family is MeanFamily.QUASI_ARITHMETIC:
+        if len(toks) not in (1, 2):
+            raise ParameterError(f"quasi takes a generator and at most one exponent: {text!r}")
+        return MeanSpec(family, generator="id" if toks[0] == "identity" else toks[0],
+                        gen_power=_parse_float(toks[1], text) if len(toks) == 2 else None)
+    params = tuple(_parse_float(t, text) for t in toks)
+    if family in (MeanFamily.POWER, MeanFamily.RADO):
+        if len(params) != 1:
+            raise ParameterError(f"{head} takes exactly one order: {text!r}")
+        return MeanSpec(family, order=ExtOrder.of(
+            params[0], minus_one_exceptional=family is MeanFamily.RADO))
+    return MeanSpec(family, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +515,16 @@ def conjugate_values(spec: MeanSpec, x, y) -> np.ndarray:
 
 
 def conjugate_from_mean(x: np.ndarray, y: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """xy / m for mean values m = M(x, y) already computed; 0 where xy = 0."""
+    """xy / m for mean values m = M(x, y) already computed; 0 where xy = 0.
+
+    A plain divide, then 0 wherever xy > 0 fails: the same bits as a divide
+    masked by xy > 0 (NaN and -0.0 products give 0 too), without numpy's
+    slower masked loop.
+    """
     xy = x * y
-    out = np.zeros_like(xy)
-    np.divide(xy, m, out=out, where=xy > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where xy = 0
+        out = np.divide(xy, m, out=np.empty_like(xy))
+    out[~(xy > 0)] = 0.0
     return out
 
 

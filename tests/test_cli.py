@@ -3,7 +3,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ineqmeans import ParameterError
@@ -300,6 +300,9 @@ BOUNDARY_INPUTS = (
     ("young classify --x 5 --y 1e300 --p 4", 3),
     ("compare --a power:0 --b power:2 --trials 5 --seed -1", 2),
     ("means axioms --spec power:2 --samples 10 --seed -1", 2),
+    ("cbs integral --mean power:2 --f poly:nan --g pow:1 --a 0 --b 1", 2),
+    ("cbs q --mean power:2 --f poly:1 --g exp:inf --q 0.5", 2),
+    ("young integral-gap --f pow:nan --a 1 --b 0.5", 2),
 )
 
 
@@ -366,6 +369,7 @@ def _check_contract(result):
 
 @_FUZZ
 @given(spec=_SPECS, x=_NUMBERS, y=_NUMBERS)
+@example(spec="gini:inf,1", x=3.0, y=5.0)
 def test_fuzz_means_eval(spec, x, y):
     data = _check_contract(run("means", "eval", f"--spec={spec}", f"--x={x!r}", f"--y={y!r}"))
     if data is not None:  # intermediacy, to the tolerance of test_intermediacy_everywhere

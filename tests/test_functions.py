@@ -26,7 +26,8 @@ def test_round_trip():
         assert parse_function(f.to_string()) == f
 
 
-@pytest.mark.parametrize("bad", ["", "poly", "poly:a", "spline:1", "exp:1,2", "affine:1"])
+@pytest.mark.parametrize("bad", ["", "poly", "poly:a", "spline:1", "exp:1,2", "affine:1",
+                                 "poly:nan", "exp:inf", "exppoly:1,-inf"])
 def test_parse_rejects(bad):
     with pytest.raises(ParameterError):
         parse_function(bad)

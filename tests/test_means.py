@@ -11,7 +11,7 @@ from ineqmeans import (DomainError, ExtOrder, FunctionFamily, FunctionSpec, Mean
                        check_h_conditions, check_h_function, conjugate_eval, entropy,
                        eval_mean, full_catalog, h_of, mean_values, mediant, parse_function,
                        parse_mean, rado_power_bound_orders)
-from ineqmeans.means import _QUASI_GENERATORS
+from ineqmeans.means import _QUASI_GENERATORS, conjugate_from_mean
 from ineqmeans.sampling import log_uniform, make_rng
 
 
@@ -91,11 +91,29 @@ def test_parse_case_insensitive():
 @pytest.mark.parametrize("bad", [
     "", "power", "power:abc", "power:nan", "gini:1", "wgeom:0.7,0.4",
     "warith:-0.1,1.1", "quasi:cos", "quasi:pow,0", "iter:min", "log:1",
-    "frobnicate:3", "lehmer:1,2",
+    "frobnicate:3", "lehmer:1,2", "quasi:ln,3", "quasi:pow", "quasi:", "power:1,2",
+    "quasi:pow,1,2", "iter:min|max|log", "gini:1,2,3", "lehmer:", "rado:", "max:x",
+    "gini:inf,1", "lehmer:-inf",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParameterError):
         parse_mean(bad)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(family=MeanFamily.MIN, params=(1.0,)),
+    dict(family=MeanFamily.LOGARITHMIC, order=ExtOrder.of(2.0)),
+    dict(family=MeanFamily.POWER, order=ExtOrder.of(2.0), params=(5.0,)),
+    dict(family=MeanFamily.QUASI_ARITHMETIC, generator="ln", gen_power=3.0),
+    dict(family=MeanFamily.WEIGHTED_ARITHMETIC, params=(math.nan, 1.0)),
+    dict(family=MeanFamily.QUASI_ARITHMETIC, generator="pow", gen_power=math.nan),
+    dict(family=MeanFamily.POWER, order=ExtOrder(OrderKind.MINUS_ONE)),
+    dict(family=MeanFamily.RADO, order=ExtOrder(OrderKind.FINITE, -1.0)),
+])
+def test_spec_constructor_rejects_fields_its_string_drops(fields):
+    # each of these printed a string that parsed back to another spec
+    with pytest.raises(ParameterError):
+        MeanSpec(**fields)
 
 
 def test_extended_orders_are_tagged_not_sentinels():
@@ -480,6 +498,24 @@ def test_conjugation_is_an_involution():
         conj = xs * ys / m
         again = xs * ys / conj
         assert np.allclose(again, m, rtol=1e-12), sp.to_string()
+
+
+def test_conjugate_from_mean_equals_the_masked_divide_bit_for_bit():
+    # the plain divide is zeroed wherever xy > 0 fails, as np.divide with
+    # where=xy > 0 leaves it: zero, -0.0, NaN and underflowed products
+    rng = make_rng(29)
+    xs = np.concatenate([log_uniform(rng, size=500), [0.0, -0.0, math.nan, 1e-200, 5e-324, 0.0]])
+    ys = np.concatenate([log_uniform(rng, size=500), [3.0, 3.0, 1.0, 1e-200, 0.5, 0.0]])
+    for sp in full_catalog():
+        m = np.concatenate([mean_values(sp, xs[:500], ys[:500]),
+                            [0.0, 0.0, math.nan, 1e-200, 0.0, 0.0]])
+        xy = xs * ys
+        masked = np.zeros_like(xy)
+        np.divide(xy, m, out=masked, where=xy > 0)
+        assert conjugate_from_mean(xs, ys, m).tobytes() == masked.tobytes(), sp.to_string()
+    for x, y, mi, want in zip(xs[-6:], ys[-6:], m[-6:], masked[-6:]):  # 0-d, as cde_check
+        got = conjugate_from_mean(np.asarray(x), np.asarray(y), np.asarray(mi))
+        assert got.shape == () and got.tobytes() == want.tobytes()
 
 
 def test_conjugate_requires_positive_arguments():
