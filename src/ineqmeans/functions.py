@@ -1,16 +1,32 @@
-"""Parsable positive test functions with analytic derivatives.
+"""Parsable positive test functions with analytic derivatives, and
+certificates of their premises.
 
 Five families cover the integral test surface: polynomials, exponentials
 e^{kt}, powers t^p, affine maps, and exponentials of polynomials.  Every
 family evaluates elementwise on numpy arrays and knows its derivative in
-closed form; positivity or monotonicity on a concrete interval is validated
-by dense sampling at the point of use, and the validators return their
-samples for the caller to reuse.
+closed form.
+
+The chains' premises on a concrete interval [a, b] (f finite and positive,
+and in the log-derivative form f' finite and nonnegative) are decided by a
+range enclosure per family, without evaluating f (notes/decisions.md,
+"Premise certificates"):
+
+- ``exp:k``: e^{kt} is positive and its slope has the sign of k; it is
+  finite while kt <= log(DBL_MAX), decided at a and b.
+- ``pow:p``: t^p and p t^(p-1) are monotone on each side of 0, so sign rules
+  and their sizes at a and b decide them, plus the rule at t = 0 (a zero for
+  p > 0, not finite for p < 0).
+- ``affine`` and ``poly``, and the exponent of ``exppoly``: Bernstein
+  coefficients on [a, b] (an affine map's are its two endpoint values) with
+  a rounding margin, bisected by de Casteljau where they do not decide, up
+  to 40 levels.  A sign still open there (a near-double root) raises
+  DomainError and names the spec and the point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -125,7 +141,7 @@ def _horner(coeffs, t):
 
 
 def _derivative_coeffs(coeffs) -> tuple:
-    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
+    return tuple([i * c for i, c in enumerate(coeffs)])[1:] or (0.0,)
 
 
 def parse_function(text: str) -> FunctionSpec:
@@ -145,9 +161,6 @@ def parse_function(text: str) -> FunctionSpec:
     return FunctionSpec(family, coeffs)
 
 
-_VALIDATION_POINTS = 513
-
-
 @lru_cache(maxsize=32)
 def _cached_grid(a: float, b: float, n: int, signs: tuple) -> np.ndarray:
     # signs is part of the cache key only
@@ -157,37 +170,294 @@ def _cached_grid(a: float, b: float, n: int, signs: tuple) -> np.ndarray:
 
 
 def _grid(a: float, b: float, n: int) -> np.ndarray:
-    """``linspace(a, b, n)``, cached read-only: the chains sample a few
-    intervals over and over, and a linspace call costs as much as a 1000-node
-    function evaluation.  The key keeps the signs, so -0.0 is not 0.0."""
+    """``linspace(a, b, n)``, cached read-only: the chains scan and start
+    their partitions on a few intervals over and over, and a linspace call
+    costs as much as a 1000-node function evaluation.  The key keeps the
+    signs, so -0.0 is not 0.0."""
     a, b = float(a), float(b)
     return _cached_grid(a, b, n, (math.copysign(1.0, a), math.copysign(1.0, b)))
 
 
-def validate_positive(f, a: float, b: float, name: str = "f") -> np.ndarray:
-    """Require f >= 0 on [a, b] and f > 0 away from the endpoints.
+# ---------------------------------------------------------------------------
+# premise certificates
+# ---------------------------------------------------------------------------
 
-    Zeros at the interval endpoints are tolerated (the conjugate-mean limit
-    there is 0), interior zeros or sign changes are not.  Returns the
-    checked values of f on ``linspace(a, b, 513)``.
+_LOG_MAX = math.log(sys.float_info.max)  # exp(x) is finite for x <= _LOG_MAX
+_LOG_TINY = math.log(5e-324)  # and above 0 for x >= _LOG_TINY (the least subnormal)
+_EPS = sys.float_info.epsilon
+# bisection levels of [a, b] before a sign that is still open raises
+_SUBDIVISION_CAP = 40
+
+# what fails, as a certificate reports it with the point it concerns
+_INFINITE = "infinite"    # past the float range (or NaN)
+_NEGATIVE = "negative"    # below 0 at the point, beyond rounding
+_ZERO_END = "zero-end"    # 0 at an endpoint where that is not allowed
+_VANISHES = "vanishes"    # 0 inside, to rounding, or underflows to 0
+_UNDECIDED = "undecided"  # within rounding of 0 near the point at the cap
+
+
+def _bernstein(coeffs, a: float, b: float):
+    """Bernstein coefficients on [a, b] of sum c_i t^i, their rounding margin
+    and the margin's growth per de Casteljau level; None when the polynomial
+    may pass the float range there.
+
+    Degree <= 2 takes the closed form p(a), p(a) + (h/2) p'(a), p(b), higher
+    degrees a Taylor shift to a; the end coefficients are the endpoint
+    values by Horner, as ``FunctionSpec`` computes them.  With the scale
+    S = sum |c_i| (|a| + h)^i, the margin (4n + 8) eps S covers the rounding
+    of each coefficient plus that of Horner's value at any t in [a, b], and
+    each bisection level adds n eps S for its own averages.
     """
-    vals = np.asarray(f(_grid(a, b, _VALIDATION_POINTS)), dtype=float)
-    if not np.isfinite(vals).all():
-        raise DomainError(f"{name} is not finite on [{a}, {b}]")
-    if (vals < 0).any():
-        raise DomainError(f"{name} is negative on [{a}, {b}]")
-    if (vals[1:-1] <= 0).any():
-        raise DomainError(f"{name} vanishes inside [{a}, {b}]")
-    return vals
+    n = len(coeffs) - 1
+    h = b - a
+    reach = abs(a) + h
+    if n <= 2:  # Horner's order, as _horner takes it
+        c0, c1, c2 = (*coeffs, 0.0, 0.0)[:3]
+        scale = abs(c0) + (abs(c1) + abs(c2) * reach) * reach
+        pa, pb = c0 + (c1 + c2 * a) * a, c0 + (c1 + c2 * b) * b
+        if n == 2:
+            bern = [pa, pa + 0.5 * h * (c1 + 2.0 * c2 * a), pb]
+        else:
+            bern = [pa, pb] if n else [c0]
+    else:
+        scale = 0.0
+        for c in reversed(coeffs):
+            scale = scale * reach + abs(c)
+        d = list(coeffs)  # Taylor coefficients at a, then times h^k
+        for k in range(n):
+            for j in range(n - 1, k - 1, -1):
+                d[j] += a * d[j + 1]
+        hk = 1.0
+        for k in range(1, n + 1):
+            hk *= h
+            d[k] *= hk
+        bern = [sum(math.comb(i, k) / math.comb(n, k) * d[k] for k in range(i + 1))
+                for i in range(n + 1)]
+        bern[0], bern[n] = _horner(coeffs, a), _horner(coeffs, b)
+    if not scale <= sys.float_info.max:  # NaN fails too
+        return None
+    return bern, (4 * n + 8) * _EPS * scale, n * _EPS * scale
 
 
-def validate_nonneg_derivative(f: FunctionSpec, a: float, b: float,
-                               name: str = "f") -> np.ndarray:
-    """Require f' finite and >= 0 on [a, b]; returns the checked values of
-    f' on ``linspace(a, b, 513)``."""
-    dv = np.asarray(f.derivative(_grid(a, b, _VALIDATION_POINTS)), dtype=float)
-    if not np.isfinite(dv).all():
-        raise DomainError(f"{name}' is not finite on [{a}, {b}]")
-    if (dv < 0).any():
-        raise DomainError(f"{name} must be nondecreasing on [{a}, {b}]")
-    return dv
+def _halves(c: list) -> tuple:
+    """de Casteljau at s = 1/2: the Bernstein coefficients of both halves."""
+    left, right = [c[0]], [c[-1]]
+    while len(c) > 1:
+        c = [0.5 * (x + y) for x, y in zip(c, c[1:])]
+        left.append(c[0])
+        right.append(c[-1])
+    return left, right[::-1]
+
+
+def _poly_fault(coeffs, a: float, b: float, zero_ends: bool, zeros: bool):
+    """Where sum c_i t^i fails to be positive on [a, b], as (kind, t), or None.
+
+    ``zero_ends`` allows a zero at a or b, ``zeros`` a zero anywhere (then
+    p >= 0 is certified).  A Bernstein coefficient within the rounding
+    margin of 0 counts as 0; a zero at an end is divided out, (t - a) or
+    (b - t) at a time, before the cells are bisected.
+    """
+    enclosure = _bernstein(coeffs, a, b)
+    if enclosure is None:
+        return _INFINITE, b
+    c, margin, step = enclosure
+    if min(c) > margin:
+        return None
+    # Horner's endpoint values are the samples FunctionSpec gives there
+    for end, t in ((c[0], a), (c[-1], b)):
+        if end < 0:
+            return _NEGATIVE, t
+        if end <= margin and not zero_ends:
+            return _ZERO_END, t
+    while c and abs(c[0]) <= margin:  # p / (t - a), up to a positive factor
+        c = [x / (j + 1) for j, x in enumerate(c[1:])]
+    while c and abs(c[-1]) <= margin:  # p / (b - t)
+        c = [x / (len(c) - 1 - j) for j, x in enumerate(c[:-1])]
+    if not c:  # 0 on all of [a, b] to rounding
+        return None if zeros else (_VANISHES, 0.5 * (a + b))
+    for end, t in ((c[0], a), (c[-1], b)):
+        if end < 0:  # p < 0 next to a zero at this end
+            return _NEGATIVE, t
+    h = b - a
+    cells = [(c, 0.0)]  # coefficients and left end, as a fraction of [a, b]
+    width = 1.0
+    for _ in range(_SUBDIVISION_CAP):
+        cells = [cell for cell in cells if min(cell[0]) <= margin]
+        if not cells:
+            return None
+        width *= 0.5
+        margin += step
+        split = []
+        for cell, lo in cells:
+            left, right = _halves(cell)
+            mid = right[0]
+            if mid < -margin:
+                return _NEGATIVE, a + h * (lo + width)
+            if mid <= margin and not zeros:
+                return _VANISHES, a + h * (lo + width)
+            split += [(left, lo), (right, lo + width)]
+        cells = split
+        if len(cells) > 8 * len(c):  # near 0 all along, not at a few roots
+            break
+    cells = [cell for cell in cells if min(cell[0]) <= margin]
+    return (_UNDECIDED, a + h * (cells[0][1] + 0.5 * width)) if cells else None
+
+
+def _power_fault(c: float, e: float, a: float, b: float, zero_ends: bool, zeros: bool,
+                 steep_ends: bool):
+    """Where c t^e fails to be positive on [a, b], as (kind, t), or None.
+
+    c t^e is monotone on each side of t = 0, so its sign there and its
+    magnitude |c| |t|^e at a and b decide it, plus the rule at t = 0: a zero
+    for e > 0, c for e = 0, not finite for e < 0 (unless ``steep_ends``: an
+    infinite slope of the right sign at an endpoint).  For t < 0 only an
+    integer e is finite.
+    """
+    if not (math.isfinite(c) and math.isfinite(e)):
+        return _INFINITE, a
+    if a < 0:
+        if not float(e).is_integer():
+            return _INFINITE, a  # NaN for t < 0
+        if c * (-1.0) ** e < 0:
+            return _NEGATIVE, a
+    if b > 0 and c < 0:
+        return _NEGATIVE, b
+    if a <= 0 <= b:
+        inside = a < 0 < b
+        if e < 0 and not (steep_ends and not inside and c > 0):
+            return _INFINITE, 0.0
+        if e > 0 and not (zeros if inside else zero_ends):
+            return (_VANISHES if inside else _ZERO_END), 0.0
+    if c != 0:
+        for t in (a, b):
+            if t != 0:
+                size = math.log(abs(c)) + e * math.log(abs(t))
+                if size > _LOG_MAX:
+                    return _INFINITE, t
+                if size < _LOG_TINY and not zeros:
+                    return _VANISHES, t
+    return None
+
+
+def _exp_fault(k: float, a: float, b: float, slope: bool):
+    """exp:k: e^{kt} is positive, finite while kt <= _LOG_MAX and above 0
+    while kt >= _LOG_TINY, and its slope k e^{kt} has the sign of k."""
+    lo, hi = sorted((k * a, k * b))
+    if not hi <= _LOG_MAX:  # NaN fails too
+        return _INFINITE, b if k > 0 else a
+    if not slope:
+        return (_VANISHES, a if k > 0 else b) if lo < _LOG_TINY else None
+    if k < 0:
+        return _NEGATIVE, a
+    if k > 0 and math.log(k) + hi > _LOG_MAX:
+        return _INFINITE, b
+    return None
+
+
+def _exppoly_fault(coeffs, a: float, b: float, slope: bool):
+    """exppoly: e^p is positive, so only the range of the exponent p counts:
+    finite for p <= _LOG_MAX, above 0 for p >= _LOG_TINY, each decided by
+    p's Bernstein enclosure, and on the cells when the enclosure straddles
+    the bound.  The slope p' e^p has the sign of p' and is bounded by
+    max p' e^{max p}."""
+    enclosure = _bernstein(coeffs, a, b)
+    if enclosure is None:
+        return _INFINITE, b
+    c, margin, _ = enclosure
+    top = max(c) + margin
+    if top > _LOG_MAX:  # decide _LOG_MAX - p >= 0 on the cells
+        fault = _poly_fault((_LOG_MAX - coeffs[0],) + tuple(-x for x in coeffs[1:]),
+                            a, b, True, True)
+        if fault is not None:
+            return _INFINITE, fault[1]
+    if not slope:
+        if min(c) - margin < _LOG_TINY:  # decide p - _LOG_TINY >= 0 on the cells
+            fault = _poly_fault((coeffs[0] - _LOG_TINY,) + tuple(coeffs[1:]), a, b, True, True)
+            if fault is not None:
+                return _VANISHES, fault[1]
+        return None
+    dcoeffs = _derivative_coeffs(coeffs)
+    fault = _poly_fault(dcoeffs, a, b, True, True)
+    if fault is not None:
+        return fault
+    dc, dmargin, _ = _bernstein(dcoeffs, a, b)
+    dtop = max(dc) + dmargin
+    if dtop > 0 and not math.log(dtop) + min(top, _LOG_MAX) <= _LOG_MAX:
+        return _INFINITE, b
+    return None
+
+
+def _fault(f: FunctionSpec, a: float, b: float, slope: bool, strict: bool,
+           steep_ends: bool = False):
+    """The certificate of one premise on [a, b], by family: None when it
+    holds, else (kind, t).  Without ``slope``, f > 0 inside, f >= 0 at a and
+    b (f > 0 there too when ``strict``); with it, f' >= 0."""
+    if not isinstance(f, FunctionSpec):
+        raise ParameterError(f"premise certificates need a FunctionSpec, got {f!r}")
+    family, coeffs = f.family, f.coeffs
+    if family is FunctionFamily.EXP:
+        return _exp_fault(coeffs[0], a, b, slope)
+    if family is FunctionFamily.EXP_OF_POLY:
+        return _exppoly_fault(coeffs, a, b, slope)
+    if family is FunctionFamily.POWER:
+        p = coeffs[0]
+        return _power_fault(p, p - 1.0, a, b, True, True, steep_ends) if slope else \
+            _power_fault(1.0, p, a, b, not strict, False, False)
+    if slope:
+        return _poly_fault(_derivative_coeffs(coeffs), a, b, True, True)
+    return _poly_fault(coeffs, a, b, not strict, False)
+
+
+def _where(t: float) -> str:
+    return f" near t = {t!r}"
+
+
+def validate_positive(f: FunctionSpec, a: float, b: float, name: str = "f",
+                      strict: bool = False) -> None:
+    """Require f finite on [a, b], f > 0 inside and f >= 0 at a and b (f > 0
+    there too when ``strict``, as the log-derivative form needs).
+
+    Decided from f's family and coefficients, without evaluating f (module
+    docstring); returns None.  Raises DomainError naming what fails and
+    where: not finite, negative (at a point where it is below 0 beyond
+    rounding), a zero inside (to rounding, or by underflow), or a sign still
+    open at the subdivision cap (a near-double root).
+    """
+    fault = _fault(f, a, b, False, strict)
+    if fault is None:
+        return
+    kind, t = fault
+    span = f"[{a}, {b}]"
+    raise DomainError({
+        _INFINITE: f"{name} is not finite on {span}",
+        _NEGATIVE: f"{name} is negative on {span}{_where(t)}",
+        _ZERO_END: f"{name} vanishes at the endpoint t = {t!r} of {span}; the "
+                   "log-derivative chain requires strictly positive f, g",
+        _VANISHES: f"{name} vanishes inside {span}{_where(t)}",
+        _UNDECIDED: f"cannot certify {name} > 0 on {span}: {f} comes within rounding of 0"
+                    f"{_where(t)} (a near-double root)",
+    }[kind])
+
+
+def validate_nonneg_derivative(f: FunctionSpec, a: float, b: float, name: str = "f",
+                               steep_ends: bool = False) -> None:
+    """Require f' finite and >= 0 on [a, b]; ``steep_ends`` also allows an
+    infinite f' at an endpoint where f itself is finite (the vertical tangent
+    of t^p, 0 < p < 1, at 0).
+
+    Decided as ``validate_positive`` decides f > 0, applied to f'; returns
+    None.  A zero of f' is allowed at a or b, and a crossing below 0 is a
+    DomainError; a zero that f' only touches inside (a, b) leaves the cells
+    around it open to the subdivision cap, and that raises DomainError too.
+    """
+    fault = _fault(f, a, b, True, False, steep_ends)
+    if fault is None:
+        return
+    kind, t = fault
+    span = f"[{a}, {b}]"
+    raise DomainError({
+        _INFINITE: f"{name}' is not finite on {span}",
+        _NEGATIVE: f"{name} must be nondecreasing on {span}: {name}' < 0{_where(t)}",
+        _UNDECIDED: f"cannot certify {name}' >= 0 on {span}: the derivative of {f} comes "
+                    f"within rounding of 0{_where(t)} (a near-double root)",
+    }[kind])

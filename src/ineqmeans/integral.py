@@ -44,8 +44,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError, ReproducibilityError
-from .functions import (_VALIDATION_POINTS, FunctionFamily, FunctionSpec, _grid,
-                        validate_nonneg_derivative, validate_positive)
+from .functions import (FunctionFamily, FunctionSpec, _grid, validate_nonneg_derivative,
+                        validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     mean_values)
 from .quadrature import (_NODES, _WEIGHTS, _accepted, _adapt, _bisect, _cumulative_weights,
@@ -105,8 +105,8 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
     """The mean-form chain of f, g, validated here, from one quadrature of
     [fg, M^2, M*^2, f^2, g^2]; ``kinked`` marks a mean that kinks on the
     diagonal, so the integrands kink where f and g cross."""
-    fe = validate_positive(f, a, b, "f")
-    ge = validate_positive(g, a, b, "g")
+    validate_positive(f, a, b, "f")
+    validate_positive(g, a, b, "g")
 
     def integrand(t):
         ft = np.asarray(f(t), dtype=float)
@@ -117,7 +117,7 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
     breaks = ()
     if kinked:
         breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
-                             a, b, fe - ge)
+                             a, b)
     fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, tol, breaks=breaks).tolist()
     # judged at the tolerance the terms were computed to
     return chain_report(fg ** 2, mid1 * mid2, ff * gg, tol)
@@ -147,11 +147,8 @@ def _of_logderivs(mfn: Callable) -> Callable:
     return lambda fv, gv, dfv, dgv: mfn(dfv / fv, dgv / gv)
 
 
-# The scan grid linspace(a, b, 1025) holds the 513-node validation grid at its
-# even nodes bit for bit (notes/decisions.md, "Log-derivative partition"), so
-# the samples a validator returns fill half of it and only the 512 odd nodes
-# are new.
-_SCAN_POINTS = 2 * _VALIDATION_POINTS - 1
+# the kink scan's grid, linspace(a, b, 1025): 1024 cells
+_SCAN_POINTS = 1025
 
 
 def _find_kinks(diff_fn: Callable, a: float, b: float,
@@ -159,9 +156,9 @@ def _find_kinks(diff_fn: Callable, a: float, b: float,
     """Interior sign changes of diff_fn (where min/max-type means kink).
 
     A scan of diff_fn on the 1025-point scan grid brackets each change;
-    ``even`` gives its values at the even nodes (the validation grid) when
-    the caller has them.  Rounds of 257-point subdivision then narrow each
-    bracket, to ulp width or for at most 6 rounds.
+    ``even`` gives its values at the even nodes when the caller has them
+    (the comparator, from its block scan).  Rounds of 257-point subdivision
+    then narrow each bracket, to ulp width or for at most 6 rounds.
     """
     ts = _grid(a, b, _SCAN_POINTS)
     d = np.empty(len(ts))
@@ -339,20 +336,18 @@ def _logderiv_gap(fv, gv, dfv, dgv):
 
 def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
                      kinked: bool) -> list:
-    """Validate f, g for the log-derivative forms on their 513-node grids.
-    ``kinked`` marks a mean that kinks on the diagonal: then the crossings of
-    Lf - Lg are returned, scanned from the validators' samples plus f, g, f'
-    and g' at the 512 odd scan nodes; else no breaks."""
-    fe = validate_positive(f, a, b, "f")
-    ge = validate_positive(g, a, b, "g")
-    if (fe <= 0).any() or (ge <= 0).any():
-        raise DomainError("log-derivative chain requires strictly positive f, g")
-    dfe = validate_nonneg_derivative(f, a, b, "f")
-    dge = validate_nonneg_derivative(g, a, b, "g")
+    """Certify f, g > 0 and f', g' >= 0 on [a, b] for the log-derivative
+    forms.  ``kinked`` marks a mean that kinks on the diagonal: then the
+    crossings of Lf - Lg are returned, scanned on the 1025 scan nodes; else
+    no breaks."""
+    validate_positive(f, a, b, "f", strict=True)
+    validate_positive(g, a, b, "g", strict=True)
+    validate_nonneg_derivative(f, a, b, "f")
+    validate_nonneg_derivative(g, a, b, "g")
     if not kinked:
         return []
     return _find_kinks(lambda t: _logderiv_gap(f(t), g(t), f.derivative(t), g.derivative(t)),
-                       a, b, _logderiv_gap(fe, ge, dfe, dge))
+                       a, b)
 
 
 def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,

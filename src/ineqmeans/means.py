@@ -174,8 +174,12 @@ class MeanSpec:
             # not abs(p) > 0 rejects NaN as well as 0
             if self.generator == "pow" and not abs(self.gen_power or 0.0) > 0.0:
                 raise ParameterError("pow generator requires a nonzero exponent")
-        elif f is MeanFamily.ITERATED and len(self.inner) != 2:
-            raise ParameterError("iterated mean requires an inner pair of specs")
+        elif f is MeanFamily.ITERATED:
+            if len(self.inner) != 2:
+                raise ParameterError("iterated mean requires an inner pair of specs")
+            # the grammar has no brackets: iter:iter:...|...|... would not parse back
+            if any(m.family is MeanFamily.ITERATED for m in self.inner):
+                raise ParameterError("an iterated mean's inner means cannot be iterated")
 
     # -- string form -------------------------------------------------------
 

@@ -16,6 +16,7 @@ evaluated directly with a bisected inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BracketError, DomainError, ParameterError
-from .functions import FunctionSpec
+from .functions import FunctionSpec, validate_nonneg_derivative
 from .quadrature import quadrature
 from .reports import CHAIN_RTOL, ChainReport, chain_report, holds
 
@@ -166,9 +167,10 @@ def young_integral_gap(f: FunctionSpec, a: float, b: float, tol: float = GAP_TOL
     fa = float(f(a))
     if abs(f0) > 1e-12 * max(1.0, abs(fa)):
         raise DomainError(f"f(0) = {f0}; the integral Young inequality needs f(0) = 0")
-    # monotonicity by sampled values: a vertical tangent at 0 (e.g. sqrt) is fine
-    samples = np.asarray(f(np.linspace(0.0, a, 513)), dtype=float)
-    if not np.all(np.isfinite(samples)) or np.any(np.diff(samples) < 0):
+    # f' >= 0 by its certificate, where a vertical tangent at 0 (e.g. sqrt)
+    # is fine; then f is finite on [0, a] when f(a) is
+    validate_nonneg_derivative(f, 0.0, a, "f", steep_ends=True)
+    if not math.isfinite(fa):
         raise DomainError("f must be finite and nondecreasing on [0, a]")
     hi = max(a, 1.0)
     for _ in range(200):

@@ -319,6 +319,22 @@ def test_boundary_input_is_a_typed_error(command, code):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("mean", ["power:2", "power:0", "rado:0", "max", "power:0.5"])
+def test_premise_probe_is_a_domain_error(mean):
+    # f dips to -1e-8 on (0.5004, 0.5006), between the samples of the
+    # 513-node check that passed it: the chain printed "ordered": true with
+    # exit 0, and power:0.5 first warned from its sqrt
+    command = (f"cbs integral --mean {mean} --f poly:0.25050024,-1.001,1 --g pow:1 "
+               "--a 0 --b 1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*command.split())
+    assert [str(w.message) for w in caught] == []
+    assert result.exit_code == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: f is negative on [0.0, 1.0] near t = 0.500")
+
+
 # ---------------------------------------------------------------------------
 # fuzz of dispatch over the mean-spec grammar and finite arguments
 # ---------------------------------------------------------------------------

@@ -109,6 +109,11 @@ def test_parse_rejects_malformed(bad):
     dict(family=MeanFamily.QUASI_ARITHMETIC, generator="pow", gen_power=math.nan),
     dict(family=MeanFamily.POWER, order=ExtOrder(OrderKind.MINUS_ONE)),
     dict(family=MeanFamily.RADO, order=ExtOrder(OrderKind.FINITE, -1.0)),
+    # iter:iter:warith:0.5,0.5|power:0|power:-1 has no parse
+    dict(family=MeanFamily.ITERATED,
+         inner=(parse_mean("iter:warith:0.5,0.5|power:0"), parse_mean("power:-1"))),
+    dict(family=MeanFamily.ITERATED,
+         inner=(parse_mean("min"), parse_mean("iter:power:3|power:0"))),
 ])
 def test_spec_constructor_rejects_fields_its_string_drops(fields):
     # each of these printed a string that parsed back to another spec
