@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .functions import FunctionSpec
 from .means import MeanSpec, conjugate_from_mean, conjugate_values, mean_values
 from .reports import ChainReport, chain_report
@@ -209,8 +209,8 @@ def dft_uncertainty(vec, zero_tol: float = 1e-9) -> UncertaintyReport:
     a = np.asarray(vec, dtype=complex)
     if a.ndim != 1 or len(a) < 1:
         raise ParameterError("dft_uncertainty requires a nonempty vector")
-    if zero_tol < 0:
-        raise ParameterError("zero_tol must be nonnegative")
+    if not 0 <= zero_tol < math.inf:  # NaN fails too
+        raise ParameterError(f"zero_tol must be finite and nonnegative, got {zero_tol}")
     n = len(a)
     if not np.any(a != 0):
         raise DomainError("dft_uncertainty requires a nonzero vector")
@@ -257,12 +257,27 @@ def lorentz_chain(x0: float, x_vec, y0: float, y_vec, spec: MeanSpec) -> ChainRe
 # Jackson q-integral
 # ---------------------------------------------------------------------------
 
+# the longest q-series a chain sums: q = 0.99999 at tail_tol 1e-12 takes
+# 1.6e6 nodes, and q = 1 - 1e-10 would take 4.6e10 (343 GiB per array)
+Q_TAIL_CAP = 1 << 22
+
+
 def _q_tail_length(q: float, tail_tol: float, bound: float) -> int:
-    # smallest k with (1-q) q^k bound < tail_tol, via the geometric tail
-    if bound <= 0:
+    """How many nodes q^0, q^1, ... a q-series sums: one past the smallest k
+    whose term bound (1-q) q^k bound falls below tail_tol.  ParameterError
+    unless tail_tol > 0; ConvergenceError past Q_TAIL_CAP nodes, before any
+    is allocated."""
+    if not tail_tol > 0:  # NaN fails too
+        raise ParameterError(f"tail_tol must be positive, got {tail_tol}")
+    scale = (1.0 - q) * bound
+    if scale <= tail_tol:
         return 1
-    k = math.log(tail_tol / ((1.0 - q) * bound)) / math.log(q)
-    return max(1, int(math.ceil(k)) + 1)
+    # a difference of logs: tail_tol / scale may underflow to 0
+    n = math.ceil((math.log(tail_tol) - math.log(scale)) / math.log(q)) + 1
+    if n > Q_TAIL_CAP:
+        raise ConvergenceError(f"the q-series needs {n} nodes to reach tail_tol {tail_tol} "
+                               f"at q = {q}, more than {Q_TAIL_CAP}")
+    return n
 
 
 def q_jackson_integral(f: FunctionSpec, q: float, tail_tol: float = 1e-12) -> float:
@@ -273,8 +288,6 @@ def q_jackson_integral(f: FunctionSpec, q: float, tail_tol: float = 1e-12) -> fl
     """
     if not 0.0 < q < 1.0:
         raise ParameterError(f"q must lie in (0, 1), got {q}")
-    if not tail_tol > 0:
-        raise ParameterError("tail_tol must be positive")
     kmax = _q_tail_length(q, tail_tol, f.sup_on_unit())
     nodes = q ** np.arange(kmax)
     return float((1.0 - q) * np.sum(np.asarray(f(nodes), dtype=float) * nodes))

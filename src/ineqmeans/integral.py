@@ -48,8 +48,8 @@ from .functions import (FunctionFamily, FunctionSpec, _grid, validate_nonneg_der
                         validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     mean_values)
-from .quadrature import (_NODES, _WEIGHTS, _accepted, _adapt, _bisect, _cumulative_weights,
-                         _interval, quadrature)
+from .quadrature import (_WEIGHTS, _accepted, _adapt, _bisect, _cumulative_weights, _interval,
+                         _nodes, _panels, _per_panel, quadrature)
 # no caller left in the package: the traced benchmark binds these names here
 # until its fixed-grid and Hermite spans move (ROADMAP item 5)
 from .quadrature import (CubicHermite, composite_simpson,  # noqa: F401
@@ -185,16 +185,6 @@ def _find_kinks(diff_fn: Callable, a: float, b: float,
 _START_PANELS = 8
 
 
-def _per_panel(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weights (15, c) applied panel by panel to node-major values (15, ...):
-    (c, ...), by numpy's own einsum loop, not a BLAS matrix product: each
-    panel's 15 terms are added in node order, the same in a block of any size
-    (a BLAS may choose its summation order by the matrix's size or alignment).
-    """
-    sums = np.einsum("kn,kc->cn", values.reshape(len(values), -1), weights)
-    return sums.reshape(weights.shape[1:] + values.shape[1:])
-
-
 @functools.lru_cache(maxsize=None)
 def _inner_weights() -> np.ndarray:
     """(15, 17): a panel's inner integral at its 15 nodes (the integration
@@ -254,7 +244,6 @@ class _Antiderivative:
     @classmethod
     def on(cls, a: float, b: float, sample: Callable, tol: float, mid: np.ndarray,
            hw: np.ndarray, depth: np.ndarray, values: np.ndarray) -> "_Antiderivative":
-        values = np.ascontiguousarray(values)
         return cls(a, b, sample, tol, mid, hw, depth, values, *_inner_sums(values[0], hw))
 
     def __call__(self, x):
@@ -300,8 +289,7 @@ def _tabulate_antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: floa
     edges = _grid(a, b, _START_PANELS + 1)
     if len(breaks):
         edges = np.union1d(edges, breaks)
-    hw = np.diff(edges) / 2.0
-    mid = edges[:-1] + hw
+    mid, hw = _panels(edges)
 
     def sample(t):  # one evaluation of each of f, g, f' and g'
         fv = np.asarray(f(t), dtype=float)
@@ -642,9 +630,8 @@ def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivat
 def _panel_nodes(edges: np.ndarray) -> tuple:
     """Nodes (15, rows, P), node-major, and half-widths (rows, P) of the GK15
     panels between consecutive edges (rows, P + 1)."""
-    hw = np.diff(edges, axis=-1) / 2.0
-    mid = edges[:, :-1] + hw
-    return mid + hw * _NODES[:, None, None], hw
+    mid, hw = _panels(edges)
+    return _nodes(mid, hw), hw
 
 
 @dataclass(frozen=True)

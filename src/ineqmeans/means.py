@@ -596,6 +596,8 @@ def check_axioms(spec: MeanSpec, n_samples: int, seed: int, rtol: float = 1e-10)
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
+    if not 0 <= rtol < math.inf:  # NaN fails too
+        raise ParameterError(f"rtol must be finite and nonnegative, got {rtol}")
     rng = make_rng(seed)
     xs = log_uniform(rng, size=n_samples)
     ys = log_uniform(rng, size=n_samples)

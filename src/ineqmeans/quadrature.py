@@ -7,11 +7,14 @@ width-proportional share of the absolute+relative target (``_accepted``),
 and bisects the rest.  An integrand may return a ``(k, n)`` stack: the k
 integrals share every node, and each row must meet its target.  Break points
 split the initial panels at kinks (notes/decisions.md, "Integration
-engine").  The point set depends only on the inputs.  ``_adapt`` sums a
-level by one BLAS matrix product, which repeats bit for bit on one numpy and
-BLAS build, and keeps it over node-order sums for its lower rounding noise in
-|K15 - G7| (notes/decisions.md, "Integration engine").  The log-derivative
-partition and the comparator sum node by node (``integral._per_panel``).
+engine").  The point set depends only on the inputs.
+
+Every weighted panel sum, K15, K15 - G7 and the integration matrix at the
+nodes, goes through ``_per_panel``, which adds each panel's 15 terms in node
+order: a panel's sums have the same bits alone and in a batch of any size
+(notes/decisions.md, "Integration engine").  The panels are node-major
+throughout: ``_nodes`` gives their nodes as (15, intervals), ``_panels`` the
+midpoints and half-widths between edges.
 
 The loop is ``_adapt``, which also keeps every level's node values, so a
 caller can read the accepted partition back left to right
@@ -112,9 +115,30 @@ def _vectorize(f, probe: np.ndarray):
     return g, g(probe)
 
 
+def _panels(edges: np.ndarray) -> tuple:
+    """Midpoints and half-widths of the panels between consecutive edges
+    (on the last axis)."""
+    hw = np.diff(edges, axis=-1) / 2.0
+    return edges[..., :-1] + hw, hw
+
+
 def _nodes(mid: np.ndarray, hw: np.ndarray) -> np.ndarray:
-    """The 15 nodes of each interval, interval by interval."""
-    return (mid[:, None] + hw[:, None] * _NODES).ravel()
+    """The 15 nodes of the intervals (mid, hw), node-major: (15,) + mid.shape."""
+    return mid + np.multiply.outer(_NODES, hw)
+
+
+def _per_panel(values: np.ndarray, weights: np.ndarray, node_axis: int = 0) -> np.ndarray:
+    """Weights (15, c) applied panel by panel to values whose axis
+    ``node_axis`` runs over the 15 nodes: (c,) + the other axes.
+
+    numpy's own einsum loop, not a BLAS matrix product, adds each panel's 15
+    terms in node order, so a panel's sums have the same bits alone and in a
+    block of any size (a BLAS may choose its summation order by the matrix's
+    size or alignment).
+    """
+    lead = values.shape[:node_axis]
+    sums = np.einsum("ikn,kc->cin", values.reshape(math.prod(lead), 15, -1), weights)
+    return sums.reshape(weights.shape[1:] + lead + values.shape[node_axis + 1:])
 
 
 def _bisect(mid: np.ndarray, hw: np.ndarray, depth: int, a: float, b: float) -> tuple:
@@ -124,8 +148,9 @@ def _bisect(mid: np.ndarray, hw: np.ndarray, depth: int, a: float, b: float) -> 
     Raises ConvergenceError past 1024 halves, when a half is too narrow to
     split in doubles, or at depth 60.
     """
-    mid = np.concatenate([mid - hw / 2.0, mid + hw / 2.0])
-    hw = np.tile(hw / 2.0, 2)
+    hw = hw / 2.0
+    mid = np.concatenate([mid - hw, mid + hw])
+    hw = np.concatenate([hw, hw])
     if len(mid) > PENDING_CAP:
         raise ConvergenceError(
             f"adaptive quadrature left more than {PENDING_CAP} intervals pending on [{a}, {b}]")
@@ -148,7 +173,8 @@ def _accepted(diff: np.ndarray, total: np.ndarray, tol: float, span: float,
 class _Adaptation:
     """What ``_adapt`` did: the judged rows' accepted sums, added level by
     level (``quadrature``'s result), and each evaluated level as (depth,
-    midpoints, half-widths, values (k, 15 n) or (15 n,), accepted mask)."""
+    midpoints, half-widths, values (k, 15 n) or (15 n,) at the node-major
+    nodes of ``_nodes``, accepted mask)."""
 
     total: np.ndarray
     levels: tuple
@@ -161,10 +187,10 @@ class _Adaptation:
         hw = np.concatenate([h[done] for _, _, h, _, done in self.levels])
         depth = np.concatenate([np.full(np.count_nonzero(done), d)
                                 for d, _, _, _, done in self.levels])
-        values = np.concatenate([v.reshape(-1, len(m), 15)[:, done]
-                                 for _, m, _, v, done in self.levels], axis=1)
+        values = np.concatenate([v.reshape(-1, 15, len(m))[..., done]
+                                 for _, m, _, v, done in self.levels], axis=-1)
         order = np.argsort(mid)
-        return mid[order], hw[order], depth[order], values[:, order].transpose(0, 2, 1).copy()
+        return mid[order], hw[order], depth[order], values[..., order]
 
 
 def _adapt(f, a: float, b: float, tol: float, mid: np.ndarray, hw: np.ndarray,
@@ -184,15 +210,14 @@ def _adapt(f, a: float, b: float, tol: float, mid: np.ndarray, hw: np.ndarray,
     total = None
     while True:
         if values is None:
-            values = np.asarray(f(_nodes(mid, hw)), dtype=float)
+            values = np.asarray(f(_nodes(mid, hw).ravel()), dtype=float)
         if not np.isfinite(values).all():
             raise DomainError("integrand is not finite on [a, b]")
         rows = values if judged is None else values[:judged]
         if total is None:
             total = np.full(1 if rows.ndim == 1 else len(rows), accepted)
-        sums = (rows.reshape(-1, 15) @ _WEIGHTS).reshape(len(total), len(mid), 2) * hw[:, None]
-        est = sums[..., 0]
-        done = _accepted(sums[..., 1], total + est.sum(axis=1), tol, b - a, hw)
+        est, diff = _per_panel(rows.reshape(len(total), 15, len(mid)), _WEIGHTS, 1) * hw
+        done = _accepted(diff, total + est.sum(axis=1), tol, b - a, hw)
         total += est[:, done].sum(axis=1)
         levels.append((depth, mid, hw, values, done))
         if done.all():
@@ -223,11 +248,9 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
     at once; DomainError on a non-finite integrand value.
     """
     a, b = _interval(a, b, tol)
-    edges = np.array([a] + sorted(float(t) for t in breaks if a < t < b) + [b])
-    hw = np.diff(edges) / 2.0
-    mid = edges[:-1] + hw
+    mid, hw = _panels(np.array([a] + sorted(float(t) for t in breaks if a < t < b) + [b]))
     # the first level doubles as the probe
-    fv, values = _vectorize(f, _nodes(mid, hw))
+    fv, values = _vectorize(f, _nodes(mid, hw).ravel())
     total = _adapt(fv, a, b, tol, mid, hw, values).total
     return float(total[0]) if values.ndim == 1 else total
 

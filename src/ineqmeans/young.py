@@ -69,8 +69,10 @@ def young_pair(x: float, y: float, p: float) -> YoungComparison:
     straddle case the critical value for the normalized small argument is
     included.
     """
-    if not p > 1:
-        raise ParameterError(f"young_pair requires p > 1, got {p}")
+    if not 1 < p < math.inf:  # NaN fails too
+        raise ParameterError(f"young_pair requires a finite p > 1, got {p}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ParameterError(f"young_pair requires finite x, y, got {x}, {y}")
     if x < 0 or y < 0:
         raise DomainError("young_pair requires nonnegative x, y")
     q = p / (p - 1.0)
@@ -110,8 +112,8 @@ def critical_y(x: float, p: float, tol: float = 1e-12) -> float:
     """
     if not 0.0 < x <= 1.0:
         raise DomainError(f"critical_y requires 0 < x <= 1, got {x}")
-    if not p >= 2.0:
-        raise ParameterError(f"critical_y requires p >= 2, got {p}")
+    if not 2.0 <= p < math.inf:
+        raise ParameterError(f"critical_y requires a finite p >= 2, got {p}")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     q = p / (p - 1.0)
@@ -201,10 +203,12 @@ def rgh_refined_chain(a_vec, b_vec, p: float) -> ChainReport:
     b = np.asarray(b_vec, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
         raise ParameterError("rgh_refined_chain requires two equal-length vectors")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("rgh_refined_chain requires finite vector entries")
     if np.any(a < 0) or np.any(b < 0):
         raise DomainError("vector entries must be nonnegative")
-    if not p >= 2:
-        raise ParameterError(f"rgh_refined_chain requires p >= 2, got {p}")
+    if not 2 <= p < math.inf:
+        raise ParameterError(f"rgh_refined_chain requires a finite p >= 2, got {p}")
     q = p / (p - 1.0)
     norm_a = float(np.sum(a ** p)) ** (1.0 / p)
     norm_b = float(np.sum(b ** q)) ** (1.0 / q)

@@ -1,3 +1,7 @@
+import math
+
+import pytest
+
 import ineqmeans
 
 
@@ -21,3 +25,24 @@ def test_public_api_is_pinned():
         "young_integral_gap", "young_pair",
     ]
     assert all(hasattr(ineqmeans, name) for name in ineqmeans.__all__)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ineqmeans.rgh_refined_chain([1.0, 2.0], [3.0, 4.0], _INF),
+    lambda: ineqmeans.rgh_refined_chain([1.0, _NAN], [3.0, 4.0], 3.0),
+    lambda: ineqmeans.young_pair(_NAN, 1.0, 3.0),
+    lambda: ineqmeans.young_pair(_INF, 1.0, 3.0),
+    lambda: ineqmeans.young_pair(1.0, 1.0, _INF),
+    lambda: ineqmeans.critical_y(0.5, _INF),
+    lambda: ineqmeans.dft_uncertainty([1.0, 0.0, 0.0, 0.0], zero_tol=_NAN),
+    lambda: ineqmeans.check_axioms(ineqmeans.parse_mean("power:2"), 10, 1, rtol=_NAN),
+], ids=["rgh-p-inf", "rgh-nan-entry", "young-x-nan", "young-x-inf", "young-p-inf",
+        "critical-p-inf", "dft-zero-tol-nan", "axioms-rtol-nan"])
+def test_non_finite_inputs_are_parameter_errors(call):
+    # unchecked, these give reports of NaNs, verdicts read off NaN
+    # comparisons (holds=False, "fail") or a stalled bisection
+    with pytest.raises(ineqmeans.ParameterError):
+        call()

@@ -302,6 +302,13 @@ BOUNDARY_INPUTS = (
     ("means axioms --spec power:2 --samples 10 --seed -1", 2),
     ("cbs integral --mean power:2 --f poly:nan --g pow:1 --a 0 --b 1", 2),
     ("cbs q --mean power:2 --f poly:1 --g exp:inf --q 0.5", 2),
+    ("cbs q --mean power:2 --f poly:1 --g pow:1 --q 0.5 --tail-tol 0", 2),
+    ("cbs q --mean power:2 --f poly:1 --g pow:1 --q 0.5 --tail-tol -1", 2),
+    # 4.6e10 nodes, past the q-series cap: a typed error before any allocation
+    ("cbs q --mean power:2 --f poly:1 --g pow:1 --q 0.9999999999", 3),
+    # tail_tol / ((1 - q) sup^2) underflows to 0 (a math domain error once);
+    # t = q^k underflows before the tail is reached
+    ("cbs q --mean power:2 --f poly:1e150 --g pow:1 --q 0.5 --tail-tol 1e-200", 3),
     ("young integral-gap --f pow:nan --a 1 --b 0.5", 2),
 )
 

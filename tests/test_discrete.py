@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from ineqmeans import (DomainError, ParameterError, cbs_chain, cde_check,
+from ineqmeans import (ConvergenceError, DomainError, ParameterError, cbs_chain, cde_check,
                        cde_check_functions, chain_catalog, dft_uncertainty,
                        lorentz_chain, parse_function, parse_mean, q_cbs_chain,
                        q_jackson_integral)
@@ -504,6 +504,29 @@ def test_q_integral_rejects_bad_q():
     for q in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ParameterError):
             q_jackson_integral(parse_function("poly:1"), q)
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan, -math.inf])
+def test_q_series_reject_a_tail_tolerance_that_is_not_positive(tail_tol):
+    f, g = parse_function("poly:1"), parse_function("pow:1")
+    with pytest.raises(ParameterError, match="tail_tol"):
+        q_jackson_integral(f, 0.5, tail_tol)
+    with pytest.raises(ParameterError, match="tail_tol"):
+        q_cbs_chain(f, g, 0.5, parse_mean("power:2"), tail_tol)
+
+
+def test_q_series_longer_than_the_cap_raise_before_allocating():
+    # q = 1 - 1e-10 would need 4.6e10 nodes; q = 0.99999 needs 1.6e6
+    f, g = parse_function("poly:1"), parse_function("pow:1")
+    assert discrete._q_tail_length(0.99999, 1e-12, 1.0) < discrete.Q_TAIL_CAP
+    with pytest.raises(ConvergenceError, match="nodes"):
+        q_jackson_integral(f, 1.0 - 1e-10)
+    with pytest.raises(ConvergenceError, match="nodes"):
+        q_cbs_chain(f, g, 1.0 - 1e-10, parse_mean("power:2"))
+    assert discrete._q_tail_length(0.5, 1.0, 1.0) == 1
+    # 1e-320 / (0.5 * 1e300) underflows to 0: the length comes from
+    # log2(5e299 / 1e-320) = 2058.6, not from a math domain error
+    assert discrete._q_tail_length(0.5, 1e-320, 1e300) == 2060
 
 
 def test_q_chain_equal_functions_collapse():

@@ -6,8 +6,9 @@ import pytest
 
 from ineqmeans import (ConvergenceError, ParameterError, mean_values, parse_function, parse_mean,
                        quadrature)
-from ineqmeans.quadrature import (_NODES, _WEIGHTS, _adapt, _cumulative_weights,
-                                  composite_simpson, cumulative_simpson, simpson_nodes)
+from ineqmeans.quadrature import (_NODES, _WEIGHTS, _adapt, _cumulative_weights, _nodes,
+                                  _per_panel, composite_simpson, cumulative_simpson,
+                                  simpson_nodes)
 
 
 def test_constant():
@@ -156,9 +157,48 @@ def test_adaptation_returns_its_partition_left_to_right():
     assert np.array_equal(hw, np.where(mid < 0.5, 0.25, 0.75) / 2.0 ** depth)
     nodes = mid + hw * _NODES[:, None]
     assert values.shape == (2, 15, len(mid)) and np.array_equal(values, f(nodes))
-    total = (np.einsum("kn,k->n", values[0], _WEIGHTS[:, 0]) * hw).sum()
-    assert total == pytest.approx(adaptation.total[0], rel=1e-15)
+    # each interval's K15 from the partition, added level by level in the
+    # order _adapt adds them, is quadrature's result to the bit
+    est = _per_panel(values, _WEIGHTS, 1)[0] * hw
+    total = np.zeros(2)
+    for _, level_mid, _, _, done in adaptation.levels:
+        total += est[:, np.searchsorted(mid, level_mid[done])].sum(axis=1)
+    assert np.array_equal(total, adaptation.total)
     assert np.array_equal(adaptation.total, quadrature(f, 0.0, 2.0, 1e-12, breaks=[0.5]))
+
+
+def _node_order_sums(values, weights):
+    # each panel's 15 weighted terms of node-major values (rows, 15, n),
+    # added in node order: (columns, rows, n)
+    out = values[:, 0] * weights[0][:, None, None]
+    for k in range(1, 15):
+        out = out + values[:, k] * weights[k][:, None, None]
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_a_panel_sums_to_the_same_bits_alone_and_among_37_intervals(rows):
+    # a BLAS product may order a panel's 15 terms by the batch's size
+    # (OpenBLAS 0.3.31 adds them with FMA for two or more rows and without
+    # for one); the engine's sums must not depend on the batch
+    mid = np.linspace(0.05, 3.65, 37)
+    hw = np.full(37, 0.05)
+    scales = 1.0 + np.arange(rows)[:, None] / 7.0
+    f = lambda t: np.exp(scales * np.sin(7.0 * t)) / (1.0 + t)
+    level = f(_nodes(mid, hw).ravel()).reshape(rows, 15, 37)
+    together = _per_panel(level, _WEIGHTS, 1)
+    assert np.array_equal(together, _node_order_sums(level, _WEIGHTS))
+    # node axis 0, the layout of the log-derivative partition and the comparator
+    assert np.array_equal(_per_panel(level.transpose(1, 0, 2).copy(), _WEIGHTS), together)
+    for i in range(37):
+        alone = f(_nodes(mid[i:i + 1], hw[i:i + 1]).ravel()).reshape(rows, 15, 1)
+        assert np.array_equal(_per_panel(alone, _WEIGHTS, 1)[..., 0], together[..., i])
+        # through _adapt: the level's other intervals add exact zeros
+        inside = lambda t: np.where(np.abs(t - mid[i]) < hw[i], f(t), 0.0)
+        among = _adapt(inside, 0.0, 3.7, 1.0, mid, hw).total
+        lone = _adapt(inside, 0.0, 3.7, 1.0, mid[i:i + 1], hw[i:i + 1]).total
+        assert np.array_equal(among, lone)
+        assert np.array_equal(among, together[0, :, i] * hw[i])
 
 
 def test_composite_and_cumulative_simpson_agree():
