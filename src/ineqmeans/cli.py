@@ -30,7 +30,7 @@ import numpy as np
 
 from .discrete import cbs_chain, dft_uncertainty, lorentz_chain, q_cbs_chain
 from .elliptic import CHAIN_FIELDS, bounds
-from .errors import ConvergenceError, DomainError, ParameterError, ReproducibilityError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .functions import parse_function
 from .integral import ChainKind, compare_generalizations, integral_mean_chain
 from .means import check_axioms, check_h_conditions, eval_mean, parse_mean
@@ -333,7 +333,7 @@ def dispatch(argv) -> CommandResult:
         return CommandResult(code, payload + "\n", "")
     except ParameterError as exc:
         return CommandResult(2, "", f"error: {exc}\n")
-    except (DomainError, ConvergenceError, ReproducibilityError) as exc:
+    except (DomainError, ConvergenceError) as exc:
         return CommandResult(3, "", f"error: {exc}\n")
     except ArithmeticError as exc:  # e.g. OverflowError from math.exp
         return CommandResult(3, "", f"error: {type(exc).__name__}: {exc}\n")

@@ -150,8 +150,8 @@ def cde_check_functions(f: Callable, g: Callable, sample_grid: Sequence,
     Returns (ok, violations); each violation is (condition, x, y, detail).
     """
     pairs = [(float(x), float(y)) for x, y in sample_grid]
-    if not pairs:
-        raise ParameterError("sample_grid must be nonempty")
+    if not pairs or not all(0 < t < math.inf for pair in pairs for t in pair):
+        raise ParameterError("sample_grid must be nonempty, of positive finite pairs")
     violations = []
     for x, y in pairs:
         fv = float(f(x, y))
@@ -207,8 +207,8 @@ def dft_uncertainty(vec, zero_tol: float = 1e-9) -> UncertaintyReport:
     exceeds zero_tol times the vector's maximum modulus.
     """
     a = np.asarray(vec, dtype=complex)
-    if a.ndim != 1 or len(a) < 1:
-        raise ParameterError("dft_uncertainty requires a nonempty vector")
+    if a.ndim != 1 or len(a) < 1 or not np.isfinite(a).all():
+        raise ParameterError("dft_uncertainty requires a nonempty finite vector")
     if not 0 <= zero_tol < math.inf:  # NaN fails too
         raise ParameterError(f"zero_tol must be finite and nonnegative, got {zero_tol}")
     n = len(a)

@@ -1,8 +1,7 @@
 """Semantic exception hierarchy.
 
 The CLI maps these onto exit codes: parameter problems are usage errors
-(exit 2), domain, convergence and reproducibility problems are numeric
-errors (exit 3).
+(exit 2), domain and convergence problems are numeric errors (exit 3).
 """
 
 
@@ -27,4 +26,5 @@ class BracketError(ConvergenceError):
 
 
 class ReproducibilityError(IneqMeansError, RuntimeError):
-    """A sampled result does not rebuild from its documented seed and index."""
+    """A sampled result does not rebuild from its seed and index. Exported, but
+    nothing raises it: every draw reads numpy's stable raw stream (sampling.py)."""

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError, ReproducibilityError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .functions import (FunctionFamily, FunctionSpec, _grid, validate_nonneg_derivative,
                         validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
@@ -55,7 +55,7 @@ from .quadrature import (_WEIGHTS, _accepted, _adapt, _bisect, _cumulative_weigh
 from .quadrature import (CubicHermite, composite_simpson,  # noqa: F401
                          cumulative_simpson, simpson_nodes)
 from .reports import ChainReport, chain_report
-from .sampling import _MASK32, spawn_raw, spawn_rng
+from .sampling import _MASK32, _lemire, _unit, spawn_raw, spawn_rng
 
 __all__ = ["ChainKind", "integral_mean_chain", "integral_logderiv_chain",
            "logderiv_phi1", "product_identity_check", "general_h_chain",
@@ -415,7 +415,7 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
     second factor (negative-control hook).  Returns (ok, max relative
     deviation).
     """
-    a, b = _interval(a, b)
+    a, b = _interval(a, b, rtol)
     xs = _inside(grid if grid is not None else np.linspace(a, b, 32), a, b)
     fx = np.asarray(f(xs), dtype=float)
     gx = np.asarray(g(xs), dtype=float)
@@ -537,64 +537,38 @@ def _catalog_member(kind: int, c) -> FunctionSpec:
     return FunctionSpec(_KIND_FAMILIES[kind], tuple(float(v) for v in c[:_KIND_ARITY[kind]]))
 
 
-def _draw_member(rng) -> tuple:
-    # positive increasing catalog member: its kind, then three coefficients
-    # log-uniform in [0.1, 10]
-    return int(rng.integers(0, len(_KIND_FAMILIES))), 10.0 ** rng.uniform(-1.0, 1.0, size=3)
-
-
-def _sample_function(rng) -> FunctionSpec:
-    return _catalog_member(*_draw_member(rng))
-
-
-def _sample_trials(seed: int, start: int, stop: int) -> tuple:
-    """Kinds (2, n) and coefficients (2, n, 3) of f and g, and interval
-    indices (n,), of trials start..stop-1, each drawn from its own
-    spawn_rng(seed, i) stream, so a trial does not depend on its block."""
-    n = stop - start
-    kinds = np.empty((2, n), dtype=np.int64)
-    coeffs = np.empty((2, n, 3))
-    intervals = np.empty(n, dtype=np.int64)
-    for row in range(n):
-        rng = spawn_rng(seed, start + row)
-        for member in range(2):
-            kinds[member, row], coeffs[member, row] = _draw_member(rng)
-        intervals[row] = rng.integers(0, len(_COMPARE_INTERVALS))
-    return kinds, coeffs, intervals
-
-
-def _lemire(draws: np.ndarray, n: int) -> tuple:
-    """Generator.integers(0, n) on 32-bit draws, by Lemire's multiply-shift
-    as numpy does it: the values, and where numpy rejects the draw and takes
-    another."""
-    m = draws * np.uint64(n)
-    return (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(_MASK32)) < (2**32 - n) % n
+def _read_on(seed: int, index: int, n: int) -> int:
+    """The draw after a rejected low half of word 7 of trial ``index``, as
+    integers(0, n) takes it: the high half of word 7, then each later word
+    of the stream low half first, until one is accepted."""
+    bits = spawn_rng(seed, index).bit_generator
+    halves = bits.random_raw(8)[7:] >> np.uint64(32)
+    while True:
+        values, rejected = _lemire(halves, n)
+        if not rejected.all():
+            return int(values[np.argmin(rejected)])
+        word = bits.random_raw(1)
+        halves = np.concatenate([word & np.uint64(_MASK32), word >> np.uint64(32)])
 
 
 def _draw_block(seed: int, start: int, stop: int) -> tuple:
-    """_sample_trials(seed, start, stop), read off the first eight raw words
-    of each trial's stream (``spawn_raw``).
+    """Kinds (2, n) and coefficients (2, n, 3) of f and g, and interval
+    indices (n,), of trials start..stop-1, each read off the raw words of
+    its own stream (``spawn_raw``), so a trial does not depend on its block.
 
-    PCG64 serves a 32-bit draw from the low half of a fresh word and keeps
-    the high half for the next one; ``integers(0, k)`` takes a 32-bit draw and
-    ``uniform`` a whole word. So f's kind is the low half of word 0 and its
-    coefficients words 1-3, g's kind the high half of word 0 and its
-    coefficients words 4-6, and the interval the low half of word 7. A trial
-    with a draw numpy would reject (only the interval's can, with
-    probability 2**-32) is drawn on its own.
+    f's kind is the low half of word 0 and its coefficients 10 ** (2u - 1)
+    for the doubles u of words 1-3, g's kind the high half of word 0 and its
+    coefficients words 4-6, and the interval the low half of word 7. Four
+    kinds divide 2**32, so no kind draw is rejected; a rejected interval
+    draw (probability 2**-32) reads on (``_read_on``).
     """
     w = spawn_raw(seed, start, stop)
-    mask = np.uint64(_MASK32)
-    kind_f, redraw_f = _lemire(w[:, 0] & mask, len(_KIND_FAMILIES))
-    kind_g, redraw_g = _lemire(w[:, 0] >> np.uint64(32), len(_KIND_FAMILIES))
-    intervals, redraw = _lemire(w[:, 7] & mask, len(_COMPARE_INTERVALS))
-    kinds = np.stack([kind_f, kind_g])
-    # uniform(-1, 1) is -1 + 2 * (the word's top 53 bits / 2**53)
-    coeffs = 10.0 ** (-1.0 + 2.0 * ((w[:, 1:7] >> np.uint64(11)) * 2.0 ** -53))
-    coeffs = coeffs.reshape(-1, 2, 3).transpose(1, 0, 2)
-    for row in np.flatnonzero(redraw | redraw_f | redraw_g):
-        k, c, j = _sample_trials(seed, start + row, start + row + 1)
-        kinds[:, row], coeffs[:, row], intervals[row] = k[:, 0], c[:, 0], j[0]
+    low, high = w & np.uint64(_MASK32), w >> np.uint64(32)
+    kinds = _lemire(np.stack([low[:, 0], high[:, 0]]), len(_KIND_FAMILIES))[0]
+    coeffs = (10.0 ** (-1.0 + 2.0 * _unit(w[:, 1:7]))).reshape(-1, 2, 3).transpose(1, 0, 2)
+    intervals, redraw = _lemire(low[:, 7], len(_COMPARE_INTERVALS))
+    for row in np.flatnonzero(redraw):
+        intervals[row] = _read_on(seed, start + row, len(_COMPARE_INTERVALS))
     return kinds, coeffs, intervals
 
 
@@ -742,20 +716,11 @@ def _middle_fixed(kind: ChainKind, spec: MeanSpec, rows: _PanelRows) -> tuple:
     return i1 * i2, e1 / np.abs(i1) + e2 / np.abs(i2) + 4.0 * inner
 
 
-def _witness(seed: int, index: int, draws: tuple, row: int, ma: float, mb: float) -> Witness:
-    """The witness of trial ``index``, row ``row`` of the block ``draws``. Its
-    f and g are rebuilt the documented way, _sample_function on
-    spawn_rng(seed, index), and must be the members the block drew."""
-    rng = spawn_rng(seed, index)
-    f, g = _sample_function(rng), _sample_function(rng)
-    j = int(rng.integers(0, len(_COMPARE_INTERVALS)))
+def _witness(draws: tuple, row: int, ma: float, mb: float) -> Witness:
+    """The witness of row ``row`` of the block ``draws``."""
     kinds, coeffs, intervals = draws
-    if (f, g, j) != (_catalog_member(kinds[0, row], coeffs[0, row]),
-                     _catalog_member(kinds[1, row], coeffs[1, row]), intervals[row]):
-        raise ReproducibilityError(
-            f"trial {index} of seed {seed} does not rebuild from spawn_rng: numpy's "
-            "Generator draws no longer match their raw-word reading")
-    return Witness(f.to_string(), g.to_string(), 0.0, _COMPARE_INTERVALS[j], ma, mb)
+    f, g = (_catalog_member(kinds[m, row], coeffs[m, row]).to_string() for m in range(2))
+    return Witness(f, g, 0.0, _COMPARE_INTERVALS[intervals[row]], ma, mb)
 
 
 def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
@@ -769,8 +734,13 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     witnessed (a genuine two-witness certificate, reported), and
     UNDETERMINED when every trial ties.  A trial is a strict win when the
     middles differ, relative to the larger, by more than tie_rtol plus the
-    error bars of both.  Trials are seeded independently by index, so the
-    verdict does not depend on evaluation order.
+    error bars of both.
+
+    Trial i is defined by the raw PCG64 words of its own stream,
+    spawn_rng(seed, i) (sampling.py): f, g and the interval end are read
+    off its first eight words, so the verdict does not depend on evaluation
+    order and a witness reproduces from (seed, i) on any numpy that keeps
+    the raw stream (NEP 19), whatever its Generator methods do.
 
     Each trial's middles come from fixed Gauss-Kronrod panels (8 per row in
     the mean form, 32 in the log-derivative form).  For means that kink on
@@ -781,8 +751,6 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     scanned in index order; a block's rows are computed exactly as lone
     trials would be (every sum runs in a fixed order, none through a matrix
     product), so blocking changes no digit of the verdict.
-    A witness's f and g are rebuilt from spawn_rng(seed, index); should they
-    differ from the block's draws, ReproducibilityError is raised.
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral):
         raise ParameterError(f"trials must be an integer, got {trials!r}")
@@ -817,17 +785,17 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
             if diff > 0:
                 wins_a += 1
                 if best_a is None or diff > best_a[0]:
-                    best_a = (diff, (ran - 1, draws, row, ma, mb))
+                    best_a = (diff, (draws, row, ma, mb))
             else:
                 wins_b += 1
                 if best_b is None or -diff > best_b[0]:
-                    best_b = (-diff, (ran - 1, draws, row, ma, mb))
+                    best_b = (-diff, (draws, row, ma, mb))
             if wins_a and wins_b:
-                return OrderVerdict(Relation.INCOMPARABLE, (_witness(seed, *best_a[1]),
-                                                            _witness(seed, *best_b[1])),
+                return OrderVerdict(Relation.INCOMPARABLE, (_witness(*best_a[1]),
+                                                            _witness(*best_b[1])),
                                     ran, seed)
     if wins_a:
-        return OrderVerdict(Relation.A_PREC_B, (_witness(seed, *best_a[1]),), ran, seed)
+        return OrderVerdict(Relation.A_PREC_B, (_witness(*best_a[1]),), ran, seed)
     if wins_b:
-        return OrderVerdict(Relation.B_PREC_A, (_witness(seed, *best_b[1]),), ran, seed)
+        return OrderVerdict(Relation.B_PREC_A, (_witness(*best_b[1]),), ran, seed)
     return OrderVerdict(Relation.UNDETERMINED, (), ran, seed)

@@ -9,6 +9,7 @@ agm(x0, y0) = (pi/2) x0 / K(sqrt(1 - (y0/x0)^2)) for 0 < y0 < x0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
@@ -35,8 +36,8 @@ def iterate_means(m: MeanSpec, n: MeanSpec, x0: float, y0: float,
     The result lies in [min(x0, y0), max(x0, y0)].  Raises ConvergenceError
     if the cap of 200 iterations is hit with gap > tol.
     """
-    if not (x0 > 0 and y0 > 0):
-        raise DomainError("iterate_means requires positive start values")
+    if not (0 < x0 < math.inf and 0 < y0 < math.inf):
+        raise DomainError("iterate_means requires positive finite start values")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     values, iterations, gap = coupled_limit(m, n, x0, y0, tol, ITERATION_CAP)
@@ -49,7 +50,7 @@ def agm(x: float, y: float, tol: float = 1e-15) -> float:
     Raises ConvergenceError if the cap of 200 iterations is hit with the
     relative gap above tol.
     """
-    if not (x > 0 and y > 0):
-        raise DomainError("agm requires positive arguments")
+    if not (0 < x < math.inf and 0 < y < math.inf):
+        raise DomainError("agm requires positive finite arguments")
     value, _, _ = coupled_limit(_ARITHMETIC, _GEOMETRIC, x, y, tol, ITERATION_CAP)
     return float(value)

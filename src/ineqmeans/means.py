@@ -14,10 +14,10 @@ All evaluators accept scalars or numpy arrays elementwise.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,6 +55,7 @@ __all__ = [
 # below this order (gap) the Rado and Gini-scale log routes equal their limits
 # at 0 to the last bit; the floor keeps order * L out of the subnormals
 _ORDER_FLOOR = 1e-300
+_SUM_MIN, _FLOAT_MAX = 2.0 ** -1021, np.finfo(float).max  # see _in_range
 ITERATED_EVAL_TOL = 1e-14
 ITERATED_CAP = 200
 
@@ -369,16 +370,50 @@ def _rado_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gini_parts(u: float, v: float, x: np.ndarray, y: np.ndarray) -> tuple:
+    # x^u + y^u, x^v + y^v (2 at v = 0) and the plain quotient of the mean
+    num, den = x ** u + y ** u, (2.0 if v == 0.0 else x ** v + y ** v)
+    q = num / den
+    return num, den, q if u - v == 1.0 else q ** (1.0 / (u - v))
+
+
+def _in_range(num, den):
+    # both sums and their quotient in [2**-1021, max float], so each sum's larger
+    # term is a normal float and the plain quotient accurate; nothing here overflows
+    return ((num >= _SUM_MIN) & (num <= _FLOAT_MAX) & (den >= _SUM_MIN) & (den <= _FLOAT_MAX)
+            & (num >= _SUM_MIN * den) & (num / _FLOAT_MAX <= den))
+
+
+def _gini_rescaled(u: float, v: float, x, y, num, den, out) -> np.ndarray:
+    """``out`` recomputed where the sums left the normal range (the plain
+    quotient overflowed, underflowed or lost digits to subnormals), in a
+    homogeneous form whose factors all stay in range: with orders p >= m,
+    t = lo/hi and a = (max(p, 0) - max(m, 0))/(p - m) (1 for orders >= 0, 0
+    for orders < 0), M = hi^a lo^(1 - a) ((1 + t^|p|)/(1 + t^|m|))^(1/(p - m))."""
+    x, y, num, den, out = map(np.array, np.broadcast_arrays(x, y, num, den, out))
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    redo = ~_in_range(num, den) & (hi > 0.0) & (hi < np.inf)
+    lo, hi = lo[redo], hi[redo]
+    p, m = max(u, v), min(u, v)
+    a, t = (max(p, 0.0) - max(m, 0.0)) / (p - m), lo / hi
+    out[redo] = (hi ** a * lo ** (1.0 - a)
+                 * ((1.0 + t ** abs(p)) / (1.0 + t ** abs(m))) ** (1.0 / (p - m)))
+    return out
+
+
 def _gini_values(u: float, v: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # ((x^u + y^u)/(x^v + y^v))^(1/(u - v)) and its u = v limit: the one kernel
     # of the power (v = 0) and Lehmer (u = v + 1) means (notes/decisions.md, "Gini scale")
     if abs(u - v) >= 0.5 or u * v < 0.0:
         # a zero argument at a negative order: inf ** (1/(u - v)) = 0, the
         # limit; for v > 0 the quotient is 0/0 at x = y = 0, where the limit is 0
-        quiet = min(u, v) < 0.0 or v > 0.0
-        with np.errstate(divide="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
-            q = (x ** u + y ** u) / (2.0 if v == 0.0 else x ** v + y ** v)
-            out = q if u - v == 1.0 else q ** (1.0 / (u - v))
+        quiet = "ignore" if min(u, v) < 0.0 or v > 0.0 else None
+        with np.errstate(divide=quiet, invalid=quiet, over="ignore"):
+            num, den, out = _gini_parts(u, v, x, y)
+            if num.size:  # the extreme sums bound every quotient
+                d_lo, d_hi = (den, den) if v == 0.0 else (den.min(), den.max())
+                if not (_in_range(num.min(), d_hi) & _in_range(num.max(), d_lo)):
+                    out = _gini_rescaled(u, v, x, y, num, den, out)
         return np.where((x == 0.0) & (y == 0.0), 0.0, out) if v > 0.0 else out
     # same-sign orders: with u >= v, d = u - v, t = lo/hi, L = ln(hi/lo) and
     # s = t^v/(1 + t^v), ln(M/hi) = log1p(s expm1(-d L))/d, -s L at d = 0.
@@ -491,8 +526,8 @@ def mean_values(spec: MeanSpec, x, y) -> np.ndarray:
 def _validate_args(spec: MeanSpec, x, y) -> None:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
-        raise DomainError("mean arguments must be nonnegative")
+    if not (((x >= 0) & (x < np.inf)).all() and ((y >= 0) & (y < np.inf)).all()):
+        raise DomainError("mean arguments must be finite and nonnegative")
     if spec.requires_positive() and (np.any(x == 0) or np.any(y == 0)):
         raise DomainError(f"mean {spec} requires strictly positive arguments")
 
@@ -594,8 +629,8 @@ def check_axioms(spec: MeanSpec, n_samples: int, seed: int, rtol: float = 1e-10)
     a +50% perturbation of one argument, symmetry, and intermediacy.
     Failures are reported with reproducible witnesses, never raised.
     """
-    if n_samples < 1:
-        raise ParameterError("n_samples must be >= 1")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, Integral) or n_samples < 1:
+        raise ParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if not 0 <= rtol < math.inf:  # NaN fails too
         raise ParameterError(f"rtol must be finite and nonnegative, got {rtol}")
     rng = make_rng(seed)
@@ -671,8 +706,8 @@ def check_h_function(h: Callable[[float], float], t_grid: Sequence[float],
     grid = tuple(float(t) for t in t_grid)
     if not grid:
         raise ParameterError("t_grid must be nonempty")
-    if any(t < 0 for t in grid) or any(a > b for a, b in zip(grid, grid[1:])):
-        raise ParameterError("t_grid must be ascending and nonnegative")
+    if not all(0 <= t < math.inf for t in grid) or any(a > b for a, b in zip(grid, grid[1:])):
+        raise ParameterError("t_grid must be finite, ascending and nonnegative")
     h0 = float(h(0.0))
     even_violations = []
     for t in grid:

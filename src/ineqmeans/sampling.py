@@ -1,21 +1,23 @@
 """Seeded random sampling used by every randomized check.
 
 The generator is numpy's PCG64 (O'Neill's permuted congruential generator,
-128-bit state, 64-bit output).  The algorithm is fixed and documented, so a
-witness ``(seed, index)`` reproduces the exact sample on any platform.
-Sampling of positive magnitudes is log-uniform over ``[1e-3, 1e3]`` unless a
-caller overrides the range.
+128-bit state, 64-bit output).  Every draw reads its raw 64-bit words, which
+numpy's NEP 19 keeps stable across versions (``Generator`` methods get no
+such promise), through numpy's own readings: ``_unit``, a double
+``(w >> 11) * 2**-53`` per word, and ``_lemire``, an integer in [0, n) per
+32-bit half, low half first.  Magnitudes are log-uniform over [1e-3, 1e3]
+unless a caller overrides the range.
 
-Trial ``i`` of a seeded search draws from ``spawn_rng(seed, i)``, a PCG64
-seeded by ``SeedSequence((seed, i))``.  ``spawn_raw`` gives the first raw
-64-bit words of a whole range of those streams at once: it runs the
-SeedSequence hash (32-bit ``hashmix``/``mix`` on a pool of four words)
-vectorised over the indices and hands each row's state to numpy's own
-PCG64, so no ``SeedSequence`` or ``Generator`` is built per trial and every
-word equals ``spawn_rng(seed, i).bit_generator.random_raw()`` bit for bit.
-
-``numpy.random`` is imported on first use, not with this module: the CLI
-loads it only for the commands that sample.
+Trial ``i`` of a seeded search is defined by the raw words of its stream
+``spawn_rng(seed, i)``, a PCG64 seeded by ``SeedSequence((seed, i))`` (the
+comparator's layout: ``integral._draw_block``), so a witness ``(seed, i)``
+reproduces alone.  ``spawn_raw`` gives the first eight words of a range of
+trials at once: it runs the SeedSequence hash (32-bit ``hashmix``/``mix``
+on a pool of four words) vectorised over the indices and hands each row's
+state to numpy's own PCG64, so no ``SeedSequence`` or ``Generator`` is built
+per trial and every word equals ``spawn_rng(seed, i).bit_generator.random_raw()``
+bit for bit.  ``numpy.random`` is imported on first use, not with this
+module: the CLI loads it only for the commands that sample.
 """
 
 from __future__ import annotations
@@ -54,8 +56,22 @@ def spawn_rng(seed: int, index: int) -> np.random.Generator:
 
 def log_uniform(rng: np.random.Generator, lo: float = SAMPLE_LO, hi: float = SAMPLE_HI,
                 size=None) -> np.ndarray:
-    """Log-uniform samples in [lo, hi]; scale-free coverage of magnitudes."""
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
+    """Log-uniform samples in [lo, hi]: exp(uniform(ln lo, ln hi)) on raw words."""
+    low = np.log(lo)
+    return np.exp(low + (np.log(hi) - low) * _unit(rng.bit_generator.random_raw(size)))
+
+
+def _unit(words) -> np.ndarray:
+    """Doubles in [0, 1) from raw 64-bit words: their top 53 bits times 2**-53."""
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _lemire(draws: np.ndarray, n: int) -> tuple:
+    """Integers in [0, n) from 32-bit draws, by Lemire's multiply-shift as
+    numpy's ``integers(0, n)`` does it: the values, and where numpy rejects
+    the draw and takes the next one."""
+    m = draws * np.uint64(n)
+    return (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(_MASK32)) < (2**32 - n) % n
 
 
 # ---------------------------------------------------------------------------

@@ -46,3 +46,38 @@ def test_non_finite_inputs_are_parameter_errors(call):
     # comparisons (holds=False, "fail") or a stalled bisection
     with pytest.raises(ineqmeans.ParameterError):
         call()
+
+
+_POWER_2 = ineqmeans.parse_mean("power:2")
+_EXP1 = ineqmeans.parse_function("exp:1")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ineqmeans.eval_mean(_POWER_2, _NAN, 1.0), ineqmeans.DomainError),
+    (lambda: ineqmeans.eval_mean(_POWER_2, _INF, 1.0), ineqmeans.DomainError),
+    (lambda: ineqmeans.conjugate_eval(_POWER_2, 1.0, _INF), ineqmeans.DomainError),
+    (lambda: ineqmeans.entropy(_POWER_2, _INF, 1.0), ineqmeans.DomainError),
+    (lambda: ineqmeans.check_h_conditions(_POWER_2, [0.0, _INF]), ineqmeans.ParameterError),
+    (lambda: ineqmeans.check_h_conditions(_POWER_2, [0.0, _NAN]), ineqmeans.ParameterError),
+    (lambda: ineqmeans.cde_check(_POWER_2, [(_NAN, 1.0)]), ineqmeans.ParameterError),
+    (lambda: ineqmeans.cde_check_functions(lambda x, y: x * y, lambda x, y: x * y,
+                                           [(0.0, 1.0)]), ineqmeans.ParameterError),
+    (lambda: ineqmeans.dft_uncertainty([_NAN, 1.0]), ineqmeans.ParameterError),
+    (lambda: ineqmeans.dft_uncertainty([_INF, 1.0]), ineqmeans.ParameterError),
+    (lambda: ineqmeans.product_identity_check(_EXP1, _EXP1, 0.0, 1.0, ineqmeans.ChainKind.MEAN_FORM,
+                                              _POWER_2, rtol=_NAN), ineqmeans.ParameterError),
+    (lambda: ineqmeans.check_axioms(_POWER_2, 1.5, 0), ineqmeans.ParameterError),
+    (lambda: ineqmeans.check_axioms(_POWER_2, True, 0), ineqmeans.ParameterError),
+    (lambda: ineqmeans.agm(_INF, 1.0), ineqmeans.DomainError),
+    (lambda: ineqmeans.iterate_means(_POWER_2, ineqmeans.parse_mean("power:0"), _INF, 1.0, 1e-12),
+     ineqmeans.DomainError),
+], ids=["eval-nan", "eval-inf", "conjugate-inf", "entropy-inf", "h-check-inf", "h-check-nan",
+        "cde-nan", "cde-functions-zero", "dft-nan", "dft-inf", "identity-rtol-nan",
+        "axioms-float-samples", "axioms-bool-samples", "agm-inf", "iterate-inf"])
+def test_library_entry_points_raise_typed_errors(call, error):
+    # unchecked, these returned nan, inf or -inf (eval_mean, conjugate_eval,
+    # entropy), reported ok or holds=False off NaN comparisons (h-check, cde,
+    # dft, product identity), raised ZeroDivisionError or TypeError, or spun
+    # 200 steps into ConvergenceError (agm, iterate_means at inf)
+    with pytest.raises(error):
+        call()

@@ -295,7 +295,7 @@ def test_byte_identical_output():
 BOUNDARY_INPUTS = (
     ("means eval --spec power:2 --x nan --y 1", 2),
     ("means eval --spec power:2 --x inf --y 1", 2),
-    ("means eval --spec power:2 --x 1e200 --y 1e200", 3),
+    ("means eval --spec power:2 --x -1 --y 1", 3),
     ("means h-check --spec max --grid 0,1,800", 3),
     ("young classify --x 5 --y 1e300 --p 4", 3),
     ("compare --a power:0 --b power:2 --trials 5 --seed -1", 2),

@@ -12,7 +12,7 @@ from ineqmeans import (ChainKind, ConvergenceError, DomainError, MeanFamily, Ord
                        product_identity_check, quadrature)
 from ineqmeans import integral
 from ineqmeans.functions import FunctionFamily, FunctionSpec
-from ineqmeans.integral import _find_kinks, _sample_function
+from ineqmeans.integral import _find_kinks
 from ineqmeans.means import conjugate_from_mean
 from ineqmeans.quadrature import _NODES as GK_NODES
 from ineqmeans.quadrature import _WEIGHTS as GK_WEIGHTS
@@ -20,6 +20,7 @@ from ineqmeans.quadrature import _cumulative_weights as cumulative_weights
 from ineqmeans.reports import chain_report
 from ineqmeans.sampling import make_rng, spawn_rng
 from test_acceptance import _increasing_pair, _suitable_pair
+from test_sampling import _sample_function
 
 T_LIN = parse_function("pow:1")
 ONE_MINUS_T = parse_function("affine:1,-1")
@@ -72,7 +73,6 @@ def test_rado_logarithmic_chain_against_riemann_oracle():
 
 def test_mean_chain_holds_for_every_catalog_mean():
     from ineqmeans import chain_catalog
-    from ineqmeans.integral import _sample_function
     from ineqmeans.sampling import spawn_rng
     for mi, spec in enumerate(chain_catalog()):
         for i in range(50):

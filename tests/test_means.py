@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -295,6 +296,50 @@ def test_small_order_power_kernel_against_mpmath():
                         got = mean_values(spec(f"power:{order!r}"), x, y)
                         assert np.array_equal(got, mean_values(spec(f"quasi:pow,{order!r}"), x, y))
                         assert float(np.max(np.abs(got - ref) / ref)) <= 4e-15, (order, base)
+
+
+def _plain_gini_mp(mp, u, v, x, y):
+    x, y = mp.mpf(x), mp.mpf(y)
+    return ((x ** u + y ** u) / (x ** v + y ** v)) ** (1 / mp.mpf(u - v))
+
+
+@pytest.mark.parametrize("name, u, v, x, y", [
+    ("power:2", 2, 0, 1e-200, 1e-200), ("power:-2", -2, 0, 1e-200, 1e-200),
+    ("power:2", 2, 0, 1e200, 1e200), ("power:-2", -2, 0, 1e200, 1e200),
+    ("lehmer:2", 3, 2, 1e200, 1e190), ("gini:3,-1", 3, -1, 1e150, 1e150)])
+def test_plain_gini_quotient_at_the_float_edges(name, u, v, x, y):
+    # the plain quotient underflowed (power:+-2 at 1e-200 printed 0.0 with
+    # exit 0) or overflowed (exit 3); the answers are finite
+    mp = pytest.importorskip("mpmath")
+    from ineqmeans.cli import dispatch
+    with mp.workdps(50):
+        ref = float(_plain_gini_mp(mp, u, v, x, y))
+    assert eval_mean(spec(name), x, y) == pytest.approx(ref, rel=4e-16, abs=0.0)
+    result = dispatch(["means", "eval", "--spec", name, "--x", repr(x), "--y", repr(y)])
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["value"] == eval_mean(spec(name), x, y)
+
+
+def test_plain_gini_quotient_past_the_float_range_against_mpmath():
+    # x^u, x^v or their quotient past the float range or in the subnormals,
+    # on a 10^(+-300) grid in steps of 25: recomputed in homogeneous form.
+    # Where 1/(u - v) or u/(u - v) is inexact, the rounding of that exponent
+    # moves the value by up to ln(hi/lo) ulps / (u - v), as with Rado orders
+    mp = pytest.importorskip("mpmath")
+    exps = range(-300, 301, 25)
+    pairs = [(10.0 ** i, 10.0 ** j) for i in exps for j in exps if i <= j]
+    lo = np.array([p[0] for p in pairs])
+    hi = np.array([p[1] for p in pairs])
+    cases = [("power:2", 2, 0, 5e-16), ("power:-2", -2, 0, 5e-16), ("power:-0.5", -0.5, 0, 5e-16),
+             ("lehmer:2", 3, 2, 5e-16), ("lehmer:-3", -2, -3, 5e-16),
+             ("gini:3,-1", 3, -1, 5e-16), ("gini:0.25,-0.25", 0.25, -0.25, 1e-15),
+             ("power:7", 7, 0, 1e-14), ("gini:4,1", 4, 1, 2e-14), ("gini:2,-0.3", 2, -0.3, 2e-13)]
+    with mp.workdps(60):
+        for name, u, v, bound in cases:
+            ref = np.array([float(_plain_gini_mp(mp, u, v, x, y)) for x, y in pairs])
+            for x, y in ((lo, hi), (hi, lo)):
+                rel = np.abs(mean_values(spec(name), x, y) - ref) / ref
+                assert float(np.max(rel)) <= bound, name
 
 
 def test_gini_near_equal_orders_against_mpmath():
