@@ -506,9 +506,10 @@ _COMPARE_INTERVALS = (0.5, 1.0, 2.0)
 # form, whose factors exp(+-2v) amplify the inner integral's error
 _PANELS = {ChainKind.MEAN_FORM: 8, ChainKind.LOG_DERIV_FORM: 32}
 # trials per evaluated block: small at first so an early exit wastes few
-# trials, then doubling up to a cap that bounds the working set (a few MB)
+# trials, then doubling while a block holds at most _BLOCK_NODES panel nodes
+# (256 rows in the mean form, 64 in the log-derivative form)
 _BLOCK_FIRST = 8
-_BLOCK_CAP = 32
+_BLOCK_NODES = 2 ** 15
 # QUADPACK's floor on a rule's error estimate, relative to its total
 _ROUNDING = 50.0 * np.finfo(float).eps
 
@@ -591,13 +592,13 @@ def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivat
     values += c1
     values *= xs
     values += c0
-    exp_rows = np.broadcast_to(_KIND_EXP[kinds].reshape(shape[:-1]), values.shape[:-1])
-    values[exp_rows] = np.exp(values[exp_rows])
+    exp_rows = _KIND_EXP[kinds].reshape(shape)
+    np.exp(values, out=values, where=exp_rows)
     if not derivative:
         return values, None
     slopes = (2.0 * c2) * xs
     slopes += c1
-    slopes[exp_rows] *= values[exp_rows]
+    np.multiply(slopes, values, out=slopes, where=exp_rows)
     return values, slopes
 
 
@@ -747,10 +748,12 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     the diagonal (min, max, power:+-inf) an interior panel edge is moved
     onto each crossing of f and g (mean form) or of their log-derivatives;
     a trial with more crossings than interior edges raises ConvergenceError.
-    Trials are drawn and evaluated in blocks (8 rows, doubling up to 32) and
-    scanned in index order; a block's rows are computed exactly as lone
-    trials would be (every sum runs in a fixed order, none through a matrix
-    product), so blocking changes no digit of the verdict.
+    Trials are drawn and evaluated in blocks (8 rows, doubling while a block
+    holds at most 2**15 panel nodes: up to 256 rows in the mean form, 64 in
+    the log-derivative form) and scanned in index order; a block's rows are
+    computed exactly as lone trials would be (every sum runs in a fixed
+    order, none through a matrix product), so blocking changes no digit of
+    the verdict.
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral):
         raise ParameterError(f"trials must be an integer, got {trials!r}")
@@ -767,7 +770,8 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     size = _BLOCK_FIRST
     while ran < trials:
         draws = _draw_block(seed, ran, min(ran + size, trials))
-        size = min(2 * size, _BLOCK_CAP)
+        if 2 * size * 15 * _PANELS[kind] <= _BLOCK_NODES:
+            size *= 2
         kinds, coeffs, intervals = draws
         # the plain panels, and the snapped ones for a mean that kinks
         rows = {kinked: (_snapped_rows(kind, kinds, coeffs, edges[intervals], ran) if kinked else

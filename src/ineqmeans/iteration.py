@@ -52,5 +52,7 @@ def agm(x: float, y: float, tol: float = 1e-15) -> float:
     """
     if not (0 < x < math.inf and 0 < y < math.inf):
         raise DomainError("agm requires positive finite arguments")
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
     value, _, _ = coupled_limit(_ARITHMETIC, _GEOMETRIC, x, y, tol, ITERATION_CAP)
     return float(value)

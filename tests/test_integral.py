@@ -908,6 +908,63 @@ def test_blocked_comparator_memory_does_not_scale_with_trials():
     assert peak < 16 * 2 ** 20
 
 
+def test_kinked_blocks_stay_within_the_memory_bound():
+    # a kinked mean adds each block's 1025-point scan and its snapped panels
+    # to the working set, and the mean form has the largest blocks (256 rows)
+    tracemalloc.start()
+    try:
+        got = compare_generalizations(parse_mean("max"), parse_mean("power:1"), 1000, 13,
+                                      ChainKind.MEAN_FORM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.trials == 1000
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    (ChainKind.MEAN_FORM, [8, 16, 32, 64, 128, 256, 256, 240]),
+    (ChainKind.LOG_DERIV_FORM, [8, 16, 32] + [64] * 14 + [48])])
+def test_blocks_double_up_to_the_panel_node_budget(monkeypatch, kind, sizes):
+    calls = []
+    draw = integral._draw_block
+
+    def recording(seed, start, stop):
+        calls.append((start, stop))
+        return draw(seed, start, stop)
+
+    monkeypatch.setattr(integral, "_draw_block", recording)
+    got = compare_generalizations(parse_mean("power:0"), parse_mean("power:2"), 1000, 4, kind)
+    assert got.trials == 1000
+    assert [stop - start for start, stop in calls] == sizes
+    assert [start for start, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
+    for start, stop in calls:
+        assert (stop - start) * 15 * integral._PANELS[kind] <= integral._BLOCK_NODES
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("layout", ["panels", "scan"])
+def test_catalog_rows_equal_function_spec_calls_bit_for_bit(layout, derivative):
+    # all 16 (f, g) kind pairs, four times each, on the panel nodes
+    # (15, rows, P) and on the kink scan grids (rows, 1025)
+    _, coeffs, intervals = integral._draw_block(9, 0, 64)
+    kinds = np.stack([np.arange(64) % 4, np.arange(64) // 4 % 4])
+    ends = np.array(integral._COMPARE_INTERVALS)[intervals]
+    if layout == "panels":
+        xs, _ = integral._panel_nodes(np.stack([np.linspace(0.0, b, 9) for b in ends]))
+    else:
+        xs = np.stack([np.linspace(0.0, b, integral._SCAN_POINTS) for b in ends])
+    values, slopes = integral._catalog_rows(kinds, coeffs, xs, derivative)
+    assert (slopes is not None) is derivative
+    for m in range(2):
+        for row in range(64):
+            spec = integral._catalog_member(kinds[m, row], coeffs[m, row])
+            t = xs[..., row, :]
+            assert values[m, ..., row, :].tobytes() == spec(t).tobytes(), (spec, layout)
+            if derivative:
+                assert slopes[m, ..., row, :].tobytes() == spec.derivative(t).tobytes(), spec
+
+
 # ---------------------------------------------------------------------------
 # the comparator's panels: error bars, kinks, and argument checks
 # ---------------------------------------------------------------------------

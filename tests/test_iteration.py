@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from ineqmeans import (ConvergenceError, DomainError, agm, check_axioms, elliptic_k,
-                       eval_mean, iterate_means, parse_mean)
+from ineqmeans import (ConvergenceError, DomainError, ParameterError, agm, check_axioms,
+                       elliptic_k, eval_mean, iterate_means, parse_mean)
 from ineqmeans.elliptic import KMethod
 from ineqmeans.sampling import log_uniform, make_rng
 
@@ -95,3 +95,13 @@ def test_agm_rejects_nonpositive():
         agm(0.0, 1.0)
     with pytest.raises(DomainError):
         iterate_means(ARITH, GEOM, -1.0, 2.0, 1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, -math.inf, math.nan])
+def test_agm_rejects_a_tol_that_is_not_positive(tol):
+    # the check iterate_means makes; such a tol used to run all 200 steps
+    # and raise ConvergenceError
+    with pytest.raises(ParameterError):
+        agm(1.0, 2.0, tol=tol)
+    with pytest.raises(ParameterError):
+        iterate_means(ARITH, GEOM, 1.0, 2.0, tol)
