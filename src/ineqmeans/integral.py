@@ -16,10 +16,12 @@ via M(u, v) = (u + v) h(ln(v/u)).
 
 In both forms the five integrals [fg, Phi1, Phi2, f^2, g^2] share their
 nodes, so the errors of near-equal terms (Phi1 and g^2 when max picks Lg)
-cancel.  The mean form integrates them with one adaptive quadrature.  The
-log-derivative form runs its inner integral int_a^x M(Lf, Lg) and the outer
-ones on one adaptive Gauss-Kronrod partition, with f, g, f' and g' evaluated
-once per node (notes/decisions.md, "Log-derivative partition").
+cancel.  Both forms adapt a Gauss-Kronrod partition from the same start:
+8 uniform panels, split at the kinks of a min/max-type mean
+(``_start_panels``).  The mean form adapts the five integrands together on
+it.  The log-derivative form runs its inner integral int_a^x M(Lf, Lg) and
+the outer ones on one such partition, with f, g, f' and g' evaluated once
+per node (notes/decisions.md, "Log-derivative partition").
 
 Middle terms of two refinements are partially ordered by pointwise
 domination; the sampling comparator searches a fixed function catalog for
@@ -49,11 +51,11 @@ from .functions import (FunctionFamily, FunctionSpec, _grid, validate_nonneg_der
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     mean_values)
 from .quadrature import (_WEIGHTS, _accepted, _adapt, _bisect, _cumulative_weights, _interval,
-                         _nodes, _panels, _per_panel, quadrature)
-# no caller left in the package: the traced benchmark binds these names here
-# until its fixed-grid and Hermite spans move (ROADMAP item 5)
+                         _nodes, _panels, _per_panel)
+# no caller in this module: the traced benchmark binds these names here until
+# its fixed-grid, Hermite and quadrature spans move (ROADMAP item 5)
 from .quadrature import (CubicHermite, composite_simpson,  # noqa: F401
-                         cumulative_simpson, simpson_nodes)
+                         cumulative_simpson, quadrature, simpson_nodes)
 from .reports import ChainReport, chain_report
 from .sampling import _MASK32, _lemire, _unit, spawn_raw, spawn_rng
 
@@ -90,6 +92,23 @@ def _mean_fn_from_h(h: Callable[[float], float]) -> Callable:
 # mean-form chain
 # ---------------------------------------------------------------------------
 
+# Both integral chains start their adaptation on this many uniform panels,
+# plus the kinks: from one panel a mean-form chain needed 1.69 levels and a
+# log-derivative chain 2.7, each a fixed cost (notes/decisions.md,
+# "Log-derivative partition").
+_START_PANELS = 8
+
+
+def _start_panels(a: float, b: float, breaks: Sequence[float] = ()) -> tuple:
+    """Midpoints and half-widths of the start panels of [a, b]: the
+    ``_START_PANELS`` uniform panels split at the interior ``breaks``.  A
+    break on a uniform edge merges with it, so no panel has zero width."""
+    edges = _grid(a, b, _START_PANELS + 1)
+    if len(breaks):
+        edges = np.union1d(edges, breaks)
+    return _panels(edges)
+
+
 def _kinks_on_diagonal(spec: MeanSpec) -> bool:
     """True when M(x, y) is not differentiable where x = y (min/max types)."""
     family = spec.family
@@ -102,9 +121,10 @@ def _kinks_on_diagonal(spec: MeanSpec) -> bool:
 
 def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
                 kinked: bool) -> ChainReport:
-    """The mean-form chain of f, g, validated here, from one quadrature of
-    [fg, M^2, M*^2, f^2, g^2]; ``kinked`` marks a mean that kinks on the
-    diagonal, so the integrands kink where f and g cross."""
+    """The mean-form chain of f, g, validated here, from one adaptation of
+    [fg, M^2, M*^2, f^2, g^2] on the start panels; ``kinked`` marks a mean
+    that kinks on the diagonal, so the integrands kink where f and g cross
+    and the panels are split there."""
     validate_positive(f, a, b, "f")
     validate_positive(g, a, b, "g")
 
@@ -112,20 +132,34 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
         ft = np.asarray(f(t), dtype=float)
         gt = np.asarray(g(t), dtype=float)
         m = mfn(ft, gt)
-        return np.stack([ft * gt, m * m, conjugate_from_mean(ft, gt, m) ** 2, ft * ft, gt * gt])
+        rows = np.empty((5,) + t.shape)
+        np.multiply(ft, gt, out=rows[0])
+        np.multiply(m, m, out=rows[1])
+        conj = conjugate_from_mean(ft, gt, m)
+        np.multiply(conj, conj, out=rows[2])
+        np.multiply(ft, ft, out=rows[3])
+        np.multiply(gt, gt, out=rows[4])
+        return rows
 
     breaks = ()
     if kinked:
         breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
                              a, b)
-    fg, mid1, mid2, ff, gg = quadrature(integrand, a, b, tol, breaks=breaks).tolist()
+    fg, mid1, mid2, ff, gg = _adapt(integrand, a, b, tol, *_start_panels(a, b, breaks)).total.tolist()
     # judged at the tolerance the terms were computed to
     return chain_report(fg ** 2, mid1 * mid2, ff * gg, tol)
 
 
 def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
                         tol: float = 1e-10) -> ChainReport:
-    """Evaluate (int fg)^2 <= int M^2 * int M*^2 <= int f^2 int g^2."""
+    """Evaluate (int fg)^2 <= int M^2 * int M*^2 <= int f^2 int g^2.
+
+    The five integrals [fg, M^2, M*^2, f^2, g^2] share one adaptive
+    Gauss-Kronrod partition, started, as the log-derivative chain's is, from
+    8 uniform panels split where f and g cross (for min/max-type means,
+    which kink there), each interval bisected until every row meets its
+    width share of max(tol, tol |I|).
+    """
     a, b = _interval(a, b, tol)
     return _mean_chain(f, g, a, b, lambda u, v: mean_values(spec, u, v), tol,
                        _kinks_on_diagonal(spec))
@@ -177,12 +211,6 @@ def _find_kinks(diff_fn: Callable, a: float, b: float,
         kinks.append(0.5 * (float(lo) + float(hi)))
     eps = 1e-10 * (b - a)
     return [k for k in kinks if a + eps < k < b - eps]
-
-
-# The log-derivative partition starts from this many uniform panels, plus the
-# kinks: from one panel a chain needed 2.7 levels, each a fixed cost
-# (notes/decisions.md, "Log-derivative partition").
-_START_PANELS = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,18 +312,15 @@ def _tabulate_antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: floa
                              lmean: Callable, inner_tol: float,
                              breaks: Sequence[float] = ()) -> _Antiderivative:
     """int_a^x lmean(f, g, f', g') on the GK15 partition that meets inner_tol:
-    8 uniform panels and the ``breaks`` (interior kinks) to start, each
-    interval bisected until lmean meets its share of the target."""
-    edges = _grid(a, b, _START_PANELS + 1)
-    if len(breaks):
-        edges = np.union1d(edges, breaks)
-    mid, hw = _panels(edges)
+    the start panels split at the ``breaks`` (interior kinks), each interval
+    bisected until lmean meets its share of the target."""
 
     def sample(t):  # one evaluation of each of f, g, f' and g'
         fv = np.asarray(f(t), dtype=float)
         gv = np.asarray(g(t), dtype=float)
         return np.stack([lmean(fv, gv, f.derivative(t), g.derivative(t)), fv, gv])
 
+    mid, hw = _start_panels(a, b, breaks)
     return _Antiderivative.on(a, b, sample, inner_tol,
                               *_adapt(sample, a, b, inner_tol, mid, hw, judged=1).partition())
 

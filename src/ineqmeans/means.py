@@ -56,6 +56,7 @@ __all__ = [
 # at 0 to the last bit; the floor keeps order * L out of the subnormals
 _ORDER_FLOOR = 1e-300
 _SUM_MIN, _FLOAT_MAX = 2.0 ** -1021, np.finfo(float).max  # see _in_range
+_NORMAL_MIN = np.finfo(float).tiny
 ITERATED_EVAL_TOL = 1e-14
 ITERATED_CAP = 200
 
@@ -401,10 +402,24 @@ def _gini_rescaled(u: float, v: float, x, y, num, den, out) -> np.ndarray:
     return out
 
 
+def _gini_log_ratio(p: float, m: float, lo: np.ndarray, hi: np.ndarray,
+                    L: np.ndarray) -> np.ndarray:
+    """ln((1 + t^p)/(1 + t^m)) for orders p >= m >= 0, t = lo/hi, L = ln(hi/lo):
+    log1p(s expm1(-(p - m) L)) with s = t^m/(1 + t^m), which keeps its digits
+    however close p and m are (the gap is floored at ``_ORDER_FLOOR``)."""
+    with np.errstate(invalid="ignore"):  # 0/0 at x = y = 0
+        t = lo / hi
+        w = t ** m
+        if m > 0.0:
+            # t underflows where hi/lo passes the float range; t^m need not
+            w = np.where(t >= _NORMAL_MIN, w, np.exp(-m * L))
+    return np.log1p(w / (1.0 + w) * np.expm1(-max(p - m, _ORDER_FLOOR) * L))
+
+
 def _gini_values(u: float, v: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # ((x^u + y^u)/(x^v + y^v))^(1/(u - v)) and its u = v limit: the one kernel
     # of the power (v = 0) and Lehmer (u = v + 1) means (notes/decisions.md, "Gini scale")
-    if abs(u - v) >= 0.5 or u * v < 0.0:
+    if abs(u - v) >= 0.5:
         # a zero argument at a negative order: inf ** (1/(u - v)) = 0, the
         # limit; for v > 0 the quotient is 0/0 at x = y = 0, where the limit is 0
         quiet = "ignore" if min(u, v) < 0.0 or v > 0.0 else None
@@ -415,18 +430,23 @@ def _gini_values(u: float, v: float, x: np.ndarray, y: np.ndarray) -> np.ndarray
                 if not (_in_range(num.min(), d_hi) & _in_range(num.max(), d_lo)):
                     out = _gini_rescaled(u, v, x, y, num, den, out)
         return np.where((x == 0.0) & (y == 0.0), 0.0, out) if v > 0.0 else out
-    # same-sign orders: with u >= v, d = u - v, t = lo/hi, L = ln(hi/lo) and
-    # s = t^v/(1 + t^v), ln(M/hi) = log1p(s expm1(-d L))/d, -s L at d = 0.
-    # For u <= 0, M_{u,v}(x, y) = 1/M_{-v,-u}(1/x, 1/y) puts it on the base lo
+    # orders closer than 0.5: with u >= v, d = u - v, t = lo/hi and
+    # L = ln(hi/lo), ln(M/hi) = ln((1 + t^u)/(1 + t^v))/d, -s L at d = 0.
+    # For u <= 0, M_{u,v}(x, y) = 1/M_{-v,-u}(1/x, 1/y) puts it on the base lo;
+    # for v < 0 < u, ln(1 + t^v) = -v L + ln(1 + t^-v) keeps t^v from overflowing
     u, v = max(u, v), min(u, v)
     d = max(u - v, _ORDER_FLOOR)
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
     L = _gap_and_log(lo, hi)[1]
-    base, p, e = (hi, v, d) if v >= 0.0 else (lo, -u, -d)
-    with np.errstate(invalid="ignore"):  # 0/0 at x = y = 0
-        w = (lo / hi) ** p
-    out = _base_exp(base, np.log1p(w / (1.0 + w) * np.expm1(-d * L)) / e)
+    if v >= 0.0:
+        base, e = hi, _gini_log_ratio(u, v, lo, hi, L) / d
+    elif u <= 0.0:
+        base, e = lo, -_gini_log_ratio(-v, -u, lo, hi, L) / d
+    else:
+        ratio = _gini_log_ratio(max(u, -v), min(u, -v), lo, hi, L)
+        base, e = hi, ((ratio if u >= -v else -ratio) + v * L) / d
+    out = _base_exp(base, e)
     return np.where(hi > lo, np.minimum(np.maximum(out, lo), hi), lo)
 
 

@@ -18,10 +18,13 @@ midpoints and half-widths between edges.
 
 The loop is ``_adapt``, which also keeps every level's node values, so a
 caller can read the accepted partition back left to right
-(``_Adaptation.partition``): the log-derivative chain integrates its inner
-and outer integrands on one such partition (notes/decisions.md,
-"Log-derivative partition").  ``_bisect`` splits intervals and holds the
-depth, pending and resolution caps, ``_interval`` the argument checks.
+(``_Adaptation.partition``).  Both integral chains call it directly, from
+one set of start panels (``integral._start_panels``: 8 uniform panels split
+at the kinks): the mean form adapts its five integrands together, and the
+log-derivative form integrates its inner and outer integrands on one
+partition (notes/decisions.md, "Log-derivative partition").  ``_bisect``
+splits intervals and holds the depth, pending and resolution caps,
+``_interval`` the argument checks.
 
 ``_cumulative_weights`` builds the spectral integration matrix
 S[j, k] = int_{-1}^{u_j} l_k of the degree-14 interpolant through the 15

@@ -14,18 +14,23 @@ sys.path[:0] = [{src!r}, {bench!r}]
 import tracer
 tr = tracer.Tracer()
 tracer.install(tr)
-from ineqmeans import ChainKind, integral, parse_function, parse_mean
+from ineqmeans import ChainKind, integral, parse_function, parse_mean, young
+def since(before):
+    return {{name: n - before.get(name, 0) for name, n in tr.calls.items()}}
 for kind in ChainKind:
     integral.compare_generalizations(parse_mean("power:0"), parse_mean("power:2"),
                                      40, 5, kind)
 compare = dict(tr.calls)
 integral.integral_mean_chain(parse_function("exp:1"), parse_function("affine:1,2"),
                              0.0, 1.0, parse_mean("power:2"), tol=1e-9)
+mean = since(compare)
 before = dict(tr.calls)
 integral.integral_logderiv_chain(parse_function("exp:2"), parse_function("affine:2,1"),
                                  0.0, 1.0, parse_mean("power:2"))
-logderiv = {{name: n - before.get(name, 0) for name, n in tr.calls.items()}}
-print(json.dumps({{"summary": tr.summary(), "compare": compare, "logderiv": logderiv}}))
+logderiv = since(before)
+young.young_integral_gap(parse_function("pow:2"), 1.0, 0.5)
+print(json.dumps({{"summary": tr.summary(), "compare": compare, "mean": mean,
+                  "logderiv": logderiv}}))
 """
 
 
@@ -48,9 +53,13 @@ def test_traced_bench_layers_bind():
     assert compare.get("sampling.spawn_rng", 0) == 0, compare
     assert not [span for span in compare
                 if span.startswith("fixedgrid.") or span.startswith("quadrature")], compare
-    # entered from the log-derivative chain itself, which integrates on its
-    # own Gauss-Kronrod partition: no Simpson helper, no Hermite table and no
-    # call of quadrature
+    # both integral chains adapt their own Gauss-Kronrod partitions: the
+    # quadrature span is entered from young's integral gap alone
+    mean = out["mean"]
+    assert mean.get("integral.mean_chain", 0) > 0
+    assert mean.get("quadrature", 0) == 0, mean
+    # entered from the log-derivative chain itself: no Simpson helper, no
+    # Hermite table and no call of quadrature
     logderiv = out["logderiv"]
     for span in ("integral.logderiv_chain", "integral.tabulate", "validate.positive",
                  "validate.nonneg_derivative", "means.mean_values"):

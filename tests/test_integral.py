@@ -365,19 +365,103 @@ CROSSING_G = parse_function("poly:1.07857,1.56503,8.91331")
 ], ids=["no-crossing", "crossing"])
 def test_kinked_mean_chain_matches_quadrature_on_a_fresh_kink_scan(f, g, b, crossings):
     # the chain scans f - g on its own 1025 scan nodes; a scan here, then one
-    # quadrature, gives the same report
+    # quadrature from the uniform start panels split at the kinks, gives the
+    # same report
     spec = parse_mean("power:inf")
     breaks = _find_kinks(lambda t: f(t) - g(t), 0.0, b)
     assert len(breaks) == crossings
+    edges = np.union1d(np.linspace(0.0, b, integral._START_PANELS + 1), breaks)
 
     def integrand(t):
         fv, gv = f(t), g(t)
         m = mean_values(spec, fv, gv)
         return np.stack([fv * gv, m * m, conjugate_from_mean(fv, gv, m) ** 2, fv * fv, gv * gv])
 
-    fg, mid1, mid2, ff, gg = quadrature(integrand, 0.0, b, 1e-9, breaks=breaks).tolist()
+    fg, mid1, mid2, ff, gg = quadrature(integrand, 0.0, b, 1e-9, breaks=edges).tolist()
     assert (integral_mean_chain(f, g, 0.0, b, spec, tol=1e-9)
             == chain_report(fg ** 2, mid1 * mid2, ff * gg, 1e-9))
+
+
+@pytest.mark.parametrize("form, spec, f, g, b, crossings", [
+    ("mean", "power:2", EXP1, parse_function("affine:1,2"), 1.0, 0),
+    ("logderiv", "power:2", parse_function("exppoly:0.1,1,0.5"), parse_function("affine:2,1"),
+     1.0, 0),
+    # f and g cross at t = 0.5, a scan node and a start edge: no kink to add
+    ("mean", "power:inf", T_LIN, ONE_MINUS_T, 1.0, 0),
+    ("mean", "power:inf",
+     parse_function("poly:8.419542874820742,0.30216463015850675,6.164191356388866"),
+     parse_function("exp:5.971814374831163"), 0.5, 1),
+    ("logderiv", "power:inf", CROSSING_F, CROSSING_G, 1.0, 1),
+], ids=["mean-smooth", "logderiv-smooth", "mean-cross-on-edge", "mean-crossing",
+        "logderiv-crossing"])
+def test_both_chain_forms_start_on_uniform_panels_split_at_the_kinks(
+        monkeypatch, form, spec, f, g, b, crossings):
+    # one start rule: 8 uniform panels, joined with the kinks of a
+    # min/max-type mean (f - g in the mean form, Lf - Lg in the other)
+    starts = []
+    adapt = integral._adapt
+
+    def recorded_adapt(*args, **kwargs):
+        out = adapt(*args, **kwargs)
+        starts.append(out.levels[0])
+        return out
+
+    monkeypatch.setattr(integral, "_adapt", recorded_adapt)
+    if form == "mean":
+        integral_mean_chain(f, g, 0.0, b, parse_mean(spec), tol=1e-9)
+        kinks = _find_kinks(lambda t: f(t) - g(t), 0.0, b)
+    else:
+        integral_logderiv_chain(f, g, 0.0, b, parse_mean(spec))
+        kinks = _find_kinks(lambda t: f.derivative(t) / f(t) - g.derivative(t) / g(t), 0.0, b)
+    assert len(kinks) == crossings
+    depth, mid, hw, _, _ = starts[0]
+    edges = np.union1d(np.linspace(0.0, b, 9), kinks)
+    assert depth == 0 and len(mid) == 8 + crossings and (hw > 0.0).all()
+    assert np.array_equal(hw, np.diff(edges) / 2.0)
+    assert np.array_equal(mid, edges[:-1] + hw)
+
+
+def test_a_kink_on_a_start_edge_merges_with_it():
+    mid, hw = integral._start_panels(0.0, 1.0, [0.5])
+    assert np.array_equal(hw, np.full(8, 0.0625))
+    assert np.array_equal(mid, np.arange(1, 16, 2) / 16.0)
+    mid, hw = integral._start_panels(0.0, 1.0, [0.3, 0.625])
+    assert len(mid) == 9 and (hw > 0.0).all()
+
+
+def test_mean_chain_terms_against_nested_scipy():
+    # criterion-09-style draws under its seven means: each term, a product of
+    # two integrals, is within the sum of their targets max(tol, tol |I|)
+    # of scipy's (epsrel 1e-13, split at the crossings where max kinks)
+    integrate = pytest.importorskip("scipy.integrate")
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    tol = 1e-9
+    means = [parse_mean(s) for s in ("power:0", "power:1", "power:2", "power:inf",
+                                     "rado:-1", "rado:0", "wgeom:0.75,0.25")]
+    for mi, spec in enumerate(means):
+        for i in range(6):
+            f, g, b = _increasing_pair(spawn_rng(909 + mi, i))
+            report = integral_mean_chain(f, g, 0.0, b, spec, tol=tol)
+            ts = np.linspace(0.0, b, 257)
+            d = f(ts) - g(ts)
+            cross = [brentq(lambda t: float(f(t)) - float(g(t)), ts[j], ts[j + 1], xtol=1e-15)
+                     for j in np.nonzero(d[:-1] * d[1:] < 0.0)[0]]
+
+            def quad(fn):
+                def at(t):
+                    fv, gv = float(f(t)), float(g(t))
+                    return fn(fv, gv, float(mean_values(spec, fv, gv)))
+                return integrate.quad(at, 0.0, b, epsabs=0.0, epsrel=1e-13, limit=200,
+                                      points=cross or None)[0]
+
+            fg, ff, gg = (quad(lambda x, y, m: x * y), quad(lambda x, y, m: x * x),
+                          quad(lambda x, y, m: y * y))
+            m1 = quad(lambda x, y, m: m * m)
+            m2 = quad(lambda x, y, m: (x * y / m) ** 2)
+            for got, (i1, i2) in ((report.left, (fg, fg)), (report.middle, (m1, m2)),
+                                  (report.right, (ff, gg))):
+                budget = i1 * i2 * sum(max(tol, tol * i) / i for i in (i1, i2))
+                assert abs(got - i1 * i2) <= budget, (spec.to_string(), i, got, i1 * i2)
 
 
 def test_logderiv_chains_match_from_scratch_reference_bit_for_bit():

@@ -364,6 +364,58 @@ def test_gini_near_equal_orders_against_mpmath():
                     assert float(np.max(np.abs(got - ref) / ref)) <= 4e-15, (u, v, base)
 
 
+def _gini_exact_mp(mp, u, v, x, y):
+    # the exponent 1/(u - v) with u - v exact: rounded, it moves the value by
+    # ln(M) (up to 690 at 1e-300) times its rounding
+    x, y, u, v = mp.mpf(x), mp.mpf(y), mp.mpf(u), mp.mpf(v)
+    return ((x ** u + y ** u) / (x ** v + y ** v)) ** (1 / (u - v))
+
+
+def test_gini_opposite_orders_closer_than_half_against_mpmath():
+    # opposite-sign orders closer than 0.5 take the log route too: the plain
+    # quotient's exponent 1/(u - v) magnified its rounding (gini:1e-9,-1e-9
+    # printed 2.4494899371764474 at (2, 3), 7.9e-8 off); ratios 1 + 1e-9 ..
+    # 1 + 1e6 at magnitudes 1e-300 .. 1e300, either order
+    mp = pytest.importorskip("mpmath")
+    assert eval_mean(spec("gini:1e-9,-1e-9"), 2.0, 3.0) == pytest.approx(
+        2.4494897427831781, rel=4e-15, abs=0.0)
+    gaps = np.logspace(-9.0, 6.0, 46)
+    pairs = [(1e-9, -1e-9), (2e-9, -1e-9), (-3e-9, 1e-9), (0.2, -0.2), (0.3, -0.1),
+             (0.1, -0.3), (0.001, -0.4), (0.249, -0.25), (0.4, -1e-12)]
+    with mp.workdps(50):
+        for u, v in pairs:
+            for base in (1e-300, 1e-3, 1.0, 2.0, 1e3, 1e300):
+                lo = np.full_like(gaps, base)
+                hi = base * (1.0 + gaps)
+                ref = np.array([float(_gini_exact_mp(mp, u, v, a, b)) for a, b in zip(lo, hi)])
+                for x, y in ((lo, hi), (hi, lo)):
+                    got = mean_values(spec(f"gini:{u!r},{v!r}"), x, y)
+                    assert float(np.max(np.abs(got - ref) / ref)) <= 4e-15, (u, v, base)
+
+
+def test_gini_log_route_past_the_float_ratio_against_mpmath():
+    # hi/lo past the float range, on a 10^(+-300) grid in steps of 25: lo/hi
+    # underflows, but t^m need not (gini:2e-9,1e-9 gave 1e300 at (1e-300,
+    # 1e300), where the mean is 1.0007), and t^v for v < 0 would overflow.
+    # The log route's error grows like ln(hi/lo) ulps
+    mp = pytest.importorskip("mpmath")
+    exps = range(-300, 301, 25)
+    pairs = [(10.0 ** i, 10.0 ** j) for i in exps for j in exps if i < j]
+    lo = np.array([p[0] for p in pairs])
+    hi = np.array([p[1] for p in pairs])
+    bound = 2.0 * np.finfo(float).eps * (np.log(hi) - np.log(lo))
+    with mp.workdps(60):
+        for u, v in ((1e-9, -1e-9), (0.2, -0.2), (0.1, -0.3), (0.001, -0.4),
+                     (2e-9, 1e-9), (-1e-9, -2e-9), (1e-10, 0.0)):
+            ref = np.array([float(_gini_exact_mp(mp, u, v, x, y)) for x, y in pairs])
+            for x, y in ((lo, hi), (hi, lo)):
+                rel = np.abs(mean_values(spec(f"gini:{u!r},{v!r}"), x, y) - ref) / ref
+                assert (rel <= bound).all(), (u, v)
+    # a zero argument: the limit 0 for v < 0
+    zero = mean_values(spec("gini:0.2,-0.1"), np.array([0.0, 0.0, 3.0]), np.array([0.0, 4.0, 3.0]))
+    assert zero.tolist() == [0.0, 0.0, 3.0]
+
+
 def test_gini_scale_members_share_one_kernel():
     # power:a, gini:a,0 and quasi:pow,a are one evaluation, and so are
     # lehmer:u and gini:u+1,u, on the plain and the log route alike, at

@@ -12,8 +12,12 @@ alternates from pair to pair (the parent first on the first).  Both sides'
 from source in its timed interpreters, even under PYTHONDONTWRITEBYTECODE.  The file holds
 both result lines (the last stdout line of run.py) of every pair, the
 medians and the parent's quartiles of each end-to-end metric, the number of
-pairs the change wins, and the machine: CPU count and model, Python and
-numpy versions.  The file is rewritten after each pair.  A run that exits
+pairs the change wins, the median change signed so that positive is worse
+(``change_rel``) and whether that exceeds the metric's bound (``beyond_bound``;
+direction and bound from BENCHMARK.json's ``end_to_end`` entries), and the
+machine: CPU count and model, Python and numpy versions.  The file is
+rewritten after each pair; after each workload, every metric beyond its
+bound is printed to stderr.  A run that exits
 non-zero, or whose result is not ``correct`` or has failed inputs, stops the
 recording: the file keeps the pairs before it plus a ``failed_run`` entry,
 the run's side, workload, seed, exit code, detail line and stderr tail are
@@ -88,19 +92,33 @@ def _machine() -> dict:
             "platform": platform.platform()}
 
 
-def _summary(pairs: list) -> dict:
+def _bounds() -> dict:
+    """BENCHMARK.json's end-to-end metrics by name: direction and bound."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
+
+
+def _summary(pairs: list, bounds: dict) -> dict:
+    """Per metric: medians, the parent's quartiles, the change's wins and
+    ``change_rel``, the relative change of the medians signed so that
+    positive is worse, which is ``beyond_bound`` when it exceeds the
+    metric's bound in ``bounds`` (a metric without one is never beyond)."""
     out = {}
     for name, metric in pairs[0]["parent"]["metrics"].items():
         before = [p["parent"]["metrics"][name]["value"] for p in pairs]
         after = [p["change"]["metrics"][name]["value"] for p in pairs]
-        higher = name == "work_per_s"
+        declared = bounds.get(name, {})
+        higher = declared.get("better", "lower") == "higher"
         wins = sum((a > b) if higher else (a < b) for a, b in zip(after, before))
         q = statistics.quantiles(before, n=4) if len(before) > 1 else [before[0]] * 3
+        parent, change = statistics.median(before), statistics.median(after)
+        worse = (parent - change) if higher else (change - parent)
+        change_rel = worse / abs(parent) if parent else 0.0
         out[name] = {"unit": metric["unit"], "better": "higher" if higher else "lower",
-                     "parent_median": statistics.median(before),
-                     "parent_quartiles": [q[0], q[2]],
-                     "change_median": statistics.median(after),
-                     "change_wins": wins, "pairs": len(pairs)}
+                     "parent_median": parent, "parent_quartiles": [q[0], q[2]],
+                     "change_median": change, "change_wins": wins, "pairs": len(pairs),
+                     "change_rel": change_rel,
+                     "beyond_bound": "bound" in declared and change_rel > declared["bound"]}
     return out
 
 
@@ -126,6 +144,7 @@ def main() -> None:
     _export(args.parent_rev)
     for checkout in (PARENT_DIR, ROOT):
         _compile(checkout)
+    bounds = _bounds()
     record = {"parent": _git("rev-parse", args.parent_rev),
               "change": _git("describe", "--always", "--dirty"),
               "seconds": args.seconds, "machine": _machine(), "workloads": {}}
@@ -148,8 +167,12 @@ def main() -> None:
             pairs.append(pair)
             print(workload, seed, {k: round(pair[k]["metrics"]["work_per_s"]["value"], 1)
                                    for k in ("parent", "change")}, flush=True)
-            record["workloads"][workload] = {"summary": _summary(pairs), "pairs": pairs}
+            record["workloads"][workload] = {"summary": _summary(pairs, bounds), "pairs": pairs}
             _save(record, args.out)
+        for name, summary in record["workloads"][workload]["summary"].items():
+            if summary["beyond_bound"]:
+                print(f"{workload} {name}: {summary['change_rel']:+.1%} worse in the median, beyond "
+                      f"its bound {bounds[name]['bound']:.0%}", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":
