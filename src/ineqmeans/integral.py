@@ -29,8 +29,10 @@ directional evidence or a certified two-sided (incomparable) witness pair,
 each trial's middles from fixed Gauss-Kronrod panels with an error bar,
 evaluated in blocks of rows with the digits of one trial at a time
 (notes/decisions.md, "Comparator panels" and "Comparator blocks").  The
-chain and the comparator share one kink scan (``_find_kinks``) and, in the
-log-derivative form, one factor kernel: ``_inner_sums`` for v at the nodes,
+chains and the comparator share one kink finder (``_find_kinks``), which
+scans and narrows any number of rows together: a chain passes its one
+interval, the comparator a whole block.  In the log-derivative form they
+also share one factor kernel: ``_inner_sums`` for v at the nodes,
 ``_log_factors`` for Phi1 and Phi2.
 """
 
@@ -143,8 +145,7 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
 
     breaks = ()
     if kinked:
-        breaks = _find_kinks(lambda t: np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float),
-                             a, b)
+        breaks = _find_kinks(lambda rows, ts: f(ts) - g(ts), np.array([a]), np.array([b]))[0]
     fg, mid1, mid2, ff, gg = _adapt(integrand, a, b, tol, *_start_panels(a, b, breaks)).total.tolist()
     # judged at the tolerance the terms were computed to
     return chain_report(fg ** 2, mid1 * mid2, ff * gg, tol)
@@ -183,34 +184,49 @@ def _of_logderivs(mfn: Callable) -> Callable:
 
 # the kink scan's grid, linspace(a, b, 1025): 1024 cells
 _SCAN_POINTS = 1025
+# a narrowing round's 257 points are lo + k (hi - lo) / 256 for these k
+_SUBDIVISION = np.arange(257.0)
 
 
-def _find_kinks(diff_fn: Callable, a: float, b: float,
-                even: Optional[np.ndarray] = None) -> list:
-    """Interior sign changes of diff_fn (where min/max-type means kink).
+def _find_kinks(gap: Callable, a: np.ndarray, b: np.ndarray) -> list:
+    """Interior sign changes of a gap (where min/max-type means kink), one
+    sorted list per row of the intervals [a, b] (arrays of shape (rows,)).
 
-    A scan of diff_fn on the 1025-point scan grid brackets each change;
-    ``even`` gives its values at the even nodes when the caller has them
-    (the comparator, from its block scan).  Rounds of 257-point subdivision
-    then narrow each bracket, to ulp width or for at most 6 rounds.
+    ``gap(rows, ts)`` evaluates the selected rows (an index array, repeats
+    allowed) at ts of shape (len(rows), n).  One call scans every row on its
+    1025-point scan grid.  A scan node where the gap is exactly 0 between
+    nodes of opposite, nonzero signs is a root as it stands; a touching zero
+    or a run of zeros is not.  Each sign change between neighbouring nodes
+    is a bracket, and 6 rounds of 257-point subdivision narrow all brackets
+    of all rows together, each to ulp width or as far as 6 rounds go.
     """
-    ts = _grid(a, b, _SCAN_POINTS)
-    d = np.empty(len(ts))
-    d[::2] = diff_fn(ts[::2]) if even is None else even
-    d[1::2] = diff_fn(ts[1::2])
-    kinks = []
-    for i in np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]:
-        lo, hi, side = ts[i], ts[i + 1], np.sign(d[i])
-        for _ in range(6):
-            if np.nextafter(lo, hi) >= hi:
-                break
-            sub = np.linspace(lo, hi, 257)
-            # sub[0] = lo keeps the sign; the first change (or zero) closes the bracket
-            j = int(np.argmax(np.sign(np.asarray(diff_fn(sub), dtype=float)) != side))
-            lo, hi = sub[j - 1], sub[j]
-        kinks.append(0.5 * (float(lo) + float(hi)))
+    ts = np.stack([_grid(lo, hi, _SCAN_POINTS) for lo, hi in zip(a.tolist(), b.tolist())])
+    s = np.sign(gap(np.arange(len(ts)), ts))
+    node_row, node = np.nonzero((s[:, 1:-1] == 0) & (s[:, :-2] * s[:, 2:] < 0))
+    on_node = ts[node_row, node + 1]
+    bracket_row, cell = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
+    if not (len(node_row) or len(bracket_row)):  # most chains' scans: skip the bookkeeping
+        return [[] for _ in ts]
+    lo, hi, side = ts[bracket_row, cell], ts[bracket_row, cell + 1], s[bracket_row, cell, None]
+    at = np.arange(len(bracket_row))
+    for _ in range(6):
+        # linspace(lo, hi, 257) of each bracket, as numpy builds it (at a third
+        # of the cost of the call on arrays); sub[:, 0] = lo keeps the sign,
+        # the first change (or zero) closes the bracket, and a bracket already
+        # an ulp wide comes out as it went in (its points are lo, then hi)
+        sub = _SUBDIVISION * ((hi - lo) / 256.0)[:, None]
+        sub += lo[:, None]
+        sub[:, -1] = hi
+        j = np.argmax(np.sign(gap(bracket_row, sub)) != side, axis=1)
+        lo, hi = sub[at, j - 1], sub[at, j]
+    kink_row = np.concatenate([node_row, bracket_row])
+    kinks = np.concatenate([on_node, 0.5 * (lo + hi)])
     eps = 1e-10 * (b - a)
-    return [k for k in kinks if a + eps < k < b - eps]
+    inside = (a[kink_row] + eps[kink_row] < kinks) & (kinks < b[kink_row] - eps[kink_row])
+    found = [[] for _ in ts]
+    for r, k in sorted(zip(kink_row[inside].tolist(), kinks[inside].tolist())):
+        found[r].append(k)
+    return found
 
 
 @functools.lru_cache(maxsize=None)
@@ -359,8 +375,9 @@ def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     validate_nonneg_derivative(g, a, b, "g")
     if not kinked:
         return []
-    return _find_kinks(lambda t: _logderiv_gap(f(t), g(t), f.derivative(t), g.derivative(t)),
-                       a, b)
+    return _find_kinks(lambda rows, ts: _logderiv_gap(f(ts), g(ts), f.derivative(ts),
+                                                      g.derivative(ts)),
+                       np.array([a]), np.array([b]))[0]
 
 
 def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
@@ -683,19 +700,16 @@ def _snapped_rows(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray, edges:
     """The block on panels with an edge on each crossing of the kink gap, for
     means that kink on the diagonal.
 
-    _find_kinks finds each row's crossings from its own scan grid, one
-    catalog call scanning the whole block (a crossing row's odd nodes are
-    evaluated again). A trial with more crossings than interior panel edges
-    raises ConvergenceError; ``first`` is the index of the block's first
-    trial.
+    One _find_kinks call finds the crossings of every row of the block: one
+    catalog call scans them all, and each narrowing round is one catalog
+    call on the brackets of every crossing row. A trial with more crossings
+    than interior panel edges raises ConvergenceError; ``first`` is the
+    index of the block's first trial.
     """
-    scan = np.stack([_grid(lo, hi, _SCAN_POINTS) for lo, hi in edges[:, [0, -1]].tolist()])
-    gaps = _member_gap(kind, kinds, coeffs, scan)
+    found = _find_kinks(lambda rows, ts: _member_gap(kind, kinds[:, rows], coeffs[:, rows], ts),
+                        edges[:, 0], edges[:, -1])
     moved = edges.copy()
-    for row in np.nonzero((np.sign(gaps[:, :-1]) * np.sign(gaps[:, 1:]) < 0).any(axis=1))[0]:
-        mine = kinds[:, row:row + 1], coeffs[:, row:row + 1]
-        roots = _find_kinks(lambda t: _member_gap(kind, *mine, t[None])[0],
-                            edges[row, 0], edges[row, -1], gaps[row, ::2])
+    for row, roots in enumerate(found):
         if not roots:
             continue
         snapped = _snap(edges[row], np.array(roots))

@@ -483,16 +483,28 @@ def coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,
 
     Elementwise: each element stops at its own first gap <= tol and stays
     frozen while the others iterate, so its value depends only on its own
-    pair.  Returns (values, iterations of the slowest element, largest final
-    relative gap).  Raises ConvergenceError when any element still has
-    gap > tol at the cap.
+    pair.  An element with a zero argument is judged by its gap relative to
+    its starting scale max(x, y) instead, for as long as one of its sides is
+    still exactly 0: where an inner mean stays 0 (the geometric mean of 0 and
+    y), the relative gap stays 1 while both sides shrink to the limit 0.
+    Once both sides are positive it goes back to the relative gap, which
+    resolves a small positive limit.  Returns (values, iterations of the
+    slowest element, largest final gap).  Raises ConvergenceError when any
+    element still has gap > tol at the cap.
     """
     xk = np.array(x, dtype=float, copy=True)
     yk = np.array(y, dtype=float, copy=True)
+    # decided once, so elements with positive arguments run as they would alone
+    zero = None
+    if np.min(xk, initial=np.inf) == 0.0 or np.min(yk, initial=np.inf) == 0.0:
+        zero = (xk == 0.0) | (yk == 0.0)
+        start = np.maximum(np.maximum(xk, yk), 1e-300)
     iterations = 0
     while True:
         gap = np.abs(xk - yk)
         gap /= np.maximum(np.maximum(xk, yk), 1e-300)
+        if zero is not None:
+            gap = np.where(zero & ((xk == 0.0) | (yk == 0.0)), np.abs(xk - yk) / start, gap)
         done = gap <= tol
         if done.all():
             return 0.5 * (xk + yk), iterations, float(np.max(gap))

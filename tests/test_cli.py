@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ineqmeans import ParameterError
 from ineqmeans.cli import GRID_MAX_POINTS, _parse_grid, dispatch
+from ineqmeans.means import ITERATED_EVAL_TOL
 
 
 def run(*argv):
@@ -29,6 +30,17 @@ def test_means_eval_iterated_spec():
     result = run("means", "eval", "--spec", "iter:warith:0.5,0.5|power:0",
                  "--x", "1", "--y", "2")
     assert payload(result)["value"] == pytest.approx(1.4567910310469068, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, x, y", [("iter:warith:0.5,0.5|power:0", "0", "3"),
+                                        ("iter:warith:0.5,0.5|power:0", "3", "0"),
+                                        ("iter:power:0|warith:0.5,0.5", "0", "3")])
+def test_means_eval_iterated_spec_at_a_zero_argument(name, x, y):
+    # the geometric side stays 0, so the relative gap stays 1 while the
+    # pair shrinks to the limit 0 (this exited 3 after 200 steps)
+    result = run("means", "eval", "--spec", name, "--x", x, "--y", y)
+    assert result.exit_code == 0, result.stderr
+    assert 0.0 <= payload(result)["value"] <= ITERATED_EVAL_TOL * 3.0
 
 
 def test_means_eval_rado_at_wide_finite_ratios():

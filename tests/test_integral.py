@@ -124,11 +124,118 @@ def test_find_kinks_root_against_brentq():
     brentq = pytest.importorskip("scipy.optimize").brentq
     f = parse_function("poly:8.419542874820742,0.30216463015850675,6.164191356388866")
     g = parse_function("exp:5.971814374831163")
-    kinks = _find_kinks(lambda t: f(t) - g(t), 0.0, 0.5)
+    kinks = _find_kinks(lambda rows, t: f(t) - g(t), np.array([0.0]), np.array([0.5]))[0]
     root = brentq(lambda t: float(f(t)) - float(g(t)), 0.0, 0.5, xtol=1e-300,
                   rtol=4 * np.finfo(float).eps)
     assert len(kinks) == 1
     assert abs(kinks[0] - root) <= 2 * np.spacing(root)
+
+
+def _reference_kinks(gap, a, b):
+    # one row's kinks, node by node: a zero scan node between opposite signs
+    # as it stands, and each sign change between neighbouring nodes narrowed
+    # by rounds of 257-point subdivision, to ulp width or for at most 6 rounds
+    ts = np.linspace(a, b, 1025)
+    d = np.sign(gap(ts))
+    kinks = []
+    for i in range(len(ts) - 1):
+        if i > 0 and d[i] == 0 and d[i - 1] * d[i + 1] < 0:
+            kinks.append(float(ts[i]))
+        if d[i] * d[i + 1] >= 0:
+            continue
+        lo, hi = ts[i], ts[i + 1]
+        for _ in range(6):
+            if np.nextafter(lo, hi) >= hi:
+                break
+            sub = np.linspace(lo, hi, 257)
+            j = int(np.argmax(np.sign(gap(sub)) != d[i]))
+            lo, hi = sub[j - 1], sub[j]
+        kinks.append(0.5 * (float(lo) + float(hi)))
+    eps = 1e-10 * (b - a)
+    return [k for k in kinks if a + eps < k < b - eps]
+
+
+# f - g = 2t - 1.001953125 vanishes at t = 513/1024, a scan node of [0, 1]
+ON_NODE_G = parse_function("affine:1.001953125,-1")
+
+
+@pytest.mark.parametrize("gap, kinks", [
+    (lambda t: T_LIN(t) - ON_NODE_G(t), [513 / 1024]),
+    (lambda t: (t - 0.5) ** 2, []),  # touches 0 at a scan node
+    (lambda t: np.where(np.abs(t - 0.5) <= 2.0 ** -9, 0.0, t - 0.5), []),  # 5 zero nodes
+], ids=["crossing", "touching", "zero-run"])
+def test_a_zero_scan_node_between_opposite_signs_is_a_root(gap, kinks):
+    got = _find_kinks(lambda rows, t: gap(t), np.array([0.0]), np.array([1.0]))[0]
+    assert got == kinks == _reference_kinks(gap, 0.0, 1.0)
+
+
+def test_a_crossing_on_a_scan_node_splits_the_start_panels(monkeypatch):
+    # found as a root, the crossing at 513/1024 becomes a start edge, so the
+    # chain adapts in one level; a kink the scan misses is reached only by
+    # bisection, level by level
+    adaptations = []
+    adapt = integral._adapt
+
+    def recorded_adapt(*args, **kwargs):
+        adaptations.append(adapt(*args, **kwargs))
+        return adaptations[-1]
+
+    monkeypatch.setattr(integral, "_adapt", recorded_adapt)
+    integral_mean_chain(T_LIN, ON_NODE_G, 0.0, 1.0, parse_mean("power:inf"))
+    levels = adaptations[0].levels
+    assert len(levels) == 1
+    assert 15 * sum(len(mid) for _, mid, _, _, _ in levels) == 135
+
+
+def _kinked_block(kind, seed):
+    # a block of the comparator's largest size, with its kink gap
+    size = {ChainKind.MEAN_FORM: 256, ChainKind.LOG_DERIV_FORM: 64}[kind]
+    kinds, coeffs, intervals = integral._draw_block(seed, 0, size)
+
+    def gap(rows, t):
+        return integral._member_gap(kind, kinds[:, rows], coeffs[:, rows], t)
+
+    return kinds, coeffs, intervals, gap
+
+
+@pytest.mark.parametrize("kind", list(ChainKind))
+@pytest.mark.parametrize("seed", [3, 5, 13])
+def test_block_kinks_equal_lone_row_and_reference_kinks(kind, seed):
+    # the rows max snaps against power:1: each row's kinks, found among the
+    # whole block, equal float for float those found on that row alone and
+    # by the per-row reference
+    kinds, coeffs, intervals, gap = _kinked_block(kind, seed)
+    ends = np.array(integral._COMPARE_INTERVALS)[intervals]
+    starts = np.zeros(len(ends))
+    block = _find_kinks(gap, starts, ends)
+    assert sum(map(bool, block)) >= 8
+    for row, b in enumerate(ends.tolist()):
+        f, g = (integral._catalog_member(kinds[m, row], coeffs[m, row]) for m in range(2))
+        alone = _find_kinks(lambda rows, t: gap(rows + row, t), starts[row:row + 1],
+                            ends[row:row + 1])[0]
+        assert block[row] == alone == _reference_kinks(
+            lambda t: _reference_gap(kind, f, g, t), 0.0, b), (row, f, g)
+
+
+@pytest.mark.parametrize("kind", list(ChainKind))
+def test_a_kinked_block_makes_at_most_eight_catalog_calls(monkeypatch, kind):
+    # one scan, at most 6 narrowing rounds and the snapped panels, however
+    # many rows cross
+    kinds, coeffs, intervals, gap = _kinked_block(kind, 13)
+    edges = np.stack([np.linspace(0.0, b, integral._PANELS[kind] + 1)
+                      for b in integral._COMPARE_INTERVALS])[intervals]
+    crossing = sum(map(bool, _find_kinks(gap, edges[:, 0], edges[:, -1])))
+    assert crossing >= 8
+    calls = []
+    catalog_rows = integral._catalog_rows
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return catalog_rows(*args)
+
+    monkeypatch.setattr(integral, "_catalog_rows", counted)
+    integral._snapped_rows(kind, kinds, coeffs, edges, 0)
+    assert len(calls) <= 1 + 6 + 1
 
 
 def test_mean_chain_requires_nonnegative_functions():
@@ -321,7 +428,8 @@ def _reference_logderiv_chain(f, g, a, b, spec, inner_tol=1e-10, outer_tol=1e-8)
     # the kink scan samples its own 1025 nodes, and only for min/max-type means
     breaks = []
     if integral._kinks_on_diagonal(spec):
-        breaks = _find_kinks(lambda t: f.derivative(t) / f(t) - g.derivative(t) / g(t), a, b)
+        breaks = _find_kinks(lambda rows, t: f.derivative(t) / f(t) - g.derivative(t) / g(t),
+                             np.array([a]), np.array([b]))[0]
     lmean = _reference_lmean(spec)
     intervals = _reference_table(f, g, a, b, lmean, inner_tol, breaks)
     reopened = 0
@@ -368,7 +476,7 @@ def test_kinked_mean_chain_matches_quadrature_on_a_fresh_kink_scan(f, g, b, cros
     # quadrature from the uniform start panels split at the kinks, gives the
     # same report
     spec = parse_mean("power:inf")
-    breaks = _find_kinks(lambda t: f(t) - g(t), 0.0, b)
+    breaks = _find_kinks(lambda rows, t: f(t) - g(t), np.array([0.0]), np.array([b]))[0]
     assert len(breaks) == crossings
     edges = np.union1d(np.linspace(0.0, b, integral._START_PANELS + 1), breaks)
 
@@ -382,20 +490,21 @@ def test_kinked_mean_chain_matches_quadrature_on_a_fresh_kink_scan(f, g, b, cros
             == chain_report(fg ** 2, mid1 * mid2, ff * gg, 1e-9))
 
 
-@pytest.mark.parametrize("form, spec, f, g, b, crossings", [
-    ("mean", "power:2", EXP1, parse_function("affine:1,2"), 1.0, 0),
+@pytest.mark.parametrize("form, spec, f, g, b, crossings, panels", [
+    ("mean", "power:2", EXP1, parse_function("affine:1,2"), 1.0, 0, 8),
     ("logderiv", "power:2", parse_function("exppoly:0.1,1,0.5"), parse_function("affine:2,1"),
-     1.0, 0),
-    # f and g cross at t = 0.5, a scan node and a start edge: no kink to add
-    ("mean", "power:inf", T_LIN, ONE_MINUS_T, 1.0, 0),
+     1.0, 0, 8),
+    # f and g cross at t = 0.5, a scan node and a start edge: the kink merges
+    # with the edge
+    ("mean", "power:inf", T_LIN, ONE_MINUS_T, 1.0, 1, 8),
     ("mean", "power:inf",
      parse_function("poly:8.419542874820742,0.30216463015850675,6.164191356388866"),
-     parse_function("exp:5.971814374831163"), 0.5, 1),
-    ("logderiv", "power:inf", CROSSING_F, CROSSING_G, 1.0, 1),
+     parse_function("exp:5.971814374831163"), 0.5, 1, 9),
+    ("logderiv", "power:inf", CROSSING_F, CROSSING_G, 1.0, 1, 9),
 ], ids=["mean-smooth", "logderiv-smooth", "mean-cross-on-edge", "mean-crossing",
         "logderiv-crossing"])
 def test_both_chain_forms_start_on_uniform_panels_split_at_the_kinks(
-        monkeypatch, form, spec, f, g, b, crossings):
+        monkeypatch, form, spec, f, g, b, crossings, panels):
     # one start rule: 8 uniform panels, joined with the kinks of a
     # min/max-type mean (f - g in the mean form, Lf - Lg in the other)
     starts = []
@@ -409,14 +518,15 @@ def test_both_chain_forms_start_on_uniform_panels_split_at_the_kinks(
     monkeypatch.setattr(integral, "_adapt", recorded_adapt)
     if form == "mean":
         integral_mean_chain(f, g, 0.0, b, parse_mean(spec), tol=1e-9)
-        kinks = _find_kinks(lambda t: f(t) - g(t), 0.0, b)
+        kinks = _find_kinks(lambda rows, t: f(t) - g(t), np.array([0.0]), np.array([b]))[0]
     else:
         integral_logderiv_chain(f, g, 0.0, b, parse_mean(spec))
-        kinks = _find_kinks(lambda t: f.derivative(t) / f(t) - g.derivative(t) / g(t), 0.0, b)
+        kinks = _find_kinks(lambda rows, t: f.derivative(t) / f(t) - g.derivative(t) / g(t),
+                            np.array([0.0]), np.array([b]))[0]
     assert len(kinks) == crossings
     depth, mid, hw, _, _ = starts[0]
     edges = np.union1d(np.linspace(0.0, b, 9), kinks)
-    assert depth == 0 and len(mid) == 8 + crossings and (hw > 0.0).all()
+    assert depth == 0 and len(mid) == panels and (hw > 0.0).all()
     assert np.array_equal(hw, np.diff(edges) / 2.0)
     assert np.array_equal(mid, edges[:-1] + hw)
 
@@ -489,8 +599,9 @@ def test_logderiv_chains_match_from_scratch_reference_bit_for_bit():
         assert integral_logderiv_chain(f, g, 0.0, b, spec, 1e-4, 1e-13) == expected, (spec, f, g)
     assert reopened >= 8
     lmean = _reference_lmean(parse_mean("power:inf"))
-    breaks = _find_kinks(lambda t: CROSSING_F.derivative(t) / CROSSING_F(t)
-                         - CROSSING_G.derivative(t) / CROSSING_G(t), 0.0, 1.0)
+    breaks = _find_kinks(lambda rows, t: CROSSING_F.derivative(t) / CROSSING_F(t)
+                         - CROSSING_G.derivative(t) / CROSSING_G(t), np.array([0.0]),
+                         np.array([1.0]))[0]
     for f, g, brk in ((EXP2, parse_function("affine:2,1"), []),
                       (CROSSING_F, CROSSING_G, breaks)):
         table1 = _ReferenceTable(_reference_table(f, g, 0.0, 1.0, lmean, 1e-12, brk))
@@ -558,7 +669,8 @@ def test_logderiv_phi1_against_nested_scipy(spec, f, g):
     # crossings of Lf - Lg
     quad = pytest.importorskip("scipy.integrate").quad
     mean = parse_mean(spec)
-    breaks = _find_kinks(lambda t: f.derivative(t) / f(t) - g.derivative(t) / g(t), 0.0, 1.0)
+    breaks = _find_kinks(lambda rows, t: f.derivative(t) / f(t) - g.derivative(t) / g(t),
+                         np.array([0.0]), np.array([1.0]))[0]
     assert bool(breaks) == (spec == "power:inf")
 
     def lm(t):
@@ -872,7 +984,8 @@ def _reference_middle(kind, spec, f, g, b):
     panels = REF_PANELS[kind]
     nodes, hw = _reference_panels(np.linspace(0.0, b, panels + 1))
     if integral._kinks_on_diagonal(spec):
-        roots = _find_kinks(lambda t: _reference_gap(kind, f, g, t), 0.0, b)
+        roots = _find_kinks(lambda rows, t: _reference_gap(kind, f, g, t), np.array([0.0]),
+                            np.array([b]))[0]
         if roots:
             nodes, hw = _reference_panels(_reference_snap(b, panels, roots))
     fv = np.asarray(f(nodes), dtype=float)

@@ -12,7 +12,7 @@ from ineqmeans import (DomainError, ExtOrder, FunctionFamily, FunctionSpec, Mean
                        check_h_conditions, check_h_function, conjugate_eval, entropy,
                        eval_mean, full_catalog, h_of, mean_values, mediant, parse_function,
                        parse_mean, rado_power_bound_orders)
-from ineqmeans.means import _QUASI_GENERATORS, conjugate_from_mean
+from ineqmeans.means import ITERATED_EVAL_TOL, _QUASI_GENERATORS, conjugate_from_mean
 from ineqmeans.sampling import log_uniform, make_rng
 
 
@@ -499,6 +499,38 @@ def test_iterated_mean_is_elementwise():
     assert np.array_equal(alone, beside[:-1])
     for i in rng.integers(0, x.size, size=50):
         assert mean_values(s, x[i:i + 1], y[i:i + 1])[0] == alone[i]
+
+
+@pytest.mark.parametrize("name", ["iter:warith:0.5,0.5|power:0", "iter:power:0|warith:0.5,0.5",
+                                  "iter:power:3|power:0"])
+def test_iterated_mean_at_a_zero_argument(name):
+    # a pair with a zero argument is judged by its gap on its starting
+    # scale, so it converges to the limit 0; the positive pairs beside it
+    # keep their values to the last bit
+    rng = make_rng(5)
+    x = log_uniform(rng, size=2000)
+    y = x * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=x.size))
+    s = spec(name)
+    alone = mean_values(s, x, y)
+    beside = mean_values(s, np.append(x, [0.0, 3.0, 0.0]), np.append(y, [3.0, 0.0, 0.0]))
+    assert np.array_equal(alone, beside[:-3])
+    assert (0.0 <= beside[-3:]).all() and (beside[-3:] <= ITERATED_EVAL_TOL * 3.0).all()
+    assert beside[-1] == 0.0
+    assert 0.0 <= eval_mean(s, 0.0, 3.0) <= ITERATED_EVAL_TOL * 3.0
+
+
+@pytest.mark.parametrize("name, x, y, limit", [
+    ("iter:power:0.01|power:0.02", 0.0, 3.0, 7.335017111032747e-22),
+    ("iter:power:0.01|power:0.02", 3.0, 0.0, 7.335017111032747e-22),
+    ("iter:power:0.05|power:0.1", 0.0, 3.0, 0.0001428161199876327),
+    ("iter:power:0.05|power:0.1", 0.0, 1.0, 4.7605373329210905e-05)])
+def test_iterated_mean_at_a_zero_argument_with_a_small_positive_limit(name, x, y, limit):
+    # both sides are positive after one step, so the gap goes back to the
+    # relative one: judged on the starting scale, (0, 3) would stop at
+    # ~1e-15, six orders above the limit 7.3e-22 (the values are those of
+    # the plain relative gap, which converged on these pairs)
+    assert mean_values(spec(name), np.array([x]), np.array([y]))[0] == limit
+    assert eval_mean(spec(name), x, y) == limit
 
 
 def test_scalar_evaluation_agrees_with_arrays():
