@@ -25,15 +25,14 @@ per node (notes/decisions.md, "Log-derivative partition").
 
 Middle terms of two refinements are partially ordered by pointwise
 domination; the sampling comparator searches a fixed function catalog for
-directional evidence or a certified two-sided (incomparable) witness pair,
-each trial's middles from fixed Gauss-Kronrod panels with an error bar,
-evaluated in blocks of rows with the digits of one trial at a time
+directional evidence or a certified two-sided (incomparable) witness pair.
+Its trials run on the chains' engine in blocks of rows, each trial's two
+middles adapted on one partition from its start panels to an error bar
+tied to tie_rtol, with the digits of one trial at a time
 (notes/decisions.md, "Comparator panels" and "Comparator blocks").  The
-chains and the comparator share one kink finder (``_find_kinks``), which
-scans and narrows any number of rows together: a chain passes its one
-interval, the comparator a whole block.  In the log-derivative form they
-also share one factor kernel: ``_inner_sums`` for v at the nodes,
-``_log_factors`` for Phi1 and Phi2.
+chains and the comparator share the engine (``quadrature._adapt``, a
+chain being one row), one kink finder (``_find_kinks``) and, in the
+log-derivative form, one factor kernel (``_log_factors``).
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from .functions import (FunctionFamily, FunctionSpec, _grid, validate_nonneg_der
                         validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     mean_values)
-from .quadrature import (_WEIGHTS, _accepted, _adapt, _bisect, _cumulative_weights, _interval,
-                         _nodes, _panels, _per_panel)
+from .quadrature import (_WEIGHTS, _accepted, _adapt, _cumulative_weights, _interval, _nodes,
+                         _panels, _per_panel, _Partition, _raise_first)
 # no caller in this module: the traced benchmark binds these names here until
 # its fixed-grid, Hermite and quadrature spans move (ROADMAP item 5)
 from .quadrature import (CubicHermite, composite_simpson,  # noqa: F401
@@ -130,7 +129,7 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
     validate_positive(f, a, b, "f")
     validate_positive(g, a, b, "g")
 
-    def integrand(t):
+    def integrand(row, t):
         ft = np.asarray(f(t), dtype=float)
         gt = np.asarray(g(t), dtype=float)
         m = mfn(ft, gt)
@@ -146,7 +145,9 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
     breaks = ()
     if kinked:
         breaks = _find_kinks(lambda rows, ts: f(ts) - g(ts), np.array([a]), np.array([b]))[0]
-    fg, mid1, mid2, ff, gg = _adapt(integrand, a, b, tol, *_start_panels(a, b, breaks)).total.tolist()
+    adaptation = _adapt(integrand, a, b, tol, *_start_panels(a, b, breaks))
+    _raise_first(adaptation.failed)
+    fg, mid1, mid2, ff, gg = adaptation.total[:, 0].tolist()
     # judged at the tolerance the terms were computed to
     return chain_report(fg ** 2, mid1 * mid2, ff * gg, tol)
 
@@ -229,32 +230,13 @@ def _find_kinks(gap: Callable, a: np.ndarray, b: np.ndarray) -> list:
     return found
 
 
-@functools.lru_cache(maxsize=None)
-def _inner_weights() -> np.ndarray:
-    """(15, 17): a panel's inner integral at its 15 nodes (the integration
-    matrix S^T), its K15 total and its K15 - G7 difference.  Built on first
-    use, so commands without a log-derivative integral do not build it."""
-    return np.concatenate([_cumulative_weights().T, _WEIGHTS], axis=1)
-
-
-def _inner_sums(mv: np.ndarray, hw: np.ndarray) -> tuple:
-    """v = int mv on GK15 panels of half-widths hw (..., P), left to right on
-    the last axis, from node-major mv (15, ..., P): the panel sums (17, ...,
-    P), ``_inner_weights`` times hw, and the K15 totals to each panel's left
-    (..., P), so v = sums[:15] + start at the nodes."""
-    sums = _per_panel(mv, _inner_weights())
-    sums *= hw
-    start = np.zeros_like(hw)
-    np.cumsum(sums[15, ..., :-1], axis=-1, out=start[..., 1:])
-    return sums, start
-
-
 def _log_factors(sums: np.ndarray, start: np.ndarray, fg: np.ndarray,
                  phi1: np.ndarray, phi2: np.ndarray) -> None:
-    """Phi1 = exp(2v) and Phi2 = (fg)^2 exp(-2v) at the nodes, v from
-    ``_inner_sums``, written into phi1 and phi2 (15, ..., P) one after the
-    other (why: notes/decisions.md, "Comparator panels")."""
-    np.add(sums[:15], start, out=phi1)
+    """Phi1 = exp(2v) and Phi2 = (fg)^2 exp(-2v) at the nodes, v = sums +
+    start (``_Partition.cumulative``), written into phi1 and phi2 one after
+    the other (why: notes/decisions.md, "Comparator panels"); fg broadcasts
+    against them."""
+    np.add(sums, start, out=phi1)
     phi1 *= 2.0
     np.negative(phi1, out=phi2)
     np.exp(phi1, out=phi1)
@@ -264,64 +246,41 @@ def _log_factors(sums: np.ndarray, start: np.ndarray, fg: np.ndarray,
 
 @dataclass(frozen=True)
 class _Antiderivative:
-    """v(x) = int_a^x lmean on an accepted GK15 partition of [a, b].
+    """v(x) = int_a^x of the judged integrands of a partition: ``sums`` and
+    ``start`` from ``_Partition.cumulative``.
 
-    The intervals run left to right; ``values`` holds lmean, f and g at their
-    15 nodes, node-major (3, 15, n), and ``sample`` evaluates that stack at
-    new nodes.  Within an interval v is the integral of the degree-14 interpolant
-    of lmean through its nodes (the integration matrix S, or K15 mapped onto
-    [-1, u] at other points), plus ``start``, the K15 totals of the intervals
-    to its left.
+    Within an interval v is the integral of the degree-14 interpolant of the
+    integrand through its nodes (the integration matrix S, or K15 mapped
+    onto [-1, u] at other points), plus ``start``, the K15 totals of the
+    row's intervals to its left.  A one-row table (a log-derivative chain)
+    also evaluates v of its first integrand at any points.
     """
 
-    a: float
-    b: float
-    sample: Callable
-    tol: float  # the inner target that every interval meets
-    mid: np.ndarray
-    hw: np.ndarray
-    depth: np.ndarray
-    values: np.ndarray
-    sums: np.ndarray   # (17, n): S applied to lmean, its K15 and K15 - G7, times hw
-    start: np.ndarray  # (n,)
+    part: _Partition
+    sums: np.ndarray   # (15, j, n): S applied to each integrand, times hw
+    start: np.ndarray  # (j, n)
 
     @classmethod
-    def on(cls, a: float, b: float, sample: Callable, tol: float, mid: np.ndarray,
-           hw: np.ndarray, depth: np.ndarray, values: np.ndarray) -> "_Antiderivative":
-        return cls(a, b, sample, tol, mid, hw, depth, values, *_inner_sums(values[0], hw))
+    def on(cls, part: _Partition) -> "_Antiderivative":
+        return cls(part, *part.cumulative())
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
         out = np.empty(xs.size)
+        order = self.part.order
+        mid, hw = self.part.mid[order], self.part.hw[order]
         # the weights take (points, 15, 15) temporaries: a block of points at a time
         for lo in range(0, xs.size, 1024):
             pts = xs.ravel()[lo:lo + 1024]
-            idx = np.clip(np.searchsorted(self.mid - self.hw, pts, side="right") - 1,
-                          0, len(self.mid) - 1)
-            weights = _cumulative_weights(np.clip((pts - self.mid[idx]) / self.hw[idx], -1, 1))
-            m = self.values[0][:, idx]
+            idx = np.clip(np.searchsorted(mid - hw, pts, side="right") - 1, 0, len(mid) - 1)
+            weights = _cumulative_weights(np.clip((pts - mid[idx]) / hw[idx], -1, 1))
+            m = self.part.values[0][:, order[idx]]
             # node by node, as the panel sums add them
             inner = weights[:, 0] * m[0]
             for k in range(1, 15):
                 inner += weights[:, k] * m[k]
-            out[lo:lo + 1024] = inner * self.hw[idx] + self.start[idx]
+            out[lo:lo + 1024] = inner * hw[idx] + self.start[0, order[idx]]
         return out.reshape(xs.shape)
-
-    def refined(self, bad: np.ndarray) -> "_Antiderivative":
-        """The table with each ``bad`` interval bisected and its halves
-        adapted to the inner target again.  The halves count as one level
-        deeper than the deepest bad interval, so the engine's caps bound the
-        refinement."""
-        depth = int(self.depth[bad].max())
-        mid, hw = _bisect(self.mid[bad], self.hw[bad], depth, self.a, self.b)
-        keep = ~bad
-        halves = _adapt(self.sample, self.a, self.b, self.tol, mid, hw, judged=1,
-                        accepted=float(self.sums[15, keep].sum()),
-                        depth=depth + 1).partition()
-        merged = [np.concatenate([old[..., keep], new], axis=-1)
-                  for old, new in zip((self.mid, self.hw, self.depth, self.values), halves)]
-        order = np.argsort(merged[0])
-        return self.on(self.a, self.b, self.sample, self.tol, *(x[..., order] for x in merged))
 
 
 def _tabulate_antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
@@ -331,32 +290,35 @@ def _tabulate_antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: floa
     the start panels split at the ``breaks`` (interior kinks), each interval
     bisected until lmean meets its share of the target."""
 
-    def sample(t):  # one evaluation of each of f, g, f' and g'
+    def sample(row, t):  # one evaluation of each of f, g, f' and g'
         fv = np.asarray(f(t), dtype=float)
         gv = np.asarray(g(t), dtype=float)
         return np.stack([lmean(fv, gv, f.derivative(t), g.derivative(t)), fv, gv])
 
-    mid, hw = _start_panels(a, b, breaks)
-    return _Antiderivative.on(a, b, sample, inner_tol,
-                              *_adapt(sample, a, b, inner_tol, mid, hw, judged=1).partition())
+    part = _adapt(sample, a, b, inner_tol, *_start_panels(a, b, breaks), judged=1).partition()
+    _raise_first(part.failed)
+    return _Antiderivative.on(part)
 
 
 def _outer_integrals(table: _Antiderivative, tol: float) -> tuple:
-    """The five chain integrals [fg, Phi1, Phi2, f^2, g^2] on the table's
-    nodes, Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v), and the mask of the
-    intervals where one of them misses its width share of max(tol, tol |I|)."""
-    fv, gv = table.values[1], table.values[2]
-    rows = np.empty((15, 5) + table.hw.shape)
+    """The five chain integrals [fg, Phi1, Phi2, f^2, g^2] on the nodes of a
+    one-row table, Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v), and the mask
+    of the intervals where one of them misses its width share of
+    max(tol, tol |I|)."""
+    part = table.part
+    fv, gv = part.values[1], part.values[2]
+    rows = np.empty((15, 5) + part.hw.shape)
     np.multiply(fv, gv, out=rows[:, 0])
-    _log_factors(table.sums, table.start, rows[:, 0], rows[:, 1], rows[:, 2])
+    _log_factors(table.sums[:, 0], table.start[0], rows[:, 0], rows[:, 1], rows[:, 2])
     np.multiply(fv, fv, out=rows[:, 3])
     np.multiply(gv, gv, out=rows[:, 4])
     if not np.isfinite(rows).all():
         raise DomainError("log-derivative chain integrand is not finite on [a, b]")
     sums = _per_panel(rows, _WEIGHTS)
-    sums *= table.hw
-    totals = sums[0].sum(axis=-1)
-    return totals, ~_accepted(sums[1], totals, tol, table.b - table.a, table.hw)
+    sums *= part.hw
+    totals = part.row_sums(sums[0])
+    return totals[:, 0], ~_accepted(np.abs(sums[1]), totals, tol, part.b - part.a, part.hw,
+                                    part.row)
 
 
 def _logderiv_gap(fv, gv, dfv, dgv):
@@ -388,7 +350,9 @@ def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean:
         totals, bad = _outer_integrals(table, outer_tol)
         if not bad.any():
             break
-        table = table.refined(bad)
+        part = table.part.refined(bad)
+        _raise_first(part.failed)
+        table = _Antiderivative.on(part)
     fg, mid1, mid2, ff, gg = totals.tolist()
     # the inner integral's error enters Phi1 and Phi2 alongside the outer one
     return chain_report(fg ** 2, mid1 * mid2, ff * gg, max(inner_tol, outer_tol))
@@ -544,16 +508,16 @@ class OrderVerdict:
 
 
 _COMPARE_INTERVALS = (0.5, 1.0, 2.0)
-# GK15 panels per row: 120 nodes in the mean form, 480 in the log-derivative
-# form, whose factors exp(+-2v) amplify the inner integral's error
-_PANELS = {ChainKind.MEAN_FORM: 8, ChainKind.LOG_DERIV_FORM: 32}
-# trials per evaluated block: small at first so an early exit wastes few
-# trials, then doubling while a block holds at most _BLOCK_NODES panel nodes
-# (256 rows in the mean form, 64 in the log-derivative form)
-_BLOCK_FIRST = 8
+# trials per evaluated block: 64 at first, then doubling while a block holds
+# at most _BLOCK_NODES start-panel nodes (256 rows of 8 panels, in either
+# form).  Each block adapts level by level, and a level costs about the same
+# however few rows it holds, so a small first block saves an early exit less
+# than its levels cost (notes/decisions.md, "Comparator blocks")
+_BLOCK_FIRST = 64
 _BLOCK_NODES = 2 ** 15
-# QUADPACK's floor on a rule's error estimate, relative to its total
-_ROUNDING = 50.0 * np.finfo(float).eps
+# a row's bars are held to tie_rtol / 10, and to at least this, which the
+# G7 estimates still meet far above their rounding noise
+_BAR_FLOOR = 1e-13
 
 
 # catalog kinds in draw order; each member takes the first _KIND_ARITY of the
@@ -615,26 +579,31 @@ def _draw_block(seed: int, start: int, stop: int) -> tuple:
     return kinds, coeffs, intervals
 
 
-def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivative: bool):
-    """Values (and derivatives, else None) of catalog members on the rows of
-    xs: member [m, i], of kind kinds[m, i] with the drawn coefficients
-    coeffs[m, i, :], on row i, xs[..., i, :] (any leading axes of xs are
-    shared by every member); the result has shape (len(kinds),) + xs.shape.
-
-    Every catalog family is an optional exp of c0 + c1 t + c2 t^2 (exp:k is
-    (0, k, 0)); Horner in numpy polyval's order on the zero-padded
-    coefficients reproduces FunctionSpec.__call__ and .derivative bit for bit.
-    """
+def _catalog_poly(kinds: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """c0, c1, c2 (..., 3) of each catalog member's c0 + c1 t + c2 t^2 (exp:k
+    is (0, k, 0)), for kinds (...) and the drawn coefficients (..., 3), and
+    the mask of the members that take its exp."""
     padded = np.concatenate([np.zeros(coeffs.shape[:-1] + (1,)), coeffs], axis=-1)
-    poly = np.take_along_axis(padded, _KIND_SLOTS[kinds], axis=-1)
+    return np.take_along_axis(padded, _KIND_SLOTS[kinds], axis=-1), _KIND_EXP[kinds]
+
+
+def _catalog_rows(poly: np.ndarray, exp: np.ndarray, xs: np.ndarray, derivative: bool):
+    """Values (and derivatives, else None) of catalog members on the rows of
+    xs: member [m, i], of polynomial poly[m, i, :] and exp mask exp[m, i]
+    (``_catalog_poly``), on row i, xs[..., i, :] (any leading axes of xs are
+    shared by every member); the result has shape (len(poly),) + xs.shape.
+
+    Horner in numpy polyval's order on the zero-padded coefficients
+    reproduces FunctionSpec.__call__ and .derivative bit for bit.
+    """
     # (members, 1 per leading axis of xs, rows, 1 point)
-    shape = kinds.shape[:1] + (1,) * (xs.ndim - 2) + kinds.shape[1:] + (1,)
+    shape = poly.shape[:1] + (1,) * (xs.ndim - 2) + poly.shape[1:2] + (1,)
     c0, c1, c2 = (poly[..., i].reshape(shape) for i in range(3))
     values = c2 * xs  # c0 + (c1 + c2 t) t, in place
     values += c1
     values *= xs
     values += c0
-    exp_rows = _KIND_EXP[kinds].reshape(shape)
+    exp_rows = exp.reshape(shape)
     np.exp(values, out=values, where=exp_rows)
     if not derivative:
         return values, None
@@ -644,116 +613,148 @@ def _catalog_rows(kinds: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, derivat
     return values, slopes
 
 
-def _panel_nodes(edges: np.ndarray) -> tuple:
-    """Nodes (15, rows, P), node-major, and half-widths (rows, P) of the GK15
-    panels between consecutive edges (rows, P + 1)."""
-    mid, hw = _panels(edges)
-    return _nodes(mid, hw), hw
+def _member_gap(kind: ChainKind, poly: np.ndarray, exp: np.ndarray, ts: np.ndarray):
+    """f - g (mean form) or Lf - Lg of the catalog rows (``_catalog_poly``)
+    at ts, where min/max-type means kink; formed in place (as _logderiv_gap
+    forms it), so a 256-row scan holds no 2 MB array beyond the values."""
+    (fv, gv), slopes = _catalog_rows(poly, exp, ts, kind is ChainKind.LOG_DERIV_FORM)
+    if slopes is not None:
+        fv, gv = np.divide(slopes[0], fv, out=slopes[0]), np.divide(slopes[1], gv, out=slopes[1])
+    fv -= gv
+    return fv
 
 
-@dataclass(frozen=True)
-class _PanelRows:
-    """A block's rows on their panels: f, g (and f', g' in the log-derivative
-    form) at the nodes, (15, rows, P), and the panels' half-widths."""
-
-    hw: np.ndarray  # (rows, P)
-    fv: np.ndarray
-    gv: np.ndarray
-    dfv: Optional[np.ndarray]
-    dgv: Optional[np.ndarray]
-
-
-def _rows_on_panels(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray,
-                    nodes: np.ndarray, hw: np.ndarray) -> _PanelRows:
-    (fv, gv), slopes = _catalog_rows(kinds, coeffs, nodes, kind is ChainKind.LOG_DERIV_FORM)
-    return _PanelRows(hw, fv, gv, *((None, None) if slopes is None else slopes))
-
-
-def _member_gap(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray, ts: np.ndarray):
-    """f - g (mean form) or Lf - Lg of the catalog rows at ts: where it
-    changes sign, min/max-type means kink."""
-    (fv, gv), slopes = _catalog_rows(kinds, coeffs, ts, kind is ChainKind.LOG_DERIV_FORM)
-    return fv - gv if slopes is None else _logderiv_gap(fv, gv, *slopes)
-
-
-def _snap(edges: np.ndarray, roots: np.ndarray) -> Optional[np.ndarray]:
-    """``edges`` of one row with an interior edge moved onto each root
-    (sorted): the nearest one, else the next free one to its right, else to
-    its left. None when there are more roots than interior edges."""
-    panels = len(edges) - 1
-    step = (edges[-1] - edges[0]) / panels
-    k = np.clip(np.rint((roots - edges[0]) / step).astype(int), 1, panels - 1)
-    for i in range(1, len(k)):
-        k[i] = max(k[i], k[i - 1] + 1)
-    k[-1] = min(k[-1], panels - 1)
-    for i in range(len(k) - 2, -1, -1):
-        k[i] = min(k[i], k[i + 1] - 1)
-    if k[0] < 1:
-        return None
-    out = edges.copy()
-    out[k] = roots
+@functools.lru_cache(maxsize=None)
+def _compare_start() -> tuple:
+    """Midpoints and half-widths (3, 8) of the start panels of the three
+    comparator intervals, and their nodes (3, 15, 8)."""
+    mid, hw = (np.stack(x) for x in zip(*(_start_panels(0.0, end) for end in _COMPARE_INTERVALS)))
+    out = mid, hw, _nodes(mid, hw).transpose(1, 0, 2).copy()
+    for x in out:  # shared by every call: read-only
+        x.setflags(write=False)
     return out
 
 
-def _snapped_rows(kind: ChainKind, kinds: np.ndarray, coeffs: np.ndarray, edges: np.ndarray,
-                  first: int) -> _PanelRows:
-    """The block on panels with an edge on each crossing of the kink gap, for
-    means that kink on the diagonal.
-
-    One _find_kinks call finds the crossings of every row of the block: one
-    catalog call scans them all, and each narrowing round is one catalog
-    call on the brackets of every crossing row. A trial with more crossings
-    than interior panel edges raises ConvergenceError; ``first`` is the
-    index of the block's first trial.
-    """
-    found = _find_kinks(lambda rows, ts: _member_gap(kind, kinds[:, rows], coeffs[:, rows], ts),
-                        edges[:, 0], edges[:, -1])
-    moved = edges.copy()
-    for row, roots in enumerate(found):
-        if not roots:
-            continue
-        snapped = _snap(edges[row], np.array(roots))
-        if snapped is None:
-            raise ConvergenceError(f"trial {first + row}: {len(roots)} kinks, more than the "
-                                   f"{len(edges[row]) - 2} interior panel edges to snap")
-        moved[row] = snapped
-    return _rows_on_panels(kind, kinds, coeffs, *_panel_nodes(moved))
+def _block_start(kind: ChainKind, specs: tuple, poly: np.ndarray, exp: np.ndarray,
+                 intervals: np.ndarray, b: np.ndarray) -> tuple:
+    """Midpoints, half-widths and rows of a block's start panels, by row and
+    left to right: each row's ``_start_panels`` on [0, b], split at the
+    kinks of its gap when a spec kinks on the diagonal (one _find_kinks call
+    for every row).  Without a kink in the block, also their nodes as
+    (15, rows, 8), each row's 120 together in memory, where the catalog's
+    coefficients broadcast (twice as fast as node-major), else None."""
+    found = [()] * len(b)
+    if any(map(_kinks_on_diagonal, specs)):
+        found = _find_kinks(lambda rows, ts: _member_gap(kind, poly[:, rows], exp[:, rows], ts),
+                            np.zeros(len(b)), b)
+    mid, hw, nodes = _compare_start()
+    if not any(found):
+        return (mid[intervals].ravel(), hw[intervals].ravel(),
+                np.repeat(np.arange(len(b)), _START_PANELS), nodes[intervals].transpose(1, 0, 2))
+    panels = [_start_panels(0.0, end, kinks) if kinks else (mid[i], hw[i])
+              for i, end, kinks in zip(intervals.tolist(), b.tolist(), found)]
+    mid, hw = (np.concatenate(x) for x in zip(*panels))
+    return mid, hw, np.repeat(np.arange(len(panels)), [len(m) for m, _ in panels]), None
 
 
-def _panel_integrals(values: np.ndarray, hw: np.ndarray) -> tuple:
-    """Totals of each of values (k, 15, rows, P) over the GK15 panels of
-    half-widths hw (rows, P), and their error estimates: the sum over panels
-    of max(|K15 - G7|, 50 eps |K15|)."""
-    est, diff = np.stack([_per_panel(v, _WEIGHTS) for v in values], axis=1) * hw
-    err = np.maximum(np.abs(diff), _ROUNDING * np.abs(est))
-    return est.sum(axis=-1), err.sum(axis=-1)
-
-
-# per-trial cost against the Simpson grids and the adaptive chain:
-# notes/decisions.md, "Comparator panels"
-def _middle_fixed(kind: ChainKind, spec: MeanSpec, rows: _PanelRows) -> tuple:
-    """Middle terms of a block, one per row, and their relative error bars.
-
-    The mean form integrates M^2 and M*^2 over the row's panels. The
-    log-derivative form takes v = int_0^x M(Lf, Lg) at every node (the
-    integration matrix within a panel plus the totals of the panels before
-    it) and integrates Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v). A bar sums
-    each factor's error estimate relative to its total, plus, in the
-    log-derivative form, the inner integral's estimate twice per factor:
-    an error e in v moves exp(+-2v) by a relative 2e.
-    """
+def _factor_sums(kind: ChainKind, part: _Partition) -> tuple:
+    """Each interval's K15 sums and |K15 - G7| (2, 2, n) of the factors
+    [M^2, M*^2] or [Phi1, Phi2] (first axis) of both specs (second axis),
+    and, in the log-derivative form, the inner integrals' |K15 - G7| (2, n)
+    (else 0)."""
     if kind is ChainKind.MEAN_FORM:
-        m = mean_values(spec, rows.fv, rows.gv)
-        conj = conjugate_from_mean(rows.fv, rows.gv, m)
-        (i1, i2), (e1, e2) = _panel_integrals((m * m, conj * conj), rows.hw)
-        return i1 * i2, e1 / np.abs(i1) + e2 / np.abs(i2)
-    sums, start = _inner_sums(_logderiv_mean(spec)(rows.fv, rows.gv, rows.dfv, rows.dgv),
-                              rows.hw)
-    inner = np.maximum(np.abs(sums[16]), _ROUNDING * np.abs(sums[15])).sum(axis=-1)
-    phi = np.empty((2, 15) + rows.hw.shape)
-    _log_factors(sums, start, rows.fv * rows.gv, phi[0], phi[1])
-    (i1, i2), (e1, e2) = _panel_integrals(phi, rows.hw)
-    return i1 * i2, e1 / np.abs(i1) + e2 / np.abs(i2) + 4.0 * inner
+        est, err = part.sums
+        return (*(x.reshape(2, 2, -1).transpose(1, 0, 2) for x in (est, err)),
+                np.zeros((2, len(part.row))))
+    phi = np.empty((2, 15, 2) + part.hw.shape)
+    _log_factors(*part.cumulative(), part.values[2][:, None], phi[0], phi[1])
+    est, diff = _per_panel(phi, _WEIGHTS, 1) * part.hw
+    return est, np.abs(diff), part.sums[1]
+
+
+# The block's middle terms: adaptive now, it keeps the name of the fixed-panel
+# routine it replaced, which the traced benchmark binds by attribute
+# (span integral.middle_fixed).
+def _middle_fixed(kind: ChainKind, specs: tuple, draws: tuple, target: float,
+                  buffer: np.ndarray) -> tuple:
+    """Middle terms of both specs (2, rows) on a block's trials, their
+    relative bars (2, rows), and the rows that hit the engine's caps,
+    {row: message}.
+
+    A row's two middles adapt on one partition from its ``_start_panels``:
+    the engine judges M^2 and M*^2 of both specs at target / 2 (mean form),
+    or both inner integrals v = int_0^x M(Lf, Lg) at target / 8, from which
+    Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v) are formed.  A bar sums each
+    factor's accepted sum |K15 - G7| relative to its |I|, plus the inner
+    one's twice per factor (an error e in v moves exp(+-2v) by a relative
+    2e).  While a row's bar exceeds ``target``, its intervals whose share
+    of the bar exceeds their width share are bisected and adapted again.
+    ``buffer`` (4 doubles per start-panel node, kept from block to block)
+    takes the first level: a fresh array each block cost more in page
+    faults than its integrals.
+    """
+    kinds, coeffs, intervals = draws
+    b = np.array(_COMPARE_INTERVALS)[intervals]
+    log = kind is ChainKind.LOG_DERIV_FORM
+    poly, exp = _catalog_poly(kinds, coeffs)
+
+    def values_at(poly: np.ndarray, exp: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
+        # the integrands (k,) + xs.shape, catalog row i on xs[..., i, :]:
+        # np.stack lays them out at a third of the cost of writing each into
+        # an array of another layout; the mean form squares each spec's M and
+        # M* into their places
+        (fv, gv), slopes = _catalog_rows(poly, exp, xs, log)
+        if log:
+            return np.stack([_logderiv_mean(spec)(fv, gv, *slopes) for spec in specs] + [fv * gv],
+                            out=out)
+        out = np.empty((4,) + xs.shape) if out is None else out
+        for i, spec in enumerate(specs):
+            m = mean_values(spec, fv, gv)
+            conj = conjugate_from_mean(fv, gv, m)
+            np.multiply(m, m, out=out[2 * i])
+            np.multiply(conj, conj, out=out[2 * i + 1])
+        return out
+
+    def sample(row, ts):  # a catalog row per panel: its coefficients broadcast along its nodes
+        return values_at(poly.take(row, axis=1), exp.take(row, axis=1),
+                         np.ascontiguousarray(ts.T)).transpose(0, 2, 1)
+
+    tol, judged, k = (target / 8.0, 2, 3) if log else (target / 2.0, 4, 4)
+    mid, hw, row, nodes = _block_start(kind, specs, poly, exp, intervals, b)
+    # uniform start panels: the first level on the block's (15, rows, 8) nodes
+    values = nodes if nodes is None else values_at(
+        poly, exp, nodes, buffer[:k * nodes.size].reshape((k,) + nodes.shape))
+    adaptation = _adapt(sample, np.zeros(len(b)), b, tol, mid, hw, row, values=values,
+                        judged=judged)
+    # each row's totals and error sums (factor, spec, rows), inner error sums (spec, rows):
+    # the mean form's from the engine until a row is refined, the other's from the partition
+    if log:
+        part = adaptation.partition()
+        totals, errors, inner = (part.row_sums(x) for x in _factor_sums(kind, part))
+    else:
+        part, inner = None, np.zeros((2, len(b)))
+        totals, errors = (x.reshape(2, 2, -1).transpose(1, 0, 2)
+                          for x in (adaptation.total, adaptation.error))
+    failed = adaptation.failed
+    # a failed row may have no intervals left: its bars are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            bars = (errors / np.abs(totals)).sum(axis=0) + 4.0 * inner
+            redo = (bars > target).any(axis=0)
+            redo[list(failed)] = False
+            if not redo.any():
+                break
+            part = part or adaptation.partition()
+            _, err, err_v = _factor_sums(kind, part)
+            shares = (err / np.abs(totals.take(part.row, axis=-1))).sum(axis=0) + 4.0 * err_v
+            bad = redo[part.row] & (shares > target * (2.0 * part.hw) / b[part.row]).any(axis=0)
+            if not bad.any():
+                break
+            part = part.refined(bad)
+            failed = part.failed
+            for old, new in zip((totals, errors, inner), _factor_sums(kind, part)):
+                old[..., redo] = part.row_sums(new)[..., redo]
+    return totals[0] * totals[1], bars, failed
 
 
 def _witness(draws: tuple, row: int, ma: float, mb: float) -> Witness:
@@ -782,17 +783,17 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     order and a witness reproduces from (seed, i) on any numpy that keeps
     the raw stream (NEP 19), whatever its Generator methods do.
 
-    Each trial's middles come from fixed Gauss-Kronrod panels (8 per row in
-    the mean form, 32 in the log-derivative form).  For means that kink on
-    the diagonal (min, max, power:+-inf) an interior panel edge is moved
-    onto each crossing of f and g (mean form) or of their log-derivatives;
-    a trial with more crossings than interior edges raises ConvergenceError.
-    Trials are drawn and evaluated in blocks (8 rows, doubling while a block
-    holds at most 2**15 panel nodes: up to 256 rows in the mean form, 64 in
-    the log-derivative form) and scanned in index order; a block's rows are
-    computed exactly as lone trials would be (every sum runs in a fixed
-    order, none through a matrix product), so blocking changes no digit of
-    the verdict.
+    Both middles of a trial come from one adaptive Gauss-Kronrod partition
+    of [0, b], started from 8 uniform panels split where f and g (mean
+    form) or their log-derivatives cross, for means that kink on the
+    diagonal (min, max, power:+-inf); each middle's relative bar is at most
+    max(tie_rtol / 10, 1e-13).  A trial whose integration hits the engine's
+    caps raises ConvergenceError, naming it, when the scan reaches it.
+    Trials are drawn and evaluated in blocks (64 rows, doubling while a
+    block holds at most 2**15 start-panel nodes: up to 256 rows) and
+    scanned in index order; a block's rows are computed exactly as lone
+    trials would be (every sum runs in a fixed order, none through a matrix
+    product), so blocking changes no digit of the verdict.
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral):
         raise ParameterError(f"trials must be an integer, got {trials!r}")
@@ -800,26 +801,24 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
         raise ParameterError("trials must be >= 1")
     if not (isinstance(tie_rtol, Real) and math.isfinite(tie_rtol) and tie_rtol >= 0):
         raise ParameterError(f"tie_rtol must be finite and >= 0, got {tie_rtol!r}")
-    edges = np.stack([np.linspace(0.0, b, _PANELS[kind] + 1) for b in _COMPARE_INTERVALS])
-    nodes, hw = _panel_nodes(edges)
-    snap = (_kinks_on_diagonal(spec_a), _kinks_on_diagonal(spec_b))
+    target = max(tie_rtol / 10.0, _BAR_FLOOR)
+    buffer = np.empty(0)
     best_a = best_b = None  # (separation, _witness arguments)
     wins_a = wins_b = 0
     ran = 0
     size = _BLOCK_FIRST
     while ran < trials:
-        draws = _draw_block(seed, ran, min(ran + size, trials))
-        if 2 * size * 15 * _PANELS[kind] <= _BLOCK_NODES:
+        stop = min(trials, ran + size)
+        draws = _draw_block(seed, ran, stop)
+        if 2 * size * 15 * _START_PANELS <= _BLOCK_NODES:
             size *= 2
-        kinds, coeffs, intervals = draws
-        # the plain panels, and the snapped ones for a mean that kinks
-        rows = {kinked: (_snapped_rows(kind, kinds, coeffs, edges[intervals], ran) if kinked else
-                         _rows_on_panels(kind, kinds, coeffs, nodes[:, intervals], hw[intervals]))
-                for kinked in set(snap)}
-        (middles_a, bars_a), (middles_b, bars_b) = (
-            [x.tolist() for x in _middle_fixed(kind, spec, rows[kinked])]
-            for spec, kinked in zip((spec_a, spec_b), snap))
+        if buffer.size < 4 * 15 * _START_PANELS * (stop - ran):  # grows to the largest block
+            buffer = np.empty(4 * 15 * _START_PANELS * (stop - ran))
+        middles, bars, failed = _middle_fixed(kind, (spec_a, spec_b), draws, target, buffer)
+        (middles_a, middles_b), (bars_a, bars_b) = middles.tolist(), bars.tolist()
         for row, (ma, mb) in enumerate(zip(middles_a, middles_b)):
+            if row in failed:
+                raise ConvergenceError(f"trial {ran}: {failed[row]}")
             ran += 1
             scale = max(abs(ma), abs(mb))
             diff = (mb - ma) / scale

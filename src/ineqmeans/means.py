@@ -490,7 +490,12 @@ def coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,
     Once both sides are positive it goes back to the relative gap, which
     resolves a small positive limit.  Returns (values, iterations of the
     slowest element, largest final gap).  Raises ConvergenceError when any
-    element still has gap > tol at the cap.
+    element still has gap > tol at the cap, and DomainError when a step
+    leaves an element with gap > tol bit for bit where it was (min and max,
+    say): such a pair is a fixed point of the step and has no common limit.
+    That check runs only after a step that did not shrink the largest gap,
+    so converging pairs never pay for it, and a fixed point holding the
+    largest gap is reported at its second step.
     """
     xk = np.array(x, dtype=float, copy=True)
     yk = np.array(y, dtype=float, copy=True)
@@ -500,20 +505,31 @@ def coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,
         zero = (xk == 0.0) | (yk == 0.0)
         start = np.maximum(np.maximum(xk, yk), 1e-300)
     iterations = 0
+    last = math.inf  # the largest gap before the step
     while True:
         gap = np.abs(xk - yk)
         gap /= np.maximum(np.maximum(xk, yk), 1e-300)
         if zero is not None:
             gap = np.where(zero & ((xk == 0.0) | (yk == 0.0)), np.abs(xk - yk) / start, gap)
-        done = gap <= tol
-        if done.all():
-            return 0.5 * (xk + yk), iterations, float(np.max(gap))
+        largest = float(np.max(gap, initial=0.0))
+        if largest <= tol:
+            return 0.5 * (xk + yk), iterations, largest
         if iterations == cap:
             raise ConvergenceError(
                 f"mean-pair iteration did not converge in {cap} steps "
-                f"(gap {float(np.max(gap)):.3e} > tol {tol:.3e})")
+                f"(gap {largest:.3e} > tol {tol:.3e})")
+        done = gap <= tol
         nx = mean_values(m, xk, yk)
         ny = mean_values(n, xk, yk)
+        if largest >= last:
+            stuck = ~done & (nx == xk) & (ny == yk)
+            if stuck.any():
+                i = int(np.argmax(stuck))
+                raise DomainError(
+                    f"mean-pair iteration is stationary at ({float(xk.flat[i])!r}, "
+                    f"{float(yk.flat[i])!r}) with gap {float(gap.flat[i]):.3e} > tol {tol:.3e}: "
+                    "the pair has no common limit")
+        last = largest
         xk = np.where(done, xk, nx)
         yk = np.where(done, yk, ny)
         iterations += 1

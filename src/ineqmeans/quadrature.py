@@ -16,15 +16,25 @@ order: a panel's sums have the same bits alone and in a batch of any size
 throughout: ``_nodes`` gives their nodes as (15, intervals), ``_panels`` the
 midpoints and half-widths between edges.
 
-The loop is ``_adapt``, which also keeps every level's node values, so a
-caller can read the accepted partition back left to right
-(``_Adaptation.partition``).  Both integral chains call it directly, from
-one set of start panels (``integral._start_panels``: 8 uniform panels split
-at the kinks): the mean form adapts its five integrands together, and the
-log-derivative form integrates its inner and outer integrands on one
-partition (notes/decisions.md, "Log-derivative partition").  ``_bisect``
-splits intervals and holds the depth, pending and resolution caps,
-``_interval`` the argument checks.
+The loop is ``_adapt``, and it has a row axis: the pending intervals of
+any number of separate integrals (rows, each with its own [a, b]) go through
+each level together, every interval carrying its row.  Totals, error sums,
+acceptance and the caps are kept per row; each row's sums are added one
+interval after the other in an order no other row changes (``_row_sums``,
+np.bincount), so a row has the same bits alone and among any others, and a
+row that hits a cap stops while the others go on (``_Adaptation.failed``).
+The loop keeps every level's node values, so a caller can take the
+accepted intervals as a ``_Partition``: sums over each row left to right,
+each row's cumulative integral at every node, and ``refined``, which
+bisects chosen intervals and adapts their halves again.  Both integral
+chains are one row, from one set of start panels
+(``integral._start_panels``: 8 uniform panels split at the kinks): the
+mean form adapts its five integrands together, and the log-derivative form
+integrates its inner and outer integrands on one partition
+(notes/decisions.md, "Log-derivative partition").  The comparator adapts a
+block of trials at once (notes/decisions.md, "Comparator panels").
+``_bisect`` splits intervals and holds the depth, pending and resolution
+caps, ``_interval`` the argument checks.
 
 ``_cumulative_weights`` builds the spectral integration matrix
 S[j, k] = int_{-1}^{u_j} l_k of the degree-14 interpolant through the 15
@@ -42,6 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,6 +114,14 @@ def _cumulative_weights(upper: np.ndarray = _NODES) -> np.ndarray:
     return half[:, None] * (_WEIGHTS[:, :1] * basis).sum(axis=1)
 
 
+@lru_cache(maxsize=None)
+def _inner_weights() -> np.ndarray:
+    """(15, 15): a panel's integral up to each of its 15 nodes, the
+    integration matrix S^T.  Built on first use, so commands without a
+    cumulative integral do not build it."""
+    return _cumulative_weights().T
+
+
 def _vectorize(f, probe: np.ndarray):
     """Return (array-callable, values at probe), wrapping scalar-only f."""
     try:
@@ -137,97 +157,269 @@ def _per_panel(values: np.ndarray, weights: np.ndarray, node_axis: int = 0) -> n
     numpy's own einsum loop, not a BLAS matrix product, adds each panel's 15
     terms in node order, so a panel's sums have the same bits alone and in a
     block of any size (a BLAS may choose its summation order by the matrix's
-    size or alignment).
+    size or alignment).  Both loops below add in node order: one einsum over
+    a stack of few panels, and one per leading index over many, where numpy
+    buffers a stack's einsum (2.8 times as slow on (4, 15, 2048); below 256
+    panels the single call is faster).
     """
     lead = values.shape[:node_axis]
-    sums = np.einsum("ikn,kc->cin", values.reshape(math.prod(lead), 15, -1), weights)
+    stack = values.reshape(math.prod(lead), 15, -1)
+    if stack.shape[-1] < 256:
+        sums = np.einsum("ikn,kc->cin", stack, weights)
+    else:
+        sums = np.empty((weights.shape[1], len(stack), stack.shape[-1]))
+        for i, v in enumerate(stack):
+            np.einsum("kn,kc->cn", v, weights, out=sums[:, i])
     return sums.reshape(weights.shape[1:] + lead + values.shape[node_axis + 1:])
 
 
-def _bisect(mid: np.ndarray, hw: np.ndarray, depth: int, a: float, b: float) -> tuple:
-    """Both halves of each interval, the left halves first, for intervals
-    ``depth`` bisections below the start panels.
+def _row_sums(values: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
+    """Sums of values (..., n) over the panels of each row, row (n,) in
+    [0, rows): (..., rows).  ``np.bincount`` adds each row's terms one after
+    the other in their order along n, so a row's sums have the same bits
+    alone and beside any other rows (a reduction along a padded axis would
+    group its terms by the padded length)."""
+    if rows == 1:  # the same additions from 0: a running sum, + 0.0 for an all -0.0 row
+        out = np.add.accumulate(values, axis=-1)[..., -1:]
+        out += 0.0
+        return out
+    k = values.size // values.shape[-1]
+    index = (np.arange(k)[:, None] * rows + row).ravel()
+    return np.bincount(index, values.ravel(), k * rows).reshape(values.shape[:-1] + (rows,))
 
-    Raises ConvergenceError past 1024 halves, when a half is too narrow to
-    split in doubles, or at depth 60.
-    """
+
+def _bisect(mid: np.ndarray, hw: np.ndarray, row: np.ndarray, depth: np.ndarray,
+            a: np.ndarray, b: np.ndarray) -> tuple:
+    """Both halves of each interval, the left halves first, with their rows
+    and depths (one more than their parents'), and the rows that hit a cap
+    as {row: message}: more than 1024 halves pending in the row, a half too
+    narrow to split in doubles, or depth 60.  A failed row's halves are
+    dropped; a, b are the rows' intervals."""
     hw = hw / 2.0
     mid = np.concatenate([mid - hw, mid + hw])
     hw = np.concatenate([hw, hw])
-    if len(mid) > PENDING_CAP:
-        raise ConvergenceError(
-            f"adaptive quadrature left more than {PENDING_CAP} intervals pending on [{a}, {b}]")
-    if np.any(hw <= RESOLUTION_ULPS * np.spacing(np.abs(mid) + hw)):
-        raise ConvergenceError(f"adaptive quadrature cannot resolve [{a}, {b}] in doubles")
-    if depth + 1 >= DEPTH_CAP:
-        raise ConvergenceError(f"adaptive quadrature exceeded depth {DEPTH_CAP} on [{a}, {b}]")
-    return mid, hw
+    row = np.concatenate([row, row])
+    depth = np.concatenate([depth, depth]) + 1
+    caps = [(hw <= RESOLUTION_ULPS * np.spacing(np.abs(mid) + hw),
+             "cannot resolve [{}, {}] in doubles")]
+    if len(row) > PENDING_CAP:
+        caps.insert(0, (np.bincount(row)[row] > PENDING_CAP,
+                        f"left more than {PENDING_CAP} intervals pending on [{{}}, {{}}]"))
+    if depth.max() >= DEPTH_CAP:
+        caps.append((depth >= DEPTH_CAP, f"exceeded depth {DEPTH_CAP} on [{{}}, {{}}]"))
+    failed = {}
+    for hit, message in caps:
+        if hit.any():
+            for r in np.unique(row[hit]).tolist():
+                failed.setdefault(r, "adaptive quadrature " + message.format(a[r], b[r]))
+    if failed:
+        keep = ~np.isin(row, list(failed))
+        mid, hw, row, depth = mid[keep], hw[keep], row[keep], depth[keep]
+    return mid, hw, row, depth, failed
 
 
-def _accepted(diff: np.ndarray, total: np.ndarray, tol: float, span: float,
-              hw: np.ndarray) -> np.ndarray:
-    """Mask of the intervals (half-widths hw) whose K15 - G7 diff (k, n) fits
-    in every row their width share of max(tol, tol |I|), I = total (k,)."""
+def _accepted(err: np.ndarray, total: np.ndarray, tol: float, span: np.ndarray,
+              hw: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Mask of the intervals (half-widths hw, rows row) whose |K15 - G7|
+    err (k, n) fits in every integrand their width share of
+    max(tol, tol |I|), I = total (k, rows), the estimate of their row, whose
+    length is span (rows,)."""
     target = np.maximum(tol, tol * np.abs(total)) / span
-    return (np.abs(diff) <= target[:, None] * (2.0 * hw)).all(axis=0)
+    if len(span) > 1:  # one row's (k, 1) broadcasts as it is
+        target = target.take(row, axis=1)
+    target = target * (2.0 * hw)
+    return (err <= target).all(axis=0)
 
 
-@dataclass(frozen=True)
-class _Adaptation:
-    """What ``_adapt`` did: the judged rows' accepted sums, added level by
-    level (``quadrature``'s result), and each evaluated level as (depth,
-    midpoints, half-widths, values (k, 15 n) or (15 n,) at the node-major
-    nodes of ``_nodes``, accepted mask)."""
+def _raise_first(failed: dict) -> None:
+    """ConvergenceError with the message of the first row that hit a cap."""
+    if failed:
+        raise ConvergenceError(next(iter(failed.values())))
 
+
+class _Level(NamedTuple):
+    """One evaluated level of ``_adapt``: its intervals' depths, midpoints,
+    half-widths and rows, the values (k, 15, n) at their node-major nodes,
+    the judged integrands' K15 and |K15 - G7| sums (2, judged, n) of the
+    accepted intervals (0 elsewhere), and the accepted mask."""
+
+    depth: np.ndarray
+    mid: np.ndarray
+    hw: np.ndarray
+    row: np.ndarray
+    values: np.ndarray
+    sums: np.ndarray
+    done: np.ndarray
+
+
+class _Partition(NamedTuple):
+    """The intervals an adaptation accepted, in the order it accepted them:
+    their rows, midpoints, half-widths and depths, every integrand's values
+    at their nodes, node-major (k, 15, n), and the judged integrands' K15
+    and |K15 - G7| sums (2, judged, n); ``order`` sorts them by row and left
+    to right (the values stay where they are: moving them cost more than
+    using the order).  ``f``, ``a``, ``b``, ``tol`` and ``judged`` are the
+    adaptation's, and ``failed`` names the rows that hit a cap; their
+    intervals stop where the cap was hit."""
+
+    f: Callable
+    a: np.ndarray
+    b: np.ndarray
+    tol: float
+    judged: int
+    row: np.ndarray
+    mid: np.ndarray
+    hw: np.ndarray
+    depth: np.ndarray
+    values: np.ndarray
+    sums: np.ndarray
+    order: np.ndarray
+    failed: dict
+
+    def row_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums (..., rows) of per-interval x (..., n) over each row's
+        intervals, added left to right."""
+        return _row_sums(x.take(self.order, axis=-1), self.row[self.order], len(self.a))
+
+    def cumulative(self) -> tuple:
+        """int_a^x of each judged integrand at every node: each interval's
+        integral up to its nodes (15, judged, n), ``_inner_weights`` times
+        hw, and the K15 totals of its row's intervals to its left
+        (judged, n), so the integral is sums + start.  The totals run along
+        a zero-padded (rows, P) layout, each row one sequential cumsum
+        whatever the other rows hold."""
+        sums = _per_panel(self.values[:self.judged], _inner_weights(), 1)
+        sums *= self.hw
+        totals = self.sums[0].take(self.order, axis=1)
+        if len(self.a) == 1:  # one row: one cumsum (a zero total from 0 or not, the same v)
+            running = np.zeros_like(totals)
+            np.cumsum(totals[:, :-1], axis=1, out=running[:, 1:])
+        else:  # each interval's place in the (rows, width) layout, in sorted order
+            ranked = self.row[self.order]
+            at = np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
+            width = at.max() + 2
+            at += ranked * width
+            padded = np.zeros((self.judged, len(self.a) * width))
+            padded[:, at + 1] = totals
+            np.cumsum(padded.reshape(self.judged, -1, width), axis=-1,
+                      out=padded.reshape(self.judged, -1, width))
+            running = padded[:, at]
+        start = np.empty_like(running)
+        start[:, self.order] = running
+        return sums, start
+
+    def refined(self, bad: np.ndarray) -> "_Partition":
+        """The partition with each ``bad`` interval bisected and its halves
+        adapted again; the kept intervals' K15 sums count as accepted."""
+        keep = ~bad
+        mid, hw, row, depth, failed = _bisect(self.mid[bad], self.hw[bad], self.row[bad],
+                                              self.depth[bad], self.a, self.b)
+        names = ("row", "mid", "hw", "depth", "values", "sums")
+        parts = [[getattr(self, name).compress(keep, axis=-1) for name in names]]
+        if len(mid):  # unless every bisected row hit a cap
+            # the bisected intervals add exact zeros
+            halves = _adapt(self.f, self.a, self.b, self.tol, mid, hw, row, judged=self.judged,
+                            accepted=self.row_sums(self.sums[0] * keep), depth=depth).partition()
+            parts.append([getattr(halves, name) for name in names])
+            failed.update(halves.failed)
+        merged = dict(zip(names, (np.concatenate(x, axis=-1) for x in zip(*parts))))
+        return self._replace(**merged, order=np.lexsort((merged["mid"], merged["row"])),
+                             failed={**self.failed, **failed})
+
+
+class _Adaptation(NamedTuple):
+    """What ``_adapt`` did: the judged integrands' accepted K15 sums per row
+    (k, rows), added level by level (``quadrature``'s result), their
+    accepted sums of |K15 - G7| (k, rows), each evaluated ``_Level``, and
+    the rows that hit a cap, {row: message}; with the integrand, intervals,
+    target and number of judged integrands it ran on."""
+
+    f: Callable
+    a: np.ndarray
+    b: np.ndarray
+    tol: float
+    judged: int
     total: np.ndarray
+    error: np.ndarray
     levels: tuple
+    failed: dict
 
-    def partition(self) -> tuple:
-        """The accepted intervals left to right: midpoints, half-widths,
-        depths, and every row's values at their nodes, node-major
-        (k, 15, intervals)."""
-        mid = np.concatenate([m[done] for _, m, _, _, done in self.levels])
-        hw = np.concatenate([h[done] for _, _, h, _, done in self.levels])
-        depth = np.concatenate([np.full(np.count_nonzero(done), d)
-                                for d, _, _, _, done in self.levels])
-        values = np.concatenate([v.reshape(-1, 15, len(m))[..., done]
-                                 for _, m, _, v, done in self.levels], axis=-1)
-        order = np.argsort(mid)
-        return mid[order], hw[order], depth[order], values[..., order]
+    def partition(self) -> _Partition:
+        """The accepted intervals, level by level."""
+        depth, mid, hw, row, values, sums, done = (
+            x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in zip(*self.levels))
+        if not done.all():
+            depth, mid, hw, row, values, sums = (x.compress(done, axis=-1)
+                                                 for x in (depth, mid, hw, row, values, sums))
+        return _Partition(self.f, self.a, self.b, self.tol, self.judged, row, mid, hw, depth,
+                          values, sums, np.lexsort((mid, row)), self.failed)
 
 
-def _adapt(f, a: float, b: float, tol: float, mid: np.ndarray, hw: np.ndarray,
-           values: np.ndarray = None, judged: int = None, accepted: float = 0.0,
-           depth: int = 0) -> _Adaptation:
-    """Bisect the pending intervals (mid, hw) of [a, b] until each meets its
-    width share of max(tol, tol |I|) in every judged row.
+def _adapt(f, a, b, tol: float, mid: np.ndarray, hw: np.ndarray, row: np.ndarray = None,
+           values: np.ndarray = None, judged: int = None, accepted=None,
+           depth: np.ndarray = None) -> _Adaptation:
+    """Bisect the pending intervals (mid, hw) until each meets its width
+    share of max(tol, tol |I|) in every judged integrand of its row.
 
-    f maps the nodes of a level to their values: (n,) or a (k, n) stack;
-    ``values`` holds the first level's when the caller has them.  Only the
-    first ``judged`` rows (all when None) are integrated and judged; the rest
-    ride along in the levels.  ``accepted`` is the sum of intervals accepted
-    before (I counts it), and ``depth`` that of the pending intervals.
+    Rows are separate integrals over their own intervals [a[r], b[r]]
+    (arrays, or floats for one row); ``row`` gives each interval's row (all
+    0 when None).  Totals, acceptance and caps are kept per row, in an
+    order that no other row changes, so a row's sums have the same bits
+    alone and in any block.  A row that hits a cap stops there and is
+    reported in ``failed``; the others go on.
+
+    f(row, nodes) maps the node-major nodes (15, n) of a level and their
+    intervals' rows to values (15, n) or a (k, 15, n) stack (flat (15 n,)
+    or (k, 15 n) will do); ``values`` holds the first level's when the
+    caller has them.  Only the first ``judged`` integrands (all when None)
+    are integrated and judged; the rest ride along in the levels.
+    ``accepted`` ((k, rows), or None for 0) is the sum of intervals accepted
+    before (I counts it), and ``depth`` the pending intervals' depths (0).
     DomainError on a non-finite value.
     """
+    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    rows, span = len(a), b - a
+    if row is None or depth is None:
+        zeros = np.zeros(len(mid), dtype=np.intp)
+        row = zeros if row is None else row
+        depth = zeros if depth is None else depth
     levels = []
-    total = None
-    while True:
+    failed = {}
+    sums_so_far = None  # the accepted K15 and |K15 - G7| sums (2, k, rows)
+    while len(mid):
         if values is None:
-            values = np.asarray(f(_nodes(mid, hw).ravel()), dtype=float)
-        if not np.isfinite(values).all():
+            values = f(row, _nodes(mid, hw))
+        values = np.ascontiguousarray(values, dtype=float).reshape(-1, 15, len(mid))
+        stack = values if judged is None else values[:judged]
+        k = len(stack)
+        if sums_so_far is None:
+            sums_so_far = np.zeros((2, k, rows))
+            if accepted is not None:
+                sums_so_far[0] += accepted
+        sums = _per_panel(stack, _WEIGHTS, 1)
+        sums *= hw
+        # every K15 weight is positive: a panel's sums are finite exactly
+        # when its values are (or overflow where they are not)
+        if not np.isfinite(sums).all():
             raise DomainError("integrand is not finite on [a, b]")
-        rows = values if judged is None else values[:judged]
-        if total is None:
-            total = np.full(1 if rows.ndim == 1 else len(rows), accepted)
-        est, diff = _per_panel(rows.reshape(len(total), 15, len(mid)), _WEIGHTS, 1) * hw
-        done = _accepted(diff, total + est.sum(axis=1), tol, b - a, hw)
-        total += est[:, done].sum(axis=1)
-        levels.append((depth, mid, hw, values, done))
-        if done.all():
-            return _Adaptation(total, tuple(levels))
-        mid, hw = _bisect(mid[~done], hw[~done], depth, a, b)
-        depth += 1
+        err = np.abs(sums[1], out=sums[1])
+        # each row's K15 and |K15 - G7| sums, in the level's order
+        level = _row_sums(sums, row, rows)
+        done = _accepted(err, sums_so_far[0] + level[0], tol, span, hw, row)
+        finished = done.all()
+        if not finished:  # the accepted intervals' sums: the others add exact zeros
+            sums *= done
+            level = _row_sums(sums, row, rows)
+        sums_so_far += level
+        levels.append(_Level(depth, mid, hw, row, values, sums, done))
+        if finished:
+            break
+        pending = ~done
+        mid, hw, row, depth, lost = _bisect(
+            *(x.compress(pending) for x in (mid, hw, row, depth)), a, b)
+        failed.update(lost)
         values = None
+    return _Adaptation(f, a, b, tol, k, *sums_so_far, tuple(levels), failed)
 
 
 def _interval(a, b, *tols) -> tuple:
@@ -254,7 +446,9 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10, breaks=()):
     mid, hw = _panels(np.array([a] + sorted(float(t) for t in breaks if a < t < b) + [b]))
     # the first level doubles as the probe
     fv, values = _vectorize(f, _nodes(mid, hw).ravel())
-    total = _adapt(fv, a, b, tol, mid, hw, values).total
+    adaptation = _adapt(lambda row, ts: fv(ts.ravel()), a, b, tol, mid, hw, values=values)
+    _raise_first(adaptation.failed)
+    total = adaptation.total[:, 0]
     return float(total[0]) if values.ndim == 1 else total
 
 

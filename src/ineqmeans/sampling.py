@@ -13,11 +13,12 @@ Trial ``i`` of a seeded search is defined by the raw words of its stream
 comparator's layout: ``integral._draw_block``), so a witness ``(seed, i)``
 reproduces alone.  ``spawn_raw`` gives the first eight words of a range of
 trials at once: it runs the SeedSequence hash (32-bit ``hashmix``/``mix``
-on a pool of four words) vectorised over the indices and hands each row's
-state to numpy's own PCG64, so no ``SeedSequence`` or ``Generator`` is built
-per trial and every word equals ``spawn_rng(seed, i).bit_generator.random_raw()``
-bit for bit.  ``numpy.random`` is imported on first use, not with this
-module: the CLI loads it only for the commands that sample.
+on a pool of four words) and PCG64's seeding and output (128-bit state as
+two uint64 words) vectorised over the indices, so no ``SeedSequence``,
+``PCG64`` or ``Generator`` is built per trial and every word equals
+``spawn_rng(seed, i).bit_generator.random_raw()`` bit for bit.
+``numpy.random`` is imported on first use, not with this module: the CLI
+loads it only for the commands that sample.
 """
 
 from __future__ import annotations
@@ -136,37 +137,74 @@ def _seed_state(seed: int, index: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((words[0::2] | (words[1::2] << np.uint64(32))).T)
 
 
-class _StateWords:
-    """A numpy ``ISeedSequence`` (registered on first use) that hands a bit
-    generator the state words it was built with."""
+# PCG64, numpy's default bit generator: a 128-bit LCG, state <- state * MULT +
+# inc modulo 2**128, whose output is the XSL-RR permutation of the new state.
+# 128-bit values are (high, low) uint64 words, which wrap modulo 2**64.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
 
-    __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+def _words128(values) -> tuple:
+    values = [v % 2**128 for v in values]
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & 2**64 - 1 for v in values], dtype=np.uint64))
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+
+@lru_cache(maxsize=None)
+def _pcg_jumps(n: int) -> tuple:
+    """MULT**(k+1) and 1 + MULT + ... + MULT**k for k = 1..n: numpy seeds
+    PCG64 from state 0 by a step, + the initial state and a step, so its
+    k-th output state is MULT**(k+1) (seed + inc) + (1 + ... + MULT**k) inc."""
+    powers = [_PCG_MULT ** j for j in range(n + 2)]
+    return (_words128(powers[2:]),
+            _words128([sum(powers[:k + 1]) for k in range(1, n + 1)]))
+
+
+def _mul128(x: tuple, c: tuple) -> tuple:
+    """x * c modulo 2**128 (broadcasting), the high word of the low words'
+    product from their 32-bit halves."""
+    (x_hi, x_lo), (c_hi, c_lo) = x, c
+    x0, x1 = x_lo & _LOW32, x_lo >> _SHIFT32
+    c0, c1 = c_lo & _LOW32, c_lo >> _SHIFT32
+    p01, p10 = x0 * c1, x1 * c0
+    mid = ((x0 * c0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carried = x1 * c1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    return carried + x_hi * c_lo + x_lo * c_hi, x_lo * c_lo
+
+
+def _add128(x: tuple, y: tuple) -> tuple:
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < x[1]).astype(np.uint64), low
+
+
+def _pcg64_raw(state: np.ndarray, n: int) -> np.ndarray:
+    """The first n raw outputs (rows, n) of numpy's PCG64 built from each
+    row of state words (rows, 4), ``SeedSequence.generate_state(4, uint64)``:
+    ``pcg64_set_seed`` takes the initial state from words 0-1 and the stream
+    from words 2-3, high word first, and inc = 2 stream + 1.  All n states
+    come at once from the jumps (``_pcg_jumps``)."""
+    seed_hi, seed_lo, seq_hi, seq_lo = (w[:, None] for w in state.T)
+    one = np.uint64(1)
+    inc = (seq_hi << one) | (seq_lo >> np.uint64(63)), (seq_lo << one) | one
+    powers, sums = _pcg_jumps(n)
+    hi, lo = _add128(_mul128(_add128((seed_hi, seed_lo), inc), powers), _mul128(inc, sums))
+    mixed, turn = hi ^ lo, hi >> np.uint64(58)
+    return (mixed >> turn) | (mixed << ((np.uint64(64) - turn) & np.uint64(63)))
 
 
 def spawn_raw(seed: int, start: int, stop: int) -> np.ndarray:
     """The first eight raw 64-bit outputs of the streams spawn_rng(seed, i)
     for i in start..stop-1: row i - start equals
     ``spawn_rng(seed, i).bit_generator.random_raw(8)`` bit for bit."""
-    from numpy.random import PCG64, SeedSequence
-    from numpy.random.bit_generator import ISeedSequence
-
     seed = _nonnegative_int(seed, "seed")
     start = _nonnegative_int(start, "start")
     stop = max(_nonnegative_int(stop, "stop"), start)
-    ISeedSequence.register(_StateWords)
     split = max(start, min(stop, 1 << 32))  # from 2**32 on an index is two words
     index = np.arange(start, split, dtype=np.uint64) if split > start else np.zeros(0, np.uint64)
     state = _seed_state(seed, index)
-    wide = [SeedSequence((seed, i)).generate_state(4, np.uint64) for i in range(split, stop)]
-    if wide:
-        state = np.concatenate([state, np.stack(wide)])
-    out = np.empty((stop - start, 8), dtype=np.uint64)
-    for row, s in zip(out, state):
-        row[:] = PCG64(_StateWords(s)).random_raw(8)
-    return out
+    if stop > split:
+        from numpy.random import SeedSequence
+        state = np.concatenate([state] + [SeedSequence((seed, i)).generate_state(4, np.uint64)[None]
+                                          for i in range(split, stop)])
+    return _pcg64_raw(state, 8)

@@ -44,8 +44,9 @@ def test_traced_bench_layers_bind():
     for span in ("compare", "integral.middle_fixed", "means.mean_values",
                  "integral.mean_chain", "quadrature", "validate.positive"):
         assert summary["calls"].get(span, 0) > 0, span
-    # the comparator integrates on its own fixed panels: no Simpson helper and
-    # no adaptive quadrature under compare
+    # the comparator adapts its blocks on the engine itself (quadrature._adapt),
+    # not through quadrature(): no Simpson helper and no quadrature span under
+    # compare
     compare = out["compare"]
     assert compare.get("integral.middle_fixed", 0) > 0
     # trials are read off raw words in blocks; spawn_rng is called only to

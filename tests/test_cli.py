@@ -43,6 +43,14 @@ def test_means_eval_iterated_spec_at_a_zero_argument(name, x, y):
     assert 0.0 <= payload(result)["value"] <= ITERATED_EVAL_TOL * 3.0
 
 
+def test_means_eval_stationary_iterated_pair_is_a_domain_error():
+    # exit 3 after all 200 steps with "did not converge" before; now exit 3
+    # at once, naming the fixed point
+    result = run("means", "eval", "--spec", "iter:min|max", "--x", "1", "--y", "2")
+    assert result.exit_code == 3
+    assert "stationary at (1.0, 2.0)" in result.stderr and "no common limit" in result.stderr
+
+
 def test_means_eval_rado_at_wide_finite_ratios():
     # t^(b+1) overflows at one argument, the mean does not:
     # R_b(lo, hi) = hi ((1 - (lo/hi)^c) / (c (1 - lo/hi)))^(1/b), c = b + 1

@@ -184,16 +184,16 @@ def test_a_crossing_on_a_scan_node_splits_the_start_panels(monkeypatch):
     integral_mean_chain(T_LIN, ON_NODE_G, 0.0, 1.0, parse_mean("power:inf"))
     levels = adaptations[0].levels
     assert len(levels) == 1
-    assert 15 * sum(len(mid) for _, mid, _, _, _ in levels) == 135
+    assert 15 * sum(len(level.mid) for level in levels) == 135
 
 
 def _kinked_block(kind, seed):
     # a block of the comparator's largest size, with its kink gap
-    size = {ChainKind.MEAN_FORM: 256, ChainKind.LOG_DERIV_FORM: 64}[kind]
-    kinds, coeffs, intervals = integral._draw_block(seed, 0, size)
+    kinds, coeffs, intervals = integral._draw_block(seed, 0, 256)
+    poly, exp = integral._catalog_poly(kinds, coeffs)
 
     def gap(rows, t):
-        return integral._member_gap(kind, kinds[:, rows], coeffs[:, rows], t)
+        return integral._member_gap(kind, poly[:, rows], exp[:, rows], t)
 
     return kinds, coeffs, intervals, gap
 
@@ -219,12 +219,12 @@ def test_block_kinks_equal_lone_row_and_reference_kinks(kind, seed):
 
 @pytest.mark.parametrize("kind", list(ChainKind))
 def test_a_kinked_block_makes_at_most_eight_catalog_calls(monkeypatch, kind):
-    # one scan, at most 6 narrowing rounds and the snapped panels, however
-    # many rows cross
+    # one scan and at most 6 narrowing rounds find the start panels of every
+    # row, however many rows cross, and one call evaluates the first level
+    # (a loose target accepts it whole)
     kinds, coeffs, intervals, gap = _kinked_block(kind, 13)
-    edges = np.stack([np.linspace(0.0, b, integral._PANELS[kind] + 1)
-                      for b in integral._COMPARE_INTERVALS])[intervals]
-    crossing = sum(map(bool, _find_kinks(gap, edges[:, 0], edges[:, -1])))
+    ends = np.array(integral._COMPARE_INTERVALS)[intervals]
+    crossing = sum(map(bool, _find_kinks(gap, np.zeros(len(ends)), ends)))
     assert crossing >= 8
     calls = []
     catalog_rows = integral._catalog_rows
@@ -234,7 +234,8 @@ def test_a_kinked_block_makes_at_most_eight_catalog_calls(monkeypatch, kind):
         return catalog_rows(*args)
 
     monkeypatch.setattr(integral, "_catalog_rows", counted)
-    integral._snapped_rows(kind, kinds, coeffs, edges, 0)
+    integral._middle_fixed(kind, (parse_mean("max"), parse_mean("power:1")),
+                           (kinds, coeffs, intervals), 1.0, np.empty(4 * 15 * 8 * len(ends)))
     assert len(calls) <= 1 + 6 + 1
 
 
@@ -443,7 +444,10 @@ def _reference_logderiv_chain(f, g, a, b, spec, inner_tol=1e-10, outer_tol=1e-8)
             sums = np.array([_reference_sums(r, GK_WEIGHTS)[0] for r in rows]) * hw
             est.append(sums[:, 0])
             err.append(np.abs(sums[:, 1]))
-        totals = np.array(est).T.copy().sum(axis=-1)
+        # each integral's intervals added left to right, one after the other
+        totals = np.zeros(5)
+        for e in est:
+            totals = totals + e
         target = np.maximum(outer_tol, outer_tol * np.abs(totals)) / (b - a)
         bad = [i for i, (mid, hw, _, _) in enumerate(table.intervals)
                if np.any(err[i] > target * 2.0 * hw)]
@@ -524,9 +528,9 @@ def test_both_chain_forms_start_on_uniform_panels_split_at_the_kinks(
         kinks = _find_kinks(lambda rows, t: f.derivative(t) / f(t) - g.derivative(t) / g(t),
                             np.array([0.0]), np.array([b]))[0]
     assert len(kinks) == crossings
-    depth, mid, hw, _, _ = starts[0]
+    depth, mid, hw = starts[0].depth, starts[0].mid, starts[0].hw
     edges = np.union1d(np.linspace(0.0, b, 9), kinks)
-    assert depth == 0 and len(mid) == panels and (hw > 0.0).all()
+    assert not depth.any() and len(mid) == panels and (hw > 0.0).all()
     assert np.array_equal(hw, np.diff(edges) / 2.0)
     assert np.array_equal(mid, edges[:-1] + hw)
 
@@ -631,7 +635,7 @@ def test_logderiv_chain_samples_each_function_once_per_node(monkeypatch):
     def counted_value(self, t):
         counts[str(self)] += np.size(t)
         if self == f:
-            seen.append(np.array(t))
+            seen.append(np.ravel(t))
         return value(self, t)
 
     def counted_slope(self, t):
@@ -652,7 +656,7 @@ def test_logderiv_chain_samples_each_function_once_per_node(monkeypatch):
     report = integral_logderiv_chain(f, g, 0.0, 1.0, parse_mean("power:2"))
     assert report.ordered
     assert min(report.slack_left, report.slack_right) >= -1e-12 * report.scale
-    nodes = 15 * sum(len(mid) for _, mid, _, _, _ in levels)
+    nodes = 15 * sum(len(level.mid) for level in levels)
     assert nodes >= 120
     assert counts == {str(f): nodes, str(g): nodes, str(f) + "'": nodes, str(g) + "'": nodes}
     sampled = np.concatenate(seen)
@@ -932,36 +936,14 @@ def test_verdict_deterministic_for_fixed_seed():
 # ---------------------------------------------------------------------------
 
 # The per-trial reference: the comparator's rule written out for one trial,
-# on FunctionSpec calls, with its own panel and snapping code.
-REF_PANELS = {ChainKind.MEAN_FORM: 8, ChainKind.LOG_DERIV_FORM: 32}
-REF_ROUNDING = 50.0 * np.finfo(float).eps
-
-
-def _reference_panels(edges):
-    hw = np.diff(edges) / 2.0
-    mid = edges[:-1] + hw
-    return (mid[:, None] + hw[:, None] * GK_NODES).ravel(), hw
+# on FunctionSpec calls, with its own panel, level and summation code.
+REF_FLOOR = 1e-13
 
 
 def _reference_gap(kind, f, g, t):
     if kind is ChainKind.MEAN_FORM:
         return f(t) - g(t)
     return f.derivative(t) / f(t) - g.derivative(t) / g(t)
-
-
-def _reference_snap(b, panels, roots):
-    # the nearest interior edge for each root, pushed right past the edges
-    # already taken, then left off the end
-    edges = np.linspace(0.0, b, panels + 1)
-    taken = []
-    for root in roots:
-        k = min(max(int(np.rint(root / (b / panels))), 1), panels - 1)
-        taken.append(max(k, taken[-1] + 1) if taken else k)
-    for i in reversed(range(len(taken))):
-        taken[i] = min(taken[i], (taken[i + 1] if i + 1 < len(taken) else panels) - 1)
-    assert not taken or taken[0] >= 1, "more crossings than interior edges"
-    edges[taken] = roots
-    return edges
 
 
 def _reference_sums(values, weights):
@@ -973,48 +955,116 @@ def _reference_sums(values, weights):
     return out
 
 
-def _reference_integral(values, hw):
-    sums = _reference_sums(values, GK_WEIGHTS) * hw[:, None]
-    est = sums[:, 0]
-    return est.sum(), np.maximum(np.abs(sums[:, 1]), REF_ROUNDING * np.abs(est)).sum()
+def _reference_add(terms):
+    # left to right, from 0
+    total = 0.0
+    for x in terms:
+        total = total + x
+    return total
 
 
-def _reference_middle(kind, spec, f, g, b):
-    """(middle, relative bar) of one trial on its own GK15 panels."""
-    panels = REF_PANELS[kind]
-    nodes, hw = _reference_panels(np.linspace(0.0, b, panels + 1))
-    if integral._kinks_on_diagonal(spec):
-        roots = _find_kinks(lambda rows, t: _reference_gap(kind, f, g, t), np.array([0.0]),
-                            np.array([b]))[0]
-        if roots:
-            nodes, hw = _reference_panels(_reference_snap(b, panels, roots))
-    fv = np.asarray(f(nodes), dtype=float)
-    gv = np.asarray(g(nodes), dtype=float)
-    inner = 0.0
+def _reference_integrands(kind, specs, f, g, t):
+    # [M_a^2, M*_a^2, M_b^2, M*_b^2], or [M(Lf, Lg) of a, of b, f g], at t
+    fv, gv = np.asarray(f(t), dtype=float), np.asarray(g(t), dtype=float)
     if kind is ChainKind.MEAN_FORM:
-        m = mean_values(spec, fv, gv)
-        phi1, phi2 = m * m, conjugate_from_mean(fv, gv, m) ** 2
-    else:
-        dfv, dgv = f.derivative(nodes), g.derivative(nodes)
-        if spec.family is MeanFamily.MEDIANT:
-            mv = (dfv + dgv) / (fv + gv)
+        out = []
+        for spec in specs:
+            m = mean_values(spec, fv, gv)
+            out += [m * m, conjugate_from_mean(fv, gv, m) ** 2]
+        return np.array(out)
+    dfv, dgv = f.derivative(t), g.derivative(t)
+    return np.array([(dfv + dgv) / (fv + gv) if spec.family is MeanFamily.MEDIANT
+                     else mean_values(spec, dfv / fv, dgv / gv) for spec in specs] + [fv * gv])
+
+
+def _reference_row_adapt(integrand, b, tol, judged, pending, accepted):
+    """Bisect the pending (mid, hw) panels of [0, b] until each judged
+    integrand meets its width share of max(tol, tol |I|); the accepted
+    panels in acceptance order as (mid, hw, values (k, 15), K15 (judged,),
+    |K15 - G7| (judged,)), and the K15 and |K15 - G7| totals added level by
+    level, each level's panels one after the other."""
+    kept, total, error = [], np.array(accepted, dtype=float), np.zeros(judged)
+    while pending:
+        mids = np.array([p[0] for p in pending])
+        hws = np.array([p[1] for p in pending])
+        values = integrand((mids[:, None] + hws[:, None] * GK_NODES).ravel())
+        sums = np.stack([_reference_sums(v, GK_WEIGHTS) for v in values[:judged]])
+        sums = sums * hws[:, None]
+        est, diff = sums[..., 0], np.abs(sums[..., 1])  # (judged, panels)
+        target = np.maximum(tol, tol * np.abs(total + _reference_add(est.T))) / b
+        done = [bool((diff[:, i] <= target * (2.0 * hw)).all()) for i, hw in enumerate(hws)]
+        total = total + _reference_add(est.T[done])
+        error = error + _reference_add(diff.T[done])
+        kept += [(mids[i], hws[i], values[:, 15 * i:15 * i + 15], est[:, i], diff[:, i])
+                 for i in range(len(pending)) if done[i]]
+        split = [(mids[i], hws[i]) for i in range(len(pending)) if not done[i]]
+        pending = ([(mid - hw / 2.0, hw / 2.0) for mid, hw in split]
+                   + [(mid + hw / 2.0, hw / 2.0) for mid, hw in split])
+    return kept, total, error
+
+
+def _reference_trial(kind, specs, f, g, b, target):
+    """(middles, bars) of one trial by the comparator's rule."""
+    log = kind is ChainKind.LOG_DERIV_FORM
+    breaks = []
+    if any(integral._kinks_on_diagonal(spec) for spec in specs):
+        breaks = _find_kinks(lambda rows, t: _reference_gap(kind, f, g, t), np.array([0.0]),
+                             np.array([b]))[0]
+    edges = np.union1d(np.linspace(0.0, b, 9), breaks)
+    hw = np.diff(edges) / 2.0
+    tol, judged = (target / 8.0, 2) if log else (target / 2.0, 4)
+
+    def integrand(t):
+        return _reference_integrands(kind, specs, f, g, t)
+
+    kept, total, error = _reference_row_adapt(integrand, b, tol, judged,
+                                          list(zip(edges[:-1] + hw, hw)), np.zeros(judged))
+    refined = False
+    while True:
+        kept.sort(key=lambda p: p[0])  # left to right
+        if log:
+            inner = cumulative_weights().T
+            start, shares, est, err = np.zeros(2), [], [], []
+            for mid, h, values, k15, dv in kept:
+                v = np.stack([_reference_sums(values[s], inner)[0] * h + start[s]
+                              for s in (0, 1)])
+                phi = [np.exp(2.0 * v), np.exp(-(2.0 * v)) * (values[2] * values[2])]
+                sums = np.array([[_reference_sums(p[s], GK_WEIGHTS)[0] * h for s in (0, 1)]
+                                 for p in phi])  # (factor, spec, K15 / K15 - G7)
+                est.append(sums[..., 0])
+                err.append(np.abs(sums[..., 1]))
+                start = start + k15
+            totals, errors = _reference_add(est), _reference_add(err)
+            inner_err = _reference_add([p[4] for p in kept])
         else:
-            mv = mean_values(spec, dfv / fv, dgv / gv)
-        # the integration matrix within each panel, plus the panels before it
-        sums = _reference_sums(mv, np.concatenate([cumulative_weights().T, GK_WEIGHTS], axis=1))
-        sums = sums * hw[:, None]
-        v, start = [], 0.0
-        for p in range(panels):
-            v.append(sums[p, :15] + start)
-            start += sums[p, 15]
-        inner = np.maximum(np.abs(sums[:, 16]), REF_ROUNDING * np.abs(sums[:, 15])).sum()
-        v = 2.0 * np.concatenate(v)
-        phi1, phi2 = np.exp(v), (fv * gv) ** 2 * np.exp(-v)
-    (i1, e1), (i2, e2) = _reference_integral(phi1, hw), _reference_integral(phi2, hw)
-    return i1 * i2, e1 / abs(i1) + e2 / abs(i2) + 4.0 * inner
+            if refined:
+                total = _reference_add([p[3] for p in kept])
+                error = _reference_add([p[4] for p in kept])
+            totals, errors = total.reshape(2, 2).T, error.reshape(2, 2).T
+            est = [p[3].reshape(2, 2).T for p in kept]
+            err = [p[4].reshape(2, 2).T for p in kept]
+            inner_err = np.zeros(2)
+        bars = errors[0] / np.abs(totals[0]) + errors[1] / np.abs(totals[1]) + 4.0 * inner_err
+        middles = totals[0] * totals[1]
+        if not (bars > target).any():
+            return middles, bars
+        bad = [(e[0] / np.abs(totals[0]) + e[1] / np.abs(totals[1])
+                + 4.0 * (p[4] if log else 0.0) > target * (2.0 * p[1]) / b).any()
+               for p, e in zip(kept, err)]
+        if not any(bad):
+            return middles, bars
+        split = [p for p, x in zip(kept, bad) if x]
+        kept = [p for p, x in zip(kept, bad) if not x]
+        halves, _, _ = _reference_row_adapt(integrand, b, tol, judged,
+                                        [(m - h / 2.0, h / 2.0) for m, h, *_ in split]
+                                        + [(m + h / 2.0, h / 2.0) for m, h, *_ in split],
+                                        _reference_add([p[3] for p in kept]))
+        kept += halves
+        refined = True
 
 
 def _reference_verdict(spec_a, spec_b, trials, seed, kind, tie_rtol=1e-9):
+    target = max(tie_rtol / 10.0, REF_FLOOR)
     best_a = best_b = None
     wins_a = wins_b = 0
     for i in range(trials):
@@ -1022,8 +1072,7 @@ def _reference_verdict(spec_a, spec_b, trials, seed, kind, tie_rtol=1e-9):
         f = _sample_function(rng)
         g = _sample_function(rng)
         b_end = float((0.5, 1.0, 2.0)[int(rng.integers(0, 3))])
-        ma, bar_a = _reference_middle(kind, spec_a, f, g, b_end)
-        mb, bar_b = _reference_middle(kind, spec_b, f, g, b_end)
+        (ma, mb), (bar_a, bar_b) = _reference_trial(kind, (spec_a, spec_b), f, g, b_end, target)
         diff = (mb - ma) / max(abs(ma), abs(mb))
         if abs(diff) <= tie_rtol + bar_a + bar_b:
             continue
@@ -1087,8 +1136,8 @@ def test_witnesses_re_run_to_their_middles():
     for w in verdict.witnesses:
         f, g = parse_function(w.f), parse_function(w.g)
         assert f.to_string() == w.f and g.to_string() == w.g
-        assert _reference_middle(kind, a, f, g, w.b)[0] == w.middle_a
-        assert _reference_middle(kind, b, f, g, w.b)[0] == w.middle_b
+        (ma, mb), _ = _reference_trial(kind, (a, b), f, g, w.b, 1e-10)
+        assert (ma, mb) == (w.middle_a, w.middle_b)
 
 
 def test_blocked_comparator_memory_does_not_scale_with_trials():
@@ -1106,23 +1155,26 @@ def test_blocked_comparator_memory_does_not_scale_with_trials():
 
 
 def test_kinked_blocks_stay_within_the_memory_bound():
-    # a kinked mean adds each block's 1025-point scan and its snapped panels
-    # to the working set, and the mean form has the largest blocks (256 rows)
-    tracemalloc.start()
-    try:
-        got = compare_generalizations(parse_mean("max"), parse_mean("power:1"), 1000, 13,
-                                      ChainKind.MEAN_FORM)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got.trials == 1000
-    assert peak < 16 * 2 ** 20
+    # a kinked mean adds each block's 1025-point scan of its 256 rows to the
+    # working set, and the log-derivative scan evaluates f, g, f' and g'
+    for kind in ChainKind:
+        tracemalloc.start()
+        try:
+            got = compare_generalizations(parse_mean("max"), parse_mean("power:1"), 1000, 13,
+                                          kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.trials == 1000
+        assert peak < 16 * 2 ** 20, kind
 
 
 @pytest.mark.parametrize("kind, sizes", [
-    (ChainKind.MEAN_FORM, [8, 16, 32, 64, 128, 256, 256, 240]),
-    (ChainKind.LOG_DERIV_FORM, [8, 16, 32] + [64] * 14 + [48])])
+    (ChainKind.MEAN_FORM, [64, 128, 256, 256, 256, 40]),
+    (ChainKind.LOG_DERIV_FORM, [64, 128, 256, 256, 256, 40])])
 def test_blocks_double_up_to_the_panel_node_budget(monkeypatch, kind, sizes):
+    # 64 rows, then doubling while a block holds at most 2**15 start-panel
+    # nodes (256 rows of 120 in either form)
     calls = []
     draw = integral._draw_block
 
@@ -1136,22 +1188,27 @@ def test_blocks_double_up_to_the_panel_node_budget(monkeypatch, kind, sizes):
     assert [stop - start for start, stop in calls] == sizes
     assert [start for start, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
     for start, stop in calls:
-        assert (stop - start) * 15 * integral._PANELS[kind] <= integral._BLOCK_NODES
+        assert (stop - start) * 15 * integral._START_PANELS <= integral._BLOCK_NODES
 
 
 @pytest.mark.parametrize("derivative", [False, True])
-@pytest.mark.parametrize("layout", ["panels", "scan"])
+@pytest.mark.parametrize("layout", ["block", "panels", "scan"])
 def test_catalog_rows_equal_function_spec_calls_bit_for_bit(layout, derivative):
-    # all 16 (f, g) kind pairs, four times each, on the panel nodes
-    # (15, rows, P) and on the kink scan grids (rows, 1025)
+    # all 16 (f, g) kind pairs, four times each, on a block's start nodes
+    # (15, rows, 8) with each row's nodes together in memory, on one panel
+    # per row (panels, 15) and on the kink scan grids (rows, 1025)
     _, coeffs, intervals = integral._draw_block(9, 0, 64)
     kinds = np.stack([np.arange(64) % 4, np.arange(64) // 4 % 4])
     ends = np.array(integral._COMPARE_INTERVALS)[intervals]
-    if layout == "panels":
-        xs, _ = integral._panel_nodes(np.stack([np.linspace(0.0, b, 9) for b in ends]))
+    poly, exp = integral._catalog_poly(kinds, coeffs)
+    if layout == "block":
+        xs = integral._compare_start()[2][intervals].transpose(1, 0, 2)
+    elif layout == "panels":
+        xs = np.stack([(np.linspace(0.0, b, 9)[:1] + b / 16.0) + b / 16.0 * GK_NODES
+                       for b in ends])
     else:
         xs = np.stack([np.linspace(0.0, b, integral._SCAN_POINTS) for b in ends])
-    values, slopes = integral._catalog_rows(kinds, coeffs, xs, derivative)
+    values, slopes = integral._catalog_rows(poly, exp, xs, derivative)
     assert (slopes is not None) is derivative
     for m in range(2):
         for row in range(64):
@@ -1241,70 +1298,158 @@ def _quad_middle(kind, mean, f, g, b):
             * quad(lambda x: (fs(x) * gs(x)) ** 2 * math.exp(-v(x)), b))
 
 
-@pytest.mark.parametrize("kind, spec", [
+# the bars leave out rounding: a middle is a product of two sums of a few
+# hundred terms, and so is quad's, each some ulps off (the largest gap past
+# a bar on the rows below is 4.9 eps)
+ROUNDING = 8 * np.finfo(float).eps
+
+
+def _block_middles(kind, specs, draws, tie_rtol=1e-9):
+    target = max(tie_rtol / 10.0, REF_FLOOR)
+    middles, bars, failed = integral._middle_fixed(kind, specs, draws, target,
+                                                   np.empty(4 * 15 * 8 * len(draws[2])))
+    assert not failed and (bars <= target).all()
+    return middles, bars
+
+
+def _draws_of(seed, trials):
+    # the draws of the given trials of a seed, one block
+    draws = [integral._draw_block(seed, i, i + 1) for i in trials]
+    return (np.concatenate([d[0] for d in draws], axis=1),
+            np.concatenate([d[1] for d in draws], axis=1),
+            np.concatenate([d[2] for d in draws]))
+
+
+BAR_CASES = [
     (ChainKind.MEAN_FORM, "power:0"), (ChainKind.MEAN_FORM, "power:2"),
     (ChainKind.MEAN_FORM, "min"), (ChainKind.MEAN_FORM, "max"),
     (ChainKind.LOG_DERIV_FORM, "power:0.5"), (ChainKind.LOG_DERIV_FORM, "power:2"),
-    (ChainKind.LOG_DERIV_FORM, "min"), (ChainKind.LOG_DERIV_FORM, "max")])
+    (ChainKind.LOG_DERIV_FORM, "min"), (ChainKind.LOG_DERIV_FORM, "max")]
+
+
+@pytest.mark.parametrize("kind, spec", BAR_CASES)
 def test_panel_middles_lie_within_their_bars(kind, spec):
     # 64 trials of one block: each middle is within its bar of scipy's; for
-    # min and max, the rows where f and g (or Lf and Lg) cross are snapped
+    # min and max the rows where f and g (or Lf and Lg) cross start split at
+    # the crossings
+    _middles_within_bars(kind, spec, 5, range(64))
+
+
+@pytest.mark.parametrize("kind, spec", BAR_CASES)
+def test_steep_rows_adapt_within_their_bars(kind, spec):
+    # the steep rows of seed 7, whose bars on fixed panels reached 5e-7
+    # (trial 62: poly with c0 near 0.2 against an exppoly, on [0, 2]), 5e-9
+    # (43, 59) and 7e-9 (26), adapt until their bars meet the target
+    _middles_within_bars(kind, spec, 7, (26, 43, 59, 62))
+
+
+def _middles_within_bars(kind, spec, seed, trials):
     mean = parse_mean(spec)
-    kinds, coeffs, intervals = integral._draw_block(5, 0, 64)
-    edges = np.stack([np.linspace(0.0, b, integral._PANELS[kind] + 1)
-                      for b in integral._COMPARE_INTERVALS])[intervals]
-    rows = integral._rows_on_panels(kind, kinds, coeffs, *integral._panel_nodes(edges))
-    if integral._kinks_on_diagonal(mean):
-        plain = rows
-        rows = integral._snapped_rows(kind, kinds, coeffs, edges, 0)
-        assert np.any(rows.hw != plain.hw, axis=1).sum() >= 8
-    middles, bars = integral._middle_fixed(kind, mean, rows)
-    for row in range(64):
+    draws = _draws_of(seed, trials)
+    kinds, coeffs, intervals = draws
+    middles, bars = _block_middles(kind, (mean, parse_mean("power:1")), draws)
+    for row in range(len(trials)):
         f = integral._catalog_member(kinds[0, row], coeffs[0, row])
         g = integral._catalog_member(kinds[1, row], coeffs[1, row])
         b = integral._COMPARE_INTERVALS[intervals[row]]
         want = _quad_middle(kind, SCALAR_MEANS[spec], f, g, b)
-        assert abs(middles[row] - want) <= bars[row] * abs(middles[row]), (row, f, g, b)
+        assert abs(middles[0, row] - want) <= (bars[0, row] + ROUNDING) * abs(middles[0, row]), (
+            row, f, g, b)
 
 
-def test_comparator_log_middles_match_the_chain_kernel_bit_for_bit():
+def test_comparator_log_middles_match_the_chain_kernel_bit_for_bit(monkeypatch):
     # a log-derivative comparator row's middle is Phi1 * Phi2 of the chain's
-    # outer integrals on a table built over that row's 32 fixed panels
+    # outer integrals on a one-row table over that row's partition
     kind = ChainKind.LOG_DERIV_FORM
-    kinds, coeffs, intervals = integral._draw_block(5, 0, 32)
-    edges = np.stack([np.linspace(0.0, b, integral._PANELS[kind] + 1)
-                      for b in integral._COMPARE_INTERVALS])[intervals]
-    rows = integral._rows_on_panels(kind, kinds, coeffs, *integral._panel_nodes(edges))
-    for spec in ("power:0.5", "power:2", "mediant"):
-        mean = parse_mean(spec)
-        middles, _ = integral._middle_fixed(kind, mean, rows)
-        for row in range(32):
-            fv, gv, dfv, dgv = (v[:, row] for v in (rows.fv, rows.gv, rows.dfv, rows.dgv))
-            hw = rows.hw[row]
-            values = np.stack([integral._logderiv_mean(mean)(fv, gv, dfv, dgv), fv, gv])
-            table = integral._Antiderivative.on(0.0, edges[row, -1], None, 1e-10,
-                                                edges[row, :-1] + hw, hw, np.zeros(32), values)
-            totals, _ = integral._outer_integrals(table, 1e-8)
-            assert middles[row] == totals[1] * totals[2], (spec, row)
+    draws = integral._draw_block(5, 0, 32)
+    kinds, coeffs, intervals = draws
+    specs = (parse_mean("power:0.5"), parse_mean("mediant"))
+    parts = []
+    factor_sums = integral._factor_sums
+
+    def recording(kind, part):
+        parts.append(part)
+        return factor_sums(kind, part)
+
+    monkeypatch.setattr(integral, "_factor_sums", recording)
+    middles, _ = _block_middles(kind, specs, draws)
+    part = parts[-1]
+    for row in range(32):
+        f = integral._catalog_member(kinds[0, row], coeffs[0, row])
+        g = integral._catalog_member(kinds[1, row], coeffs[1, row])
+        mine = part.order[part.row[part.order] == row]
+        mid, hw = part.mid[mine], part.hw[mine]
+        t = mid + hw * GK_NODES[:, None]
+        for s, spec in enumerate(specs):
+            lmean = integral._logderiv_mean(spec)
+            values = np.stack([lmean(f(t), g(t), f.derivative(t), g.derivative(t)), f(t), g(t)])
+            sums = integral._per_panel(values[:1], GK_WEIGHTS, 1) * hw
+            one = integral._Partition(None, np.array([0.0]), part.b[row:row + 1], 1e-10, 1,
+                                      np.zeros(len(mid), dtype=int), mid, hw, part.depth[mine],
+                                      values, sums, np.arange(len(mid)), {})
+            totals, _ = integral._outer_integrals(integral._Antiderivative.on(one), 1.0)
+            assert middles[s, row] == totals[1] * totals[2], (spec, row)
 
 
-def test_snap_moves_the_nearest_free_interior_edge():
-    edges = np.linspace(0.0, 1.0, 5)  # interior edges 0.25, 0.5, 0.75
-    snapped = [integral._snap(edges, np.array(roots)).tolist()
-               for roots in ([0.3], [0.26, 0.3], [0.9, 0.95, 0.99], [0.01, 0.02])]
-    assert snapped == [[0.0, 0.3, 0.5, 0.75, 1.0],
-                       [0.0, 0.26, 0.3, 0.75, 1.0],  # the second takes the next edge
-                       [0.0, 0.9, 0.95, 0.99, 1.0],  # pushed back from the end
-                       [0.0, 0.01, 0.02, 0.75, 1.0]]
-    assert integral._snap(edges, np.array([0.1, 0.2, 0.3, 0.4])) is None
+def test_a_trial_with_several_crossings_integrates_within_its_bar():
+    # f and g of trial 188 of seed 3 cross twice (on two fixed panels such a
+    # trial raised): both crossings split its start panels, and its max and
+    # min middles lie within their bars of scipy's
+    draws = _draws_of(3, [188])
+    kinds, coeffs, intervals = draws
+    f = integral._catalog_member(kinds[0, 0], coeffs[0, 0])
+    g = integral._catalog_member(kinds[1, 0], coeffs[1, 0])
+    b = integral._COMPARE_INTERVALS[intervals[0]]
+    assert len(_find_kinks(lambda rows, t: f(t) - g(t), np.array([0.0]), np.array([b]))[0]) == 2
+    middles, bars = _block_middles(ChainKind.MEAN_FORM, (parse_mean("max"), parse_mean("min")),
+                                   draws)
+    for s, mean in enumerate((max, min)):
+        want = _quad_middle(ChainKind.MEAN_FORM, mean, f, g, b)
+        assert abs(middles[s, 0] - want) <= (bars[s, 0] + ROUNDING) * abs(middles[s, 0])
 
 
-def test_a_trial_with_more_kinks_than_interior_edges_raises(monkeypatch):
-    # on two panels a row has one interior edge; f and g of trial 188 of
-    # seed 3 cross twice
-    monkeypatch.setitem(integral._PANELS, ChainKind.MEAN_FORM, 2)
-    with pytest.raises(ConvergenceError, match="trial 188: 2 kinks"):
-        compare_generalizations(parse_mean("max"), parse_mean("min"), 200, 3)
+@pytest.mark.parametrize("kind", list(ChainKind))
+def test_a_row_has_the_same_bits_alone_and_in_any_block(kind):
+    # a trial's middles and bars do not depend on its block: alone, among 8
+    # and among 256 rows, and with its neighbours in another order (max
+    # against power:2: some rows cross and start on split panels)
+    specs = (parse_mean("max"), parse_mean("power:2"))
+    draws = integral._draw_block(11, 0, 256)
+    block, block_bars = _block_middles(kind, specs, draws)
+    rng = make_rng(3)
+
+    def rows(sel):
+        kinds, coeffs, intervals = draws
+        return kinds[:, sel], coeffs[:, sel], intervals[sel]
+
+    for row in rng.choice(256, size=12, replace=False).tolist():
+        alone = _block_middles(kind, specs, rows(slice(row, row + 1)))
+        start = row - row % 8
+        eight = _block_middles(kind, specs, rows(slice(start, start + 8)))
+        order = rng.permutation(256)
+        shuffled = _block_middles(kind, specs, rows(order))
+        at = int(np.flatnonzero(order == row)[0])
+        for got, col in ((alone, 0), (eight, row - start), (shuffled, at)):
+            assert got[0][:, col].tobytes() == block[:, row].tobytes(), row
+            assert got[1][:, col].tobytes() == block_bars[:, row].tobytes(), row
+
+
+def test_a_trial_whose_row_hits_a_cap_raises_when_the_scan_reaches_it(monkeypatch):
+    # at depth cap 1 every row that needs a bisection fails: the verdict
+    # raises at the first such trial, named, as the scan reaches it, so the
+    # trials before it decide nothing and blocking changes nothing
+    quadrature_module = __import__("importlib").import_module("ineqmeans.quadrature")
+    monkeypatch.setattr(quadrature_module, "DEPTH_CAP", 1)
+    a, b = parse_mean("power:0"), parse_mean("power:2")
+    for kind, seed in ((ChainKind.MEAN_FORM, 5), (ChainKind.LOG_DERIV_FORM, 6)):
+        with pytest.raises(ConvergenceError, match=r"trial \d+: adaptive quadrature exceeded "
+                           "depth 1") as raised:
+            compare_generalizations(a, b, 1000, seed, kind)
+        first = int(str(raised.value).split(":")[0].split()[1])
+        assert first > 0
+        assert compare_generalizations(a, b, first, seed, kind).trials == first
+        with pytest.raises(ConvergenceError, match=f"trial {first}: "):
+            compare_generalizations(a, b, first + 1, seed, kind)
 
 
 @pytest.mark.parametrize("trials, tie_rtol", [(5, float("nan")), (5, -1.0), (5, float("inf")),

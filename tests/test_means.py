@@ -533,6 +533,23 @@ def test_iterated_mean_at_a_zero_argument_with_a_small_positive_limit(name, x, y
     assert eval_mean(spec(name), x, y) == limit
 
 
+@pytest.mark.parametrize("name", ["iter:min|max", "iter:max|min", "iter:power:-inf|power:inf"])
+def test_a_stationary_iterated_pair_has_no_limit(name):
+    # min and max leave (1, 2) where it is (max|min after one swap): this ran
+    # all 200 steps and then reported a convergence failure; at x = y the
+    # gap is 0 and the value stands
+    with pytest.raises(DomainError, match="stationary .* no common limit"):
+        mean_values(spec(name), np.array([1.5, 1.0]), np.array([1.5, 2.0]))
+    with pytest.raises(DomainError, match="stationary"):
+        eval_mean(spec(name), 1.0, 2.0)
+    assert eval_mean(spec(name), 2.0, 2.0) == 2.0
+
+
+def test_an_iterated_mean_of_empty_arrays_is_empty():
+    # the loop's largest gap starts from 0 (np.max of nothing raised ValueError)
+    assert mean_values(spec("iter:power:0|power:1"), np.array([]), np.array([])).shape == (0,)
+
+
 def test_scalar_evaluation_agrees_with_arrays():
     # eval_mean and conjugate_eval give the value the pair has inside an
     # array, to the last bit, for every catalog mean (numpy's 0-d power, for

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -9,6 +10,8 @@ from ineqmeans import (ConvergenceError, ParameterError, mean_values, parse_func
 from ineqmeans.quadrature import (_NODES, _WEIGHTS, _adapt, _cumulative_weights, _nodes,
                                   _per_panel, composite_simpson, cumulative_simpson,
                                   simpson_nodes)
+
+quadrature_module = importlib.import_module("ineqmeans.quadrature")
 
 
 def test_constant():
@@ -143,28 +146,74 @@ def test_integration_weights_at_any_upper_end_are_exact_to_degree_14(degree):
 
 
 def test_adaptation_returns_its_partition_left_to_right():
-    # the accepted intervals tile [a, b] in order, with the values the
-    # integrand took at their nodes; their K15 sum is quadrature's result
+    # the accepted intervals, in the order they were accepted, with the
+    # values the integrand took at their nodes; their order tiles [a, b]
+    # left to right, and their K15 sums, added level by level and one
+    # interval after the other in the order _adapt adds them, give
+    # quadrature's result to the bit
     rows = (np.exp, lambda t: np.abs(t - 1.0 / 3.0))
     f = lambda t: np.stack([fn(t) for fn in rows])
     edges = np.array([0.0, 0.5, 2.0])
     hw = np.diff(edges) / 2.0
-    adaptation = _adapt(f, 0.0, 2.0, 1e-12, edges[:-1] + hw, hw)
-    mid, hw, depth, values = adaptation.partition()
-    assert len(mid) > 2 and np.all(np.diff(mid) > 0)
-    assert np.abs((mid - hw)[1:] - (mid + hw)[:-1]).max() <= 1e-15
-    assert mid[0] - hw[0] == 0.0 and mid[-1] + hw[-1] == 2.0
+    adaptation = _adapt(lambda row, t: f(t), 0.0, 2.0, 1e-12, edges[:-1] + hw, hw)
+    part = adaptation.partition()
+    mid, hw, row, depth, values, sums, order = (part.mid, part.hw, part.row, part.depth,
+                                                part.values, part.sums, part.order)
+    assert not row.any() and len(mid) > 2 and np.all(np.diff(mid[order]) > 0)
+    left, right = (mid - hw)[order], (mid + hw)[order]
+    assert np.abs(left[1:] - right[:-1]).max() <= 1e-15
+    assert left[0] == 0.0 and right[-1] == 2.0
     assert np.array_equal(hw, np.where(mid < 0.5, 0.25, 0.75) / 2.0 ** depth)
     nodes = mid + hw * _NODES[:, None]
     assert values.shape == (2, 15, len(mid)) and np.array_equal(values, f(nodes))
-    # each interval's K15 from the partition, added level by level in the
-    # order _adapt adds them, is quadrature's result to the bit
     est = _per_panel(values, _WEIGHTS, 1)[0] * hw
+    assert np.array_equal(sums[0], est)
     total = np.zeros(2)
-    for _, level_mid, _, _, done in adaptation.levels:
-        total += est[:, np.searchsorted(mid, level_mid[done])].sum(axis=1)
-    assert np.array_equal(total, adaptation.total)
-    assert np.array_equal(adaptation.total, quadrature(f, 0.0, 2.0, 1e-12, breaks=[0.5]))
+    taken = 0
+    for level in adaptation.levels:
+        part = np.zeros(2)
+        for i in range(taken, taken + np.count_nonzero(level.done)):
+            part = part + est[:, i]
+        total = total + part
+        taken += np.count_nonzero(level.done)
+    assert np.array_equal(total, adaptation.total[:, 0])
+    assert np.array_equal(adaptation.total[:, 0], quadrature(f, 0.0, 2.0, 1e-12, breaks=[0.5]))
+
+
+def test_rows_adapt_as_they_would_alone():
+    # two rows on different intervals, their intervals interleaved: each
+    # row's totals, error sums and accepted intervals are those it gets alone
+    fns = (lambda t: np.exp(3.0 * t), lambda t: 1.0 / (0.05 + t))
+    a, b = np.array([0.0, 0.0]), np.array([1.0, 2.0])
+    mid = np.array([0.25, 0.5, 0.75, 1.5])
+    hw = np.array([0.25, 0.5, 0.25, 0.5])
+    row = np.array([0, 1, 0, 1])
+
+    def f(rows, t):
+        return np.where(rows == 0, fns[0](t), fns[1](t))
+
+    both = _adapt(f, a, b, 1e-11, mid, hw, row)
+    for r in (0, 1):
+        alone = _adapt(lambda rows, t: fns[r](t), a[r], b[r], 1e-11, mid[row == r], hw[row == r])
+        assert both.total[0, r] == alone.total[0, 0] and both.error[0, r] == alone.error[0, 0]
+        mine, theirs = both.partition(), alone.partition()
+        keep = mine.row == r
+        assert np.array_equal(mine.mid[keep], theirs.mid)
+        assert np.array_equal(mine.hw[keep], theirs.hw)
+
+
+def test_a_row_that_hits_a_cap_stops_and_the_others_go_on(monkeypatch):
+    # the second row's integrand kinks and its intervals bisect to the depth
+    # cap: it is reported with its message, the smooth first row is done
+    monkeypatch.setattr(quadrature_module, "DEPTH_CAP", 4)
+
+    def f(rows, t):
+        return np.where(rows == 0, np.exp(t), np.abs(t - 1.0 / 3.0) ** 0.5)
+
+    out = _adapt(f, np.zeros(2), np.ones(2), 1e-12, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+                 np.array([0, 1]))
+    assert list(out.failed) == [1] and "exceeded depth 4 on [0.0, 1.0]" in out.failed[1]
+    assert out.total[0, 0] == quadrature(np.exp, 0.0, 1.0, 1e-12)
 
 
 def _node_order_sums(values, weights):
@@ -194,11 +243,20 @@ def test_a_panel_sums_to_the_same_bits_alone_and_among_37_intervals(rows):
         alone = f(_nodes(mid[i:i + 1], hw[i:i + 1]).ravel()).reshape(rows, 15, 1)
         assert np.array_equal(_per_panel(alone, _WEIGHTS, 1)[..., 0], together[..., i])
         # through _adapt: the level's other intervals add exact zeros
-        inside = lambda t: np.where(np.abs(t - mid[i]) < hw[i], f(t), 0.0)
-        among = _adapt(inside, 0.0, 3.7, 1.0, mid, hw).total
-        lone = _adapt(inside, 0.0, 3.7, 1.0, mid[i:i + 1], hw[i:i + 1]).total
+        inside = lambda row, t: np.where(np.abs(t.ravel() - mid[i]) < hw[i], f(t.ravel()), 0.0)
+        among = _adapt(inside, 0.0, 3.7, 1.0, mid, hw).total[:, 0]
+        lone = _adapt(inside, 0.0, 3.7, 1.0, mid[i:i + 1], hw[i:i + 1]).total[:, 0]
         assert np.array_equal(among, lone)
         assert np.array_equal(among, together[0, :, i] * hw[i])
+
+
+@pytest.mark.parametrize("panels", [1, 255, 256, 2048])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_panel_sums_run_in_node_order_on_few_and_many_panels(rows, panels):
+    # a stack of 256 panels or more is summed one leading index at a time
+    values = np.random.default_rng(panels).standard_normal((rows, 15, panels))
+    values *= 10.0 ** np.arange(-7, 8)[:, None]
+    assert np.array_equal(_per_panel(values, _WEIGHTS, 1), _node_order_sums(values, _WEIGHTS))
 
 
 def test_composite_and_cumulative_simpson_agree():

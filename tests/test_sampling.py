@@ -62,6 +62,14 @@ def test_spawn_raw_equals_spawn_rng_words(seed, start):
     assert np.array_equal(got, np.stack(want))
 
 
+def test_spawn_raw_steps_pcg64_as_numpy_does_on_1000_streams():
+    # the 128-bit state arithmetic on uint64 words, carries included, against
+    # numpy's own PCG64 built from the same state words
+    from numpy.random import PCG64, SeedSequence
+    want = [PCG64(SeedSequence((11, i))).random_raw(8) for i in range(1000)]
+    assert np.array_equal(spawn_raw(11, 0, 1000), np.stack(want))
+
+
 def test_spawn_raw_across_two_word_indices_and_empty_ranges():
     # from index 2**32 on the index is two entropy words
     start = 2**32 - 2
