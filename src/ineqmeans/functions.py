@@ -21,6 +21,11 @@ range enclosure per family, without evaluating f (notes/decisions.md,
   a rounding margin, bisected by de Casteljau where they do not decide, up
   to 40 levels.  A sign still open there (a near-double root) raises
   DomainError and names the spec and the point.
+
+The same enclosure certifies that the gap between two members keeps one
+sign where that sign is a polynomial's (``_gap_polynomial``, ``_beyond``),
+so a kinked chain can skip its kink scan (notes/decisions.md, "Certified
+gaps").
 """
 
 from __future__ import annotations
@@ -83,6 +88,21 @@ class FunctionSpec:
             p = self.coeffs[0]
             return p * t ** (p - 1.0)
         return _horner(_derivative_coeffs(self.coeffs), t) * np.exp(_horner(self.coeffs, t))
+
+    def _value_and_slope(self, t) -> tuple:
+        """(f(t), f'(t)) with the bits of ``__call__`` and ``derivative``, in
+        one pass: ``exp`` and ``exppoly`` take f' from f's own exp."""
+        t = np.asarray(t, dtype=float)
+        f, coeffs = self.family, self.coeffs
+        if f is FunctionFamily.POLY or f is FunctionFamily.AFFINE:
+            return _horner(coeffs, t), _horner(_derivative_coeffs(coeffs), t)
+        if f is FunctionFamily.EXP:
+            value = np.exp(coeffs[0] * t)
+            return value, coeffs[0] * value
+        if f is FunctionFamily.POWER:
+            return t ** coeffs[0], coeffs[0] * t ** (coeffs[0] - 1.0)
+        value = np.exp(_horner(coeffs, t))
+        return value, _horner(_derivative_coeffs(coeffs), t) * value
 
     def sup_on_unit(self) -> float:
         """Upper bound for |f| on (0, 1]; DomainError if unbounded there or
@@ -406,6 +426,108 @@ def _fault(f: FunctionSpec, a: float, b: float, slope: bool, strict: bool,
     if slope:
         return _poly_fault(_derivative_coeffs(coeffs), a, b, True, True)
     return _poly_fault(coeffs, a, b, not strict, False)
+
+
+# ---------------------------------------------------------------------------
+# gap certificates
+# ---------------------------------------------------------------------------
+
+# numpy's exp is taken to be within 8 ulps of exp.  Members whose exponent
+# may leave +-600, or whose polynomials' scales leave [1e-100, 1e100] (0
+# allowed), are not certified, so no value, product or quotient below
+# leaves the normal range, except an exp-type slope f' = P' e^P, whose
+# underflow moves P' by at most 2e-63
+_EXP_ULPS = 8
+_EXPONENT_REACH = 600.0
+_SCALE_RANGE = (1e-100, 1e100)
+_UNDERFLOW = 1e-60
+
+
+def _scale(coeffs, reach: float) -> float:
+    """sum |c_i| reach^i: a bound on |p(t)| for |t| <= reach."""
+    scale = 0.0
+    for c in reversed(coeffs):
+        scale = scale * reach + abs(c)
+    return scale
+
+
+def _poly_mul(p, q) -> tuple:
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_add(p, q) -> tuple:
+    n = max(len(p), len(q))
+    return tuple(x + y for x, y in zip(tuple(p) + (0.0,) * (n - len(p)),
+                                       tuple(q) + (0.0,) * (n - len(q))))
+
+
+def _gap_polynomial(f: FunctionSpec, g: FunctionSpec, log: bool, reach: float):
+    """(R, bound): a polynomial R (coefficients) and a bound on |t| <= reach
+    such that, wherever |R(t)| > bound, the gap the chains compute in
+    floats at t has R's sign: f(t) - g(t) (mean form, ``log`` False), or
+    f'(t)/f(t) - g'(t)/g(t) for f, g > 0 (log-derivative form).  None when
+    the gap's sign is not a polynomial's: a ``pow`` member, or in the mean
+    form an exp-type member (``exp``, ``exppoly``: e^P) against a plain one
+    (``affine``, ``poly``).
+
+    R is p - q for two plain members or P - Q for two exp-type ones (e^P -
+    e^Q has the sign of P - Q); in the log-derivative form it is the gap
+    times the positive f g (plain), g (f exp-type) or f (g exp-type):
+    p'q - q'p, P'q - q', p' - Q'p or P' - Q'.  The bound is (8n + 32) eps
+    times the same expression in |coefficients| at ``reach`` (n its degree):
+    it covers the rounding of R's coefficients, of Horner's value of each
+    member and derivative, of each product and quotient, plus 2 (8 + 1) eps
+    for the two exps of the mean form and underflow (``_UNDERFLOW``).
+    """
+    members = []
+    for h in (f, g):  # (polynomial, exp-type): p, or the exponent P of e^P
+        if h.family is FunctionFamily.EXP:
+            members.append(((0.0, h.coeffs[0]), True))
+        elif h.family in (FunctionFamily.POLY, FunctionFamily.AFFINE):
+            members.append((h.coeffs, False))
+        elif h.family is FunctionFamily.EXP_OF_POLY:
+            members.append((h.coeffs, True))
+        else:
+            return None
+        poly, exp = members[-1]
+        if exp and not _scale(poly, reach) <= _EXPONENT_REACH:
+            return None
+    (p, p_exp), (q, q_exp) = members
+    if not log:
+        if p_exp != q_exp:
+            return None
+        terms = [(p, (1.0,)), (q, (-1.0,))]
+        extra, factor = (2.0 * (_EXP_ULPS + 1) * _EPS if p_exp else 0.0), 1.0
+    else:  # Lf = P' or p'/p, times the plain members' values
+        pv = (1.0,) if p_exp else p
+        qv = (1.0,) if q_exp else q
+        terms = [(_derivative_coeffs(p), qv), (_derivative_coeffs(q), tuple(-c for c in pv))]
+        extra, factor = 0.0, _scale(pv, reach) * _scale(qv, reach)
+    scales = [_scale(c, reach) for pair in terms for c in pair]
+    if not all(s == 0.0 or _SCALE_RANGE[0] <= s <= _SCALE_RANGE[1] for s in scales):
+        return None
+    r, size = (0.0,), (0.0,)
+    for x, y in terms:
+        r = _poly_add(r, _poly_mul(x, y))
+        size = _poly_add(size, _poly_mul([abs(c) for c in x], [abs(c) for c in y]))
+    bound = (8 * (len(size) - 1) + 32) * _EPS * _scale(size, reach)
+    while len(r) > 1 and r[-1] == 0.0:  # a leading term that cancels exactly
+        r = r[:-1]
+    return r, bound + extra + _UNDERFLOW * factor
+
+
+def _beyond(coeffs, a: float, b: float, bound: float) -> bool:
+    """True when |sum c_i t^i| > bound on all of [a, b], one sign throughout:
+    p - bound (or -p - bound, by the sign of p(a)) is certified positive by
+    ``_poly_fault``."""
+    sign = 1.0 if _horner(coeffs, a) > 0 else -1.0
+    shifted = [sign * c for c in coeffs]
+    shifted[0] -= bound
+    return _poly_fault(shifted, a, b, False, False) is None
 
 
 def _where(t: float) -> str:

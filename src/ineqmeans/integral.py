@@ -18,10 +18,13 @@ In both forms the five integrals [fg, Phi1, Phi2, f^2, g^2] share their
 nodes, so the errors of near-equal terms (Phi1 and g^2 when max picks Lg)
 cancel.  Both forms adapt a Gauss-Kronrod partition from the same start:
 8 uniform panels, split at the kinks of a min/max-type mean
-(``_start_panels``).  The mean form adapts the five integrands together on
-it.  The log-derivative form runs its inner integral int_a^x M(Lf, Lg) and
-the outer ones on one such partition, with f, g, f' and g' evaluated once
-per node (notes/decisions.md, "Log-derivative partition").
+(``_start_panels``; without kinks the cached ``_uniform_start``, whose
+nodes take the first level).  The kink scan is skipped where the gap f - g
+(or Lf - Lg) is certified to keep one sign (``_one_signed``).  The mean
+form adapts the five integrands together on it.  The log-derivative form
+runs its inner integral int_a^x M(Lf, Lg) and the outer ones on one such
+partition, with f, g, f' and g' evaluated once per node
+(notes/decisions.md, "Log-derivative partition").
 
 Middle terms of two refinements are partially ordered by pointwise
 domination; the sampling comparator searches a fixed function catalog for
@@ -47,8 +50,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .functions import (FunctionFamily, FunctionSpec, _grid, validate_nonneg_derivative,
-                        validate_positive)
+from .functions import (FunctionFamily, FunctionSpec, _beyond, _gap_polynomial, _grid,
+                        validate_nonneg_derivative, validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     mean_values)
 from .quadrature import (_WEIGHTS, _accepted, _adapt, _cumulative_weights, _interval, _nodes,
@@ -100,6 +103,20 @@ def _mean_fn_from_h(h: Callable[[float], float]) -> Callable:
 _START_PANELS = 8
 
 
+@functools.lru_cache(maxsize=32)
+def _uniform_start(a: float, b: float) -> tuple:
+    """Midpoints and half-widths of the ``_START_PANELS`` uniform panels of
+    [a, b], and their node-major nodes (15, 8), cached read-only: the chains
+    and the comparator start on a few intervals over and over, and the
+    start costs a few small numpy calls.  a = -0.0 shares 0.0's entry: its
+    panels and nodes have the same bits."""
+    mid, hw = _panels(_grid(a, b, _START_PANELS + 1))
+    out = mid, hw, _nodes(mid, hw)
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
 def _start_panels(a: float, b: float, breaks: Sequence[float] = ()) -> tuple:
     """Midpoints and half-widths of the start panels of [a, b]: the
     ``_START_PANELS`` uniform panels split at the interior ``breaks``.  A
@@ -108,6 +125,16 @@ def _start_panels(a: float, b: float, breaks: Sequence[float] = ()) -> tuple:
     if len(breaks):
         edges = np.union1d(edges, breaks)
     return _panels(edges)
+
+
+def _adapt_from_start(f, a: float, b: float, tol: float, breaks: Sequence[float],
+                      **kwargs):
+    """``_adapt`` of the one-row integrand f on the start panels of [a, b];
+    without breaks the first level is f at the cached uniform start's nodes."""
+    if len(breaks):
+        return _adapt(f, a, b, tol, *_start_panels(a, b, breaks), **kwargs)
+    mid, hw, nodes = _uniform_start(a, b)
+    return _adapt(f, a, b, tol, mid, hw, values=f(None, nodes), **kwargs)
 
 
 def _kinks_on_diagonal(spec: MeanSpec) -> bool:
@@ -143,9 +170,9 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
         return rows
 
     breaks = ()
-    if kinked:
+    if kinked and not _one_signed(f, g, a, b, False):
         breaks = _find_kinks(lambda rows, ts: f(ts) - g(ts), np.array([a]), np.array([b]))[0]
-    adaptation = _adapt(integrand, a, b, tol, *_start_panels(a, b, breaks))
+    adaptation = _adapt_from_start(integrand, a, b, tol, breaks)
     _raise_first(adaptation.failed)
     fg, mid1, mid2, ff, gg = adaptation.total[:, 0].tolist()
     # judged at the tolerance the terms were computed to
@@ -230,6 +257,29 @@ def _find_kinks(gap: Callable, a: np.ndarray, b: np.ndarray) -> list:
     return found
 
 
+def _one_signed(f: FunctionSpec, g: FunctionSpec, a: float, b: float, log: bool) -> bool:
+    """True when the gap a chain scans, f - g (or Lf - Lg when ``log``), is
+    certified to keep one sign, or be 0, at every scan node of [a, b], so
+    that ``_find_kinks`` would return [] for it: the gap's sign is a
+    polynomial's, certified on [a, b] with a margin past the rounding of the
+    gap in floats (``functions._gap_polynomial``, ``_beyond``).
+    False when that is not certified, and the chain scans.
+
+    In the mean form an end at t = 0 where f and g have the same constant
+    term is left out: Horner's value there is that term and exp(0) = 1, so
+    the gap is exactly 0 at that scan node, and the certificate starts at
+    the next one."""
+    gap = _gap_polynomial(f, g, log, max(abs(a), abs(b)))
+    if gap is None:
+        return False
+    r, bound = gap
+    lo, hi = a, b
+    if not log and r[0] == 0.0 and 0.0 in (a, b):
+        grid = _grid(a, b, _SCAN_POINTS)
+        lo, hi = (float(grid[1]), b) if a == 0.0 else (a, float(grid[-2]))
+    return _beyond(r, lo, hi, bound)
+
+
 def _log_factors(sums: np.ndarray, start: np.ndarray, fg: np.ndarray,
                  phi1: np.ndarray, phi2: np.ndarray) -> None:
     """Phi1 = exp(2v) and Phi2 = (fg)^2 exp(-2v) at the nodes, v = sums +
@@ -267,7 +317,7 @@ class _Antiderivative:
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
         out = np.empty(xs.size)
-        order = self.part.order
+        order = self.part.in_order(np.arange(len(self.part.mid)))
         mid, hw = self.part.mid[order], self.part.hw[order]
         # the weights take (points, 15, 15) temporaries: a block of points at a time
         for lo in range(0, xs.size, 1024):
@@ -291,11 +341,15 @@ def _tabulate_antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: floa
     bisected until lmean meets its share of the target."""
 
     def sample(row, t):  # one evaluation of each of f, g, f' and g'
-        fv = np.asarray(f(t), dtype=float)
-        gv = np.asarray(g(t), dtype=float)
-        return np.stack([lmean(fv, gv, f.derivative(t), g.derivative(t)), fv, gv])
+        fv, dfv = f._value_and_slope(t)
+        gv, dgv = g._value_and_slope(t)
+        out = np.empty((3,) + t.shape)
+        out[0] = lmean(fv, gv, dfv, dgv)
+        out[1] = fv
+        out[2] = gv
+        return out
 
-    part = _adapt(sample, a, b, inner_tol, *_start_panels(a, b, breaks), judged=1).partition()
+    part = _adapt_from_start(sample, a, b, inner_tol, breaks, judged=1).partition()
     _raise_first(part.failed)
     return _Antiderivative.on(part)
 
@@ -317,8 +371,8 @@ def _outer_integrals(table: _Antiderivative, tol: float) -> tuple:
     sums = _per_panel(rows, _WEIGHTS)
     sums *= part.hw
     totals = part.row_sums(sums[0])
-    return totals[:, 0], ~_accepted(np.abs(sums[1]), totals, tol, part.b - part.a, part.hw,
-                                    part.row)
+    err = np.abs(sums[1], out=sums[1])
+    return totals[:, 0], ~_accepted(err, totals, tol, part.b - part.a, part.hw, part.row)
 
 
 def _logderiv_gap(fv, gv, dfv, dgv):
@@ -329,17 +383,22 @@ def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
                      kinked: bool) -> list:
     """Certify f, g > 0 and f', g' >= 0 on [a, b] for the log-derivative
     forms.  ``kinked`` marks a mean that kinks on the diagonal: then the
-    crossings of Lf - Lg are returned, scanned on the 1025 scan nodes; else
-    no breaks."""
+    crossings of Lf - Lg are returned, scanned on the 1025 scan nodes unless
+    Lf - Lg is certified to keep one sign (``_one_signed``); else no
+    breaks."""
     validate_positive(f, a, b, "f", strict=True)
     validate_positive(g, a, b, "g", strict=True)
     validate_nonneg_derivative(f, a, b, "f")
     validate_nonneg_derivative(g, a, b, "g")
-    if not kinked:
+    if not kinked or _one_signed(f, g, a, b, True):
         return []
-    return _find_kinks(lambda rows, ts: _logderiv_gap(f(ts), g(ts), f.derivative(ts),
-                                                      g.derivative(ts)),
-                       np.array([a]), np.array([b]))[0]
+
+    def gap(rows, ts):  # as the sampler evaluates f, g, f' and g'
+        fv, dfv = f._value_and_slope(ts)
+        gv, dgv = g._value_and_slope(ts)
+        return _logderiv_gap(fv, gv, dfv, dgv)
+
+    return _find_kinks(gap, np.array([a]), np.array([b]))[0]
 
 
 def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
@@ -624,15 +683,12 @@ def _member_gap(kind: ChainKind, poly: np.ndarray, exp: np.ndarray, ts: np.ndarr
     return fv
 
 
-@functools.lru_cache(maxsize=None)
 def _compare_start() -> tuple:
     """Midpoints and half-widths (3, 8) of the start panels of the three
-    comparator intervals, and their nodes (3, 15, 8)."""
-    mid, hw = (np.stack(x) for x in zip(*(_start_panels(0.0, end) for end in _COMPARE_INTERVALS)))
-    out = mid, hw, _nodes(mid, hw).transpose(1, 0, 2).copy()
-    for x in out:  # shared by every call: read-only
-        x.setflags(write=False)
-    return out
+    comparator intervals, and their nodes (3, 15, 8): the chains' cached
+    uniform starts, stacked."""
+    return tuple(np.array(x) for x in zip(*(_uniform_start(0.0, end)
+                                            for end in _COMPARE_INTERVALS)))
 
 
 def _block_start(kind: ChainKind, specs: tuple, poly: np.ndarray, exp: np.ndarray,

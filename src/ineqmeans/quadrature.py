@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -224,7 +224,10 @@ def _accepted(err: np.ndarray, total: np.ndarray, tol: float, span: np.ndarray,
     err (k, n) fits in every integrand their width share of
     max(tol, tol |I|), I = total (k, rows), the estimate of their row, whose
     length is span (rows,)."""
-    target = np.maximum(tol, tol * np.abs(total)) / span
+    target = np.abs(total)
+    target *= tol
+    np.maximum(target, tol, out=target)
+    target /= span
     if len(span) > 1:  # one row's (k, 1) broadcasts as it is
         target = target.take(row, axis=1)
     target = target * (2.0 * hw)
@@ -258,9 +261,10 @@ class _Partition(NamedTuple):
     at their nodes, node-major (k, 15, n), and the judged integrands' K15
     and |K15 - G7| sums (2, judged, n); ``order`` sorts them by row and left
     to right (the values stay where they are: moving them cost more than
-    using the order).  ``f``, ``a``, ``b``, ``tol`` and ``judged`` are the
-    adaptation's, and ``failed`` names the rows that hit a cap; their
-    intervals stop where the cap was hit."""
+    using the order), None when they are in that order already.  ``f``,
+    ``a``, ``b``, ``tol`` and ``judged`` are the adaptation's, and
+    ``failed`` names the rows that hit a cap; their intervals stop where the
+    cap was hit."""
 
     f: Callable
     a: np.ndarray
@@ -273,13 +277,17 @@ class _Partition(NamedTuple):
     depth: np.ndarray
     values: np.ndarray
     sums: np.ndarray
-    order: np.ndarray
+    order: Optional[np.ndarray]
     failed: dict
+
+    def in_order(self, x: np.ndarray) -> np.ndarray:
+        """Per-interval x (..., n) by row and left to right."""
+        return x if self.order is None else x.take(self.order, axis=-1)
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
         """Sums (..., rows) of per-interval x (..., n) over each row's
         intervals, added left to right."""
-        return _row_sums(x.take(self.order, axis=-1), self.row[self.order], len(self.a))
+        return _row_sums(self.in_order(x), self.in_order(self.row), len(self.a))
 
     def cumulative(self) -> tuple:
         """int_a^x of each judged integrand at every node: each interval's
@@ -290,12 +298,12 @@ class _Partition(NamedTuple):
         whatever the other rows hold."""
         sums = _per_panel(self.values[:self.judged], _inner_weights(), 1)
         sums *= self.hw
-        totals = self.sums[0].take(self.order, axis=1)
+        totals = self.in_order(self.sums[0])
         if len(self.a) == 1:  # one row: one cumsum (a zero total from 0 or not, the same v)
-            running = np.zeros_like(totals)
+            running = np.zeros(totals.shape)
             np.cumsum(totals[:, :-1], axis=1, out=running[:, 1:])
         else:  # each interval's place in the (rows, width) layout, in sorted order
-            ranked = self.row[self.order]
+            ranked = self.in_order(self.row)
             at = np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
             width = at.max() + 2
             at += ranked * width
@@ -304,6 +312,8 @@ class _Partition(NamedTuple):
             np.cumsum(padded.reshape(self.judged, -1, width), axis=-1,
                       out=padded.reshape(self.judged, -1, width))
             running = padded[:, at]
+        if self.order is None:
+            return sums, running
         start = np.empty_like(running)
         start[:, self.order] = running
         return sums, start
@@ -345,14 +355,22 @@ class _Adaptation(NamedTuple):
     failed: dict
 
     def partition(self) -> _Partition:
-        """The accepted intervals, level by level."""
-        depth, mid, hw, row, values, sums, done = (
-            x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in zip(*self.levels))
-        if not done.all():
-            depth, mid, hw, row, values, sums = (x.compress(done, axis=-1)
-                                                 for x in (depth, mid, hw, row, values, sums))
+        """The accepted intervals, level by level.  When the first level
+        accepted every interval they are its intervals as the caller gave
+        them, which every start gives by row and left to right: no sort
+        (``refined`` takes only the intervals of its unsorted halves)."""
+        if len(self.levels) == 1 and self.levels[0].done.all():
+            depth, mid, hw, row, values, sums, _ = self.levels[0]
+            order = None
+        else:
+            depth, mid, hw, row, values, sums, done = (
+                x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in zip(*self.levels))
+            if not done.all():
+                depth, mid, hw, row, values, sums = (x.compress(done, axis=-1)
+                                                     for x in (depth, mid, hw, row, values, sums))
+            order = np.lexsort((mid, row))
         return _Partition(self.f, self.a, self.b, self.tol, self.judged, row, mid, hw, depth,
-                          values, sums, np.lexsort((mid, row)), self.failed)
+                          values, sums, order, self.failed)
 
 
 def _adapt(f, a, b, tol: float, mid: np.ndarray, hw: np.ndarray, row: np.ndarray = None,

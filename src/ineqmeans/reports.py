@@ -13,7 +13,9 @@ def holds(slack: float, scale: float, tol: float = CHAIN_RTOL) -> bool:
     return slack >= -tol * scale
 
 
-@dataclass(frozen=True)
+# slots: a caller that keeps many reports holds 208 bytes a report with
+# its floats, not 256
+@dataclass(frozen=True, slots=True)
 class ChainReport:
     """Evaluated left/middle/right terms of a chain plus the ordering verdict.
 

@@ -101,6 +101,20 @@ def test_horner_matches_polyval_bit_for_bit(spec):
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("text", ["poly:1,-2,0.5,3", "affine:2,-1", "exp:-1.5", "exp:0",
+                                  "pow:2.5", "pow:-1", "pow:0", "exppoly:0.1,1,-0.5",
+                                  "exppoly:3"])
+def test_value_and_slope_have_the_bits_of_value_and_derivative(text):
+    spec = parse_function(text)
+    ts = np.linspace(0.0, 3.0, 1025)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in (ts, ts[1::2].reshape(8, -1), np.asarray(0.37), 1.25):
+            value, slope = spec._value_and_slope(t)
+            for got, want in ((value, spec(t)), (slope, spec.derivative(t))):
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # premise certificates
 # ---------------------------------------------------------------------------

@@ -543,6 +543,45 @@ def test_a_kink_on_a_start_edge_merges_with_it():
     assert len(mid) == 9 and (hw > 0.0).all()
 
 
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0), (-1.5, 0.75),
+                                  (1e-3, 3.0), (-2.0, -0.0)])
+def test_the_uniform_start_is_cached_read_only_with_a_fresh_starts_bits(a, b):
+    mid, hw, nodes = integral._uniform_start(a, b)
+    assert integral._uniform_start(a, b)[2] is nodes
+    assert not any(x.flags.writeable for x in (mid, hw, nodes))
+    fresh_mid, fresh_hw = integral._panels(np.linspace(a, b, 9))
+    assert _bits(mid) == _bits(fresh_mid) and _bits(hw) == _bits(fresh_hw)
+    assert nodes.shape == (15, 8) and _bits(nodes) == _bits(integral._nodes(fresh_mid, fresh_hw))
+    assert [_bits(x) for x in integral._start_panels(a, b)] == [_bits(mid), _bits(hw)]
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 3.7])
+def test_a_start_at_minus_zero_has_the_bits_of_one_at_zero(b):
+    # -0.0 and 0.0 share a cache entry, so each is built afresh here
+    build = integral._uniform_start.__wrapped__
+    assert ([_bits(x) for x in build(-0.0, b)] == [_bits(x) for x in build(0.0, b)])
+
+
+def test_chains_and_the_comparator_leave_the_cached_start_unchanged():
+    f, g = parse_function("poly:1,0.5,2"), parse_function("exp:1.5")
+    starts = {b: integral._uniform_start(0.0, b) for b in integral._COMPARE_INTERVALS}
+    before = {b: [x.copy() for x in start] for b, start in starts.items()}
+    for spec in (parse_mean("power:2"), parse_mean("power:inf")):
+        for b in starts:
+            integral_mean_chain(f, g, 0.0, b, spec)
+            integral_logderiv_chain(f, g, 0.0, b, spec)
+            logderiv_phi1(f, g, 0.0, b, spec)(np.linspace(0.0, b, 5))
+        compare_generalizations(spec, parse_mean("power:0"), 64, 3)
+        compare_generalizations(spec, parse_mean("power:0"), 64, 3, kind=ChainKind.LOG_DERIV_FORM)
+    for b, start in starts.items():
+        assert integral._uniform_start(0.0, b)[0] is start[0]
+        assert [_bits(x) for x in start] == [_bits(x) for x in before[b]]
+
+
 def test_mean_chain_terms_against_nested_scipy():
     # criterion-09-style draws under its seven means: each term, a product of
     # two integrals, is within the sum of their targets max(tol, tol |I|)
@@ -625,12 +664,14 @@ def test_logderiv_chain_samples_each_function_once_per_node(monkeypatch):
     # a smooth mean: f, g, f', g' are each evaluated once at every node the
     # partition ever held, accepted or bisected, and nowhere else: the
     # premises are certified without samples, no scan node is sampled, and
-    # the outer integrands take f and g from the partition's samples
+    # the outer integrands take f and g from the partition's samples; a
+    # value-and-slope pass counts as one evaluation of f and one of f'
     f = parse_function("exppoly:0.1,1,0.5")
     g = parse_function("affine:2,1")
     counts = Counter()
     seen = []
-    value, slope = FunctionSpec.__call__, FunctionSpec.derivative
+    value, slope, both = FunctionSpec.__call__, FunctionSpec.derivative, \
+        FunctionSpec._value_and_slope
 
     def counted_value(self, t):
         counts[str(self)] += np.size(t)
@@ -642,6 +683,13 @@ def test_logderiv_chain_samples_each_function_once_per_node(monkeypatch):
         counts[str(self) + "'"] += np.size(t)
         return slope(self, t)
 
+    def counted_both(self, t):
+        counts[str(self)] += np.size(t)
+        counts[str(self) + "'"] += np.size(t)
+        if self == f:
+            seen.append(np.ravel(t))
+        return both(self, t)
+
     levels = []
     adapt = integral._adapt
 
@@ -652,6 +700,7 @@ def test_logderiv_chain_samples_each_function_once_per_node(monkeypatch):
 
     monkeypatch.setattr(FunctionSpec, "__call__", counted_value)
     monkeypatch.setattr(FunctionSpec, "derivative", counted_slope)
+    monkeypatch.setattr(FunctionSpec, "_value_and_slope", counted_both)
     monkeypatch.setattr(integral, "_adapt", recorded_adapt)
     report = integral_logderiv_chain(f, g, 0.0, 1.0, parse_mean("power:2"))
     assert report.ordered
