@@ -77,21 +77,12 @@ class FunctionSpec:
         return np.exp(_horner(self.coeffs, t))
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        f = self.family
-        if f is FunctionFamily.POLY or f is FunctionFamily.AFFINE:
-            return _horner(_derivative_coeffs(self.coeffs), t)
-        if f is FunctionFamily.EXP:
-            k = self.coeffs[0]
-            return k * np.exp(k * t)
-        if f is FunctionFamily.POWER:
-            p = self.coeffs[0]
-            return p * t ** (p - 1.0)
-        return _horner(_derivative_coeffs(self.coeffs), t) * np.exp(_horner(self.coeffs, t))
+        return self._value_and_slope(t)[1]
 
     def _value_and_slope(self, t) -> tuple:
-        """(f(t), f'(t)) with the bits of ``__call__`` and ``derivative``, in
-        one pass: ``exp`` and ``exppoly`` take f' from f's own exp."""
+        """(f(t), f'(t)) in one pass, f with the bits of ``__call__`` (and f'
+        those of ``derivative``, which reads it): ``exp`` and ``exppoly``
+        take f' from f's own exp."""
         t = np.asarray(t, dtype=float)
         f, coeffs = self.family, self.coeffs
         if f is FunctionFamily.POLY or f is FunctionFamily.AFFINE:
@@ -216,6 +207,14 @@ _VANISHES = "vanishes"    # 0 inside, to rounding, or underflows to 0
 _UNDECIDED = "undecided"  # within rounding of 0 near the point at the cap
 
 
+def _scale(coeffs, reach: float) -> float:
+    """sum |c_i| reach^i: a bound on |p(t)| for |t| <= reach."""
+    scale = 0.0
+    for c in reversed(coeffs):
+        scale = scale * reach + abs(c)
+    return scale
+
+
 def _bernstein(coeffs, a: float, b: float):
     """Bernstein coefficients on [a, b] of sum c_i t^i, their rounding margin
     and the margin's growth per de Casteljau level; None when the polynomial
@@ -230,19 +229,15 @@ def _bernstein(coeffs, a: float, b: float):
     """
     n = len(coeffs) - 1
     h = b - a
-    reach = abs(a) + h
+    scale = _scale(coeffs, abs(a) + h)
     if n <= 2:  # Horner's order, as _horner takes it
         c0, c1, c2 = (*coeffs, 0.0, 0.0)[:3]
-        scale = abs(c0) + (abs(c1) + abs(c2) * reach) * reach
         pa, pb = c0 + (c1 + c2 * a) * a, c0 + (c1 + c2 * b) * b
         if n == 2:
             bern = [pa, pa + 0.5 * h * (c1 + 2.0 * c2 * a), pb]
         else:
             bern = [pa, pb] if n else [c0]
     else:
-        scale = 0.0
-        for c in reversed(coeffs):
-            scale = scale * reach + abs(c)
         d = list(coeffs)  # Taylor coefficients at a, then times h^k
         for k in range(n):
             for j in range(n - 1, k - 1, -1):
@@ -441,14 +436,6 @@ _EXP_ULPS = 8
 _EXPONENT_REACH = 600.0
 _SCALE_RANGE = (1e-100, 1e100)
 _UNDERFLOW = 1e-60
-
-
-def _scale(coeffs, reach: float) -> float:
-    """sum |c_i| reach^i: a bound on |p(t)| for |t| <= reach."""
-    scale = 0.0
-    for c in reversed(coeffs):
-        scale = scale * reach + abs(c)
-    return scale
 
 
 def _poly_mul(p, q) -> tuple:

@@ -19,11 +19,12 @@ nodes, so the errors of near-equal terms (Phi1 and g^2 when max picks Lg)
 cancel.  Both forms adapt a Gauss-Kronrod partition from the same start:
 8 uniform panels, split at the kinks of a min/max-type mean
 (``_start_panels``; without kinks the cached ``_uniform_start``, whose
-nodes take the first level).  The kink scan is skipped where the gap f - g
-(or Lf - Lg) is certified to keep one sign (``_one_signed``).  The mean
-form adapts the five integrands together on it.  The log-derivative form
-runs its inner integral int_a^x M(Lf, Lg) and the outer ones on one such
-partition, with f, g, f' and g' evaluated once per node
+nodes take the first level), found by one rule for both forms
+(``_breaks``), which skips the kink scan where the gap f - g (or Lf - Lg)
+is certified to keep one sign (``_one_signed``).  The mean form adapts the
+five integrands together on it.  The log-derivative form runs its inner
+integral int_a^x M(Lf, Lg) and the outer ones on one such partition, with
+f, g, f' and g' evaluated once per node
 (notes/decisions.md, "Log-derivative partition").
 
 Middle terms of two refinements are partially ordered by pointwise
@@ -35,7 +36,10 @@ tied to tie_rtol, with the digits of one trial at a time
 (notes/decisions.md, "Comparator panels" and "Comparator blocks").  The
 chains and the comparator share the engine (``quadrature._adapt``, a
 chain being one row), one kink finder (``_find_kinks``) and, in the
-log-derivative form, one factor kernel (``_log_factors``).
+log-derivative form, one outer-integral kernel (``_outer_sums``): it forms
+Phi1 and Phi2 of every judged inner integral at a partition's nodes and
+sums them per interval, and the chain refines its partition as a one-row
+comparator block does (``_Partition.refined``).
 """
 
 from __future__ import annotations
@@ -169,10 +173,7 @@ def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
         np.multiply(gt, gt, out=rows[4])
         return rows
 
-    breaks = ()
-    if kinked and not _one_signed(f, g, a, b, False):
-        breaks = _find_kinks(lambda rows, ts: f(ts) - g(ts), np.array([a]), np.array([b]))[0]
-    adaptation = _adapt_from_start(integrand, a, b, tol, breaks)
+    adaptation = _adapt_from_start(integrand, a, b, tol, _breaks(f, g, a, b, kinked, False))
     _raise_first(adaptation.failed)
     fg, mid1, mid2, ff, gg = adaptation.total[:, 0].tolist()
     # judged at the tolerance the terms were computed to
@@ -280,99 +281,96 @@ def _one_signed(f: FunctionSpec, g: FunctionSpec, a: float, b: float, log: bool)
     return _beyond(r, lo, hi, bound)
 
 
-def _log_factors(sums: np.ndarray, start: np.ndarray, fg: np.ndarray,
-                 phi1: np.ndarray, phi2: np.ndarray) -> None:
-    """Phi1 = exp(2v) and Phi2 = (fg)^2 exp(-2v) at the nodes, v = sums +
-    start (``_Partition.cumulative``), written into phi1 and phi2 one after
-    the other (why: notes/decisions.md, "Comparator panels"); fg broadcasts
-    against them."""
-    np.add(sums, start, out=phi1)
-    phi1 *= 2.0
-    np.negative(phi1, out=phi2)
-    np.exp(phi1, out=phi1)
-    np.exp(phi2, out=phi2)
-    phi2 *= fg * fg
+def _breaks(f, g, a: float, b: float, kinked: bool, log: bool) -> list:
+    """The kinks a chain's start panels split at: none unless ``kinked``
+    marks a mean that kinks on the diagonal; then the crossings of f - g
+    (or Lf - Lg when ``log``), scanned on the 1025 scan nodes unless the gap
+    is certified to keep one sign (``_one_signed``)."""
+    if not kinked or _one_signed(f, g, a, b, log):
+        return []
 
+    def gap(rows, ts):  # in the log form, as the sampler evaluates f, g, f' and g'
+        if not log:
+            return f(ts) - g(ts)
+        fv, dfv = f._value_and_slope(ts)
+        gv, dgv = g._value_and_slope(ts)
+        return _logderiv_gap(fv, gv, dfv, dgv)
 
-@dataclass(frozen=True)
-class _Antiderivative:
-    """v(x) = int_a^x of the judged integrands of a partition: ``sums`` and
-    ``start`` from ``_Partition.cumulative``.
-
-    Within an interval v is the integral of the degree-14 interpolant of the
-    integrand through its nodes (the integration matrix S, or K15 mapped
-    onto [-1, u] at other points), plus ``start``, the K15 totals of the
-    row's intervals to its left.  A one-row table (a log-derivative chain)
-    also evaluates v of its first integrand at any points.
-    """
-
-    part: _Partition
-    sums: np.ndarray   # (15, j, n): S applied to each integrand, times hw
-    start: np.ndarray  # (j, n)
-
-    @classmethod
-    def on(cls, part: _Partition) -> "_Antiderivative":
-        return cls(part, *part.cumulative())
-
-    def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = np.empty(xs.size)
-        order = self.part.in_order(np.arange(len(self.part.mid)))
-        mid, hw = self.part.mid[order], self.part.hw[order]
-        # the weights take (points, 15, 15) temporaries: a block of points at a time
-        for lo in range(0, xs.size, 1024):
-            pts = xs.ravel()[lo:lo + 1024]
-            idx = np.clip(np.searchsorted(mid - hw, pts, side="right") - 1, 0, len(mid) - 1)
-            weights = _cumulative_weights(np.clip((pts - mid[idx]) / hw[idx], -1, 1))
-            m = self.part.values[0][:, order[idx]]
-            # node by node, as the panel sums add them
-            inner = weights[:, 0] * m[0]
-            for k in range(1, 15):
-                inner += weights[:, k] * m[k]
-            out[lo:lo + 1024] = inner * hw[idx] + self.start[0, order[idx]]
-        return out.reshape(xs.shape)
+    return _find_kinks(gap, np.array([a]), np.array([b]))[0]
 
 
 def _tabulate_antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
                              lmean: Callable, inner_tol: float,
-                             breaks: Sequence[float] = ()) -> _Antiderivative:
-    """int_a^x lmean(f, g, f', g') on the GK15 partition that meets inner_tol:
-    the start panels split at the ``breaks`` (interior kinks), each interval
-    bisected until lmean meets its share of the target."""
+                             breaks: Sequence[float] = ()) -> _Partition:
+    """The GK15 partition on which int_a^x lmean(f, g, f', g') meets
+    inner_tol: the start panels split at the ``breaks`` (interior kinks),
+    each interval bisected until lmean meets its share of the target.  Its
+    values are [lmean, fg, f^2, g^2] at the nodes; only lmean is judged."""
 
     def sample(row, t):  # one evaluation of each of f, g, f' and g'
         fv, dfv = f._value_and_slope(t)
         gv, dgv = g._value_and_slope(t)
-        out = np.empty((3,) + t.shape)
+        out = np.empty((4,) + t.shape)
         out[0] = lmean(fv, gv, dfv, dgv)
-        out[1] = fv
-        out[2] = gv
+        np.multiply(fv, gv, out=out[1])
+        np.multiply(fv, fv, out=out[2])
+        np.multiply(gv, gv, out=out[3])
         return out
 
     part = _adapt_from_start(sample, a, b, inner_tol, breaks, judged=1).partition()
     _raise_first(part.failed)
-    return _Antiderivative.on(part)
+    return part
 
 
-def _outer_integrals(table: _Antiderivative, tol: float) -> tuple:
-    """The five chain integrals [fg, Phi1, Phi2, f^2, g^2] on the nodes of a
-    one-row table, Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v), and the mask
-    of the intervals where one of them misses its width share of
-    max(tol, tol |I|)."""
-    part = table.part
-    fv, gv = part.values[1], part.values[2]
-    rows = np.empty((15, 5) + part.hw.shape)
-    np.multiply(fv, gv, out=rows[:, 0])
-    _log_factors(table.sums[:, 0], table.start[0], rows[:, 0], rows[:, 1], rows[:, 2])
-    np.multiply(fv, fv, out=rows[:, 3])
-    np.multiply(gv, gv, out=rows[:, 4])
-    if not np.isfinite(rows).all():
-        raise DomainError("log-derivative chain integrand is not finite on [a, b]")
-    sums = _per_panel(rows, _WEIGHTS)
-    sums *= part.hw
-    totals = part.row_sums(sums[0])
-    err = np.abs(sums[1], out=sums[1])
-    return totals[:, 0], ~_accepted(err, totals, tol, part.b - part.a, part.hw, part.row)
+def _outer_sums(part: _Partition, riders: int) -> np.ndarray:
+    """Each interval's K15 and |K15 - G7| sums (2, 2 j + riders, n) of
+    Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v) of the partition's j judged
+    inner integrals v (``_Partition.cumulative``), then of the ``riders``
+    values after the judged ones, the first of which is fg.  The rows are
+    factor-major, (k, 15, n), with Phi1 and Phi2 written in place one after
+    the other (notes/decisions.md, "Log-derivative partition").
+    DomainError on a non-finite sum."""
+    j = part.judged
+    sums, start = part.cumulative()
+    rows = np.empty((2 * j + riders, 15) + part.hw.shape)
+    phi1, phi2 = rows[:j], rows[j:2 * j]
+    np.add(sums.transpose(1, 0, 2), start[:, None], out=phi1)
+    phi1 *= 2.0
+    np.negative(phi1, out=phi2)
+    np.exp(phi1, out=phi1)
+    np.exp(phi2, out=phi2)
+    fg = part.values[j]
+    phi2 *= fg * fg
+    rows[2 * j:] = part.values[j:j + riders]
+    out = _per_panel(rows, _WEIGHTS, 1)
+    out *= part.hw
+    if not np.isfinite(out).all():
+        raise DomainError("log-derivative integrand is not finite on [a, b]")
+    np.abs(out[1], out=out[1])
+    return out
+
+
+def _v_at(part: _Partition, start: np.ndarray, x) -> np.ndarray:
+    """v(x) = int_a^x of a one-row partition's first integrand at any points
+    x in [a, b]: within an interval the integral of the degree-14
+    interpolant through its nodes (K15 mapped onto [-1, u]), plus ``start``,
+    the K15 totals of the intervals to its left (``_Partition.cumulative``)."""
+    xs = np.asarray(x, dtype=float)
+    out = np.empty(xs.size)
+    order = part.in_order(np.arange(len(part.mid)))
+    mid, hw = part.mid[order], part.hw[order]
+    # the weights take (points, 15, 15) temporaries: a block of points at a time
+    for lo in range(0, xs.size, 1024):
+        pts = xs.ravel()[lo:lo + 1024]
+        idx = np.clip(np.searchsorted(mid - hw, pts, side="right") - 1, 0, len(mid) - 1)
+        weights = _cumulative_weights(np.clip((pts - mid[idx]) / hw[idx], -1, 1))
+        m = part.values[0][:, order[idx]]
+        # node by node, as the panel sums add them
+        inner = weights[:, 0] * m[0]
+        for k in range(1, 15):
+            inner += weights[:, k] * m[k]
+        out[lo:lo + 1024] = inner * hw[idx] + start[0, order[idx]]
+    return out.reshape(xs.shape)
 
 
 def _logderiv_gap(fv, gv, dfv, dgv):
@@ -382,37 +380,31 @@ def _logderiv_gap(fv, gv, dfv, dgv):
 def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
                      kinked: bool) -> list:
     """Certify f, g > 0 and f', g' >= 0 on [a, b] for the log-derivative
-    forms.  ``kinked`` marks a mean that kinks on the diagonal: then the
-    crossings of Lf - Lg are returned, scanned on the 1025 scan nodes unless
-    Lf - Lg is certified to keep one sign (``_one_signed``); else no
-    breaks."""
+    forms, and return the ``_breaks`` of Lf - Lg."""
     validate_positive(f, a, b, "f", strict=True)
     validate_positive(g, a, b, "g", strict=True)
     validate_nonneg_derivative(f, a, b, "f")
     validate_nonneg_derivative(g, a, b, "g")
-    if not kinked or _one_signed(f, g, a, b, True):
-        return []
-
-    def gap(rows, ts):  # as the sampler evaluates f, g, f' and g'
-        fv, dfv = f._value_and_slope(ts)
-        gv, dgv = g._value_and_slope(ts)
-        return _logderiv_gap(fv, gv, dfv, dgv)
-
-    return _find_kinks(gap, np.array([a]), np.array([b]))[0]
+    return _breaks(f, g, a, b, kinked, True)
 
 
 def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
                     inner_tol: float, outer_tol: float, kinked: bool) -> ChainReport:
-    breaks = _logderiv_breaks(f, g, a, b, kinked)
-    table = _tabulate_antiderivative(f, g, a, b, lmean, inner_tol, breaks)
+    """The chain from the five integrals [Phi1, Phi2, fg, f^2, g^2] at the
+    nodes of the inner partition: an interval where one of them misses its
+    width share of max(outer_tol, outer_tol |I|) is bisected, and they are
+    taken again."""
+    part = _tabulate_antiderivative(f, g, a, b, lmean, inner_tol,
+                                    _logderiv_breaks(f, g, a, b, kinked))
     while True:
-        totals, bad = _outer_integrals(table, outer_tol)
+        est, err = _outer_sums(part, 3)
+        totals = part.row_sums(est)
+        bad = ~_accepted(err, totals, outer_tol, part.b - part.a, part.hw, part.row)
         if not bad.any():
             break
-        part = table.part.refined(bad)
+        part = part.refined(bad)
         _raise_first(part.failed)
-        table = _Antiderivative.on(part)
-    fg, mid1, mid2, ff, gg = totals.tolist()
+    mid1, mid2, fg, ff, gg = totals[:, 0].tolist()
     # the inner integral's error enters Phi1 and Phi2 alongside the outer one
     return chain_report(fg ** 2, mid1 * mid2, ff * gg, max(inner_tol, outer_tol))
 
@@ -453,8 +445,9 @@ def logderiv_phi1(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     """
     a, b = _interval(a, b, inner_tol)
     breaks = _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec))
-    table = _tabulate_antiderivative(f, g, a, b, _logderiv_mean(spec), inner_tol, breaks)
-    return lambda x: np.exp(2.0 * table(_inside(x, a, b)))
+    part = _tabulate_antiderivative(f, g, a, b, _logderiv_mean(spec), inner_tol, breaks)
+    start = part.cumulative()[1]
+    return lambda x: np.exp(2.0 * _v_at(part, start, _inside(x, a, b)))
 
 
 def _inside(x, a: float, b: float) -> np.ndarray:
@@ -493,16 +486,17 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
     else:
         breaks = _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec))
         lmean = _logderiv_mean(spec)
-        table1 = _tabulate_antiderivative(f, g, a, b, lmean, 1e-12, breaks)
-        phi1_vals = np.exp(2.0 * table1(xs))
+        part1 = _tabulate_antiderivative(f, g, a, b, lmean, 1e-12, breaks)
+        phi1_vals = np.exp(2.0 * _v_at(part1, part1.cumulative()[1], xs))
         if phi2 is not None:
             phi2_vals = np.asarray(phi2(xs), dtype=float)
         else:
             def complement(fv, gv, dfv, dgv):
                 return dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv)
 
-            table2 = _tabulate_antiderivative(f, g, a, b, complement, 1e-12, breaks)
-            phi2_vals = (float(f(a)) * float(g(a))) ** 2 * np.exp(2.0 * table2(xs))
+            part2 = _tabulate_antiderivative(f, g, a, b, complement, 1e-12, breaks)
+            phi2_vals = (float(f(a)) * float(g(a))) ** 2 * np.exp(
+                2.0 * _v_at(part2, part2.cumulative()[1], xs))
     worst = float(np.max(np.abs(phi1_vals * phi2_vals - rhs) / np.maximum(np.abs(rhs), 1e-300)))
     return worst <= rtol, worst
 
@@ -716,16 +710,14 @@ def _block_start(kind: ChainKind, specs: tuple, poly: np.ndarray, exp: np.ndarra
 def _factor_sums(kind: ChainKind, part: _Partition) -> tuple:
     """Each interval's K15 sums and |K15 - G7| (2, 2, n) of the factors
     [M^2, M*^2] or [Phi1, Phi2] (first axis) of both specs (second axis),
-    and, in the log-derivative form, the inner integrals' |K15 - G7| (2, n)
-    (else 0)."""
+    the latter from the chain's kernel (``_outer_sums``), and, in the
+    log-derivative form, the inner integrals' |K15 - G7| (2, n) (else 0)."""
     if kind is ChainKind.MEAN_FORM:
         est, err = part.sums
         return (*(x.reshape(2, 2, -1).transpose(1, 0, 2) for x in (est, err)),
                 np.zeros((2, len(part.row))))
-    phi = np.empty((2, 15, 2) + part.hw.shape)
-    _log_factors(*part.cumulative(), part.values[2][:, None], phi[0], phi[1])
-    est, diff = _per_panel(phi, _WEIGHTS, 1) * part.hw
-    return est, np.abs(diff), part.sums[1]
+    est, err = _outer_sums(part, 0).reshape(2, 2, 2, -1)
+    return est, err, part.sums[1]
 
 
 # The block's middle terms: adaptive now, it keeps the name of the fixed-panel

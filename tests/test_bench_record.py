@@ -51,3 +51,21 @@ def test_bounds_come_from_the_declared_end_to_end_metrics():
     bounds = bench_record._bounds()
     assert bounds["work_per_s"]["better"] == "higher"
     assert all(m["better"] in ("higher", "lower") and m["bound"] > 0 for m in bounds.values())
+
+
+def test_each_run_byte_compiles_its_side_first(monkeypatch):
+    # a source file edited during a recording gets fresh bytecode before the
+    # next run of its side, not a stale .pyc compiled at import in the timed run
+    calls = []
+
+    def fake_run(argv, cwd=None, **kwargs):
+        calls.append((argv[1:3], cwd))
+        return bench_record.subprocess.CompletedProcess(
+            argv, 0, stdout='detail\n{"correct": true, "failed": 0}\n', stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    for checkout in ("parent", "change", "change", "parent"):
+        assert bench_record._run(checkout, "integral_chains", 1, 1.0)["correct"]
+    compile_, timed = ["-m", "compileall"], [os.path.join("perfbench", "run.py"), "--workload"]
+    assert calls == [call for side in ("parent", "change", "change", "parent")
+                     for call in ((compile_, side), (timed, side))]

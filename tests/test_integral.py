@@ -1407,8 +1407,10 @@ def _middles_within_bars(kind, spec, seed, trials):
 
 
 def test_comparator_log_middles_match_the_chain_kernel_bit_for_bit(monkeypatch):
-    # a log-derivative comparator row's middle is Phi1 * Phi2 of the chain's
-    # outer integrals on a one-row table over that row's partition
+    # a log-derivative comparator row's middle is Phi1 * Phi2 of the shared
+    # kernel on a lone one-row partition over that row's intervals, holding
+    # what the chain's sampler holds ([M(Lf, Lg), fg, f^2, g^2]), summed as
+    # the chain sums it
     kind = ChainKind.LOG_DERIV_FORM
     draws = integral._draw_block(5, 0, 32)
     kinds, coeffs, intervals = draws
@@ -1429,15 +1431,17 @@ def test_comparator_log_middles_match_the_chain_kernel_bit_for_bit(monkeypatch):
         mine = part.order[part.row[part.order] == row]
         mid, hw = part.mid[mine], part.hw[mine]
         t = mid + hw * GK_NODES[:, None]
+        fv, gv = f(t), g(t)
         for s, spec in enumerate(specs):
-            lmean = integral._logderiv_mean(spec)
-            values = np.stack([lmean(f(t), g(t), f.derivative(t), g.derivative(t)), f(t), g(t)])
+            lmean = integral._logderiv_mean(spec)(fv, gv, f.derivative(t), g.derivative(t))
+            values = np.stack([lmean, fv * gv, fv * fv, gv * gv])
             sums = integral._per_panel(values[:1], GK_WEIGHTS, 1) * hw
             one = integral._Partition(None, np.array([0.0]), part.b[row:row + 1], 1e-10, 1,
                                       np.zeros(len(mid), dtype=int), mid, hw, part.depth[mine],
-                                      values, sums, np.arange(len(mid)), {})
-            totals, _ = integral._outer_integrals(integral._Antiderivative.on(one), 1.0)
-            assert middles[s, row] == totals[1] * totals[2], (spec, row)
+                                      values, sums, None, {})
+            est, _ = integral._outer_sums(one, 3)
+            phi1, phi2 = one.row_sums(est)[:2, 0]
+            assert middles[s, row].tobytes() == (phi1 * phi2).tobytes(), (spec, row)
 
 
 def test_a_trial_with_several_crossings_integrates_within_its_bar():

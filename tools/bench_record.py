@@ -7,9 +7,11 @@ REV is exported with ``git archive`` into ``.bench_build/record-parent/``;
 the change is this checkout as it stands.  For each workload and seed the
 parent's and the change's ``perfbench/run.py`` run one after the other, each
 in a fresh interpreter; every seed gives one pair, and the side that runs first
-alternates from pair to pair (the parent first on the first).  Both sides'
-``src`` are byte-compiled before any run, so neither compiles the library
-from source in its timed interpreters, even under PYTHONDONTWRITEBYTECODE.  The file holds
+alternates from pair to pair (the parent first on the first).  A side's
+``src`` is byte-compiled before each of its runs, so no run compiles the
+library from source in its timed interpreters, even under
+PYTHONDONTWRITEBYTECODE, and a source file edited during a recording does
+not leave stale bytecode for the runs after the edit.  The file holds
 both result lines (the last stdout line of run.py) of every pair, the
 medians and the parent's quartiles of each end-to-end metric, the number of
 pairs the change wins, the median change signed so that positive is worse
@@ -48,6 +50,7 @@ class RunFailed(Exception):
 
 
 def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    _compile(checkout)
     done = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)],
@@ -142,8 +145,6 @@ def main() -> None:
     p.add_argument("--seconds", type=float, default=25)
     args = p.parse_args()
     _export(args.parent_rev)
-    for checkout in (PARENT_DIR, ROOT):
-        _compile(checkout)
     bounds = _bounds()
     record = {"parent": _git("rev-parse", args.parent_rev),
               "change": _git("describe", "--always", "--dirty"),
