@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -1223,20 +1224,24 @@ def test_kinked_blocks_stay_within_the_memory_bound():
     (ChainKind.LOG_DERIV_FORM, [64, 128, 256, 256, 256, 40])])
 def test_blocks_double_up_to_the_panel_node_budget(monkeypatch, kind, sizes):
     # 64 rows, then doubling while a block holds at most 2**15 start-panel
-    # nodes (256 rows of 120 in either form)
-    calls = []
-    draw = integral._draw_block
+    # nodes (256 rows of 120 in either form); each block holds the draws of
+    # the trials from where the block before it stopped
+    blocks = []
+    middle = integral._middle_fixed
 
-    def recording(seed, start, stop):
-        calls.append((start, stop))
-        return draw(seed, start, stop)
+    def recording(kind, specs, draws, *args):
+        blocks.append(draws)
+        return middle(kind, specs, draws, *args)
 
-    monkeypatch.setattr(integral, "_draw_block", recording)
+    monkeypatch.setattr(integral, "_middle_fixed", recording)
     got = compare_generalizations(parse_mean("power:0"), parse_mean("power:2"), 1000, 4, kind)
     assert got.trials == 1000
-    assert [stop - start for start, stop in calls] == sizes
-    assert [start for start, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
-    for start, stop in calls:
+    assert [len(draws[2]) for draws in blocks] == sizes
+    stops = np.cumsum(sizes).tolist()
+    calls = list(zip([0] + stops[:-1], stops))
+    for (start, stop), draws in zip(calls, blocks):
+        for got_x, want_x in zip(draws, integral._draw_block(4, start, stop)):
+            assert got_x.tobytes() == want_x.tobytes(), (start, stop)
         assert (stop - start) * 15 * integral._START_PANELS <= integral._BLOCK_NODES
 
 
@@ -1503,6 +1508,110 @@ def test_a_trial_whose_row_hits_a_cap_raises_when_the_scan_reaches_it(monkeypatc
         assert compare_generalizations(a, b, first, seed, kind).trials == first
         with pytest.raises(ConvergenceError, match=f"trial {first}: "):
             compare_generalizations(a, b, first + 1, seed, kind)
+
+
+@pytest.mark.parametrize("kind, a, b", [(ChainKind.MEAN_FORM, "power:0", "power:2"),
+                                        (ChainKind.LOG_DERIV_FORM, "power:0.5", "power:1.5")])
+def test_verdicts_do_not_depend_on_the_draw_span(monkeypatch, kind, a, b):
+    # trials are drawn a span at a time and each block takes its slice; a
+    # span of 1 or 64 rows draws each block on its own, the default of 1024
+    # draws 1000 trials at once and, past it, starts the next span at the
+    # block that does not fit
+    spec_a, spec_b = parse_mean(a), parse_mean(b)
+    early = parse_mean("power:0.5"), parse_mean("power:2")
+    calls = []
+    draw = integral._draw_block
+
+    def recording(seed, start, stop):
+        calls.append(stop - start)
+        return draw(seed, start, stop)
+
+    monkeypatch.setattr(integral, "_draw_block", recording)
+    want = compare_generalizations(spec_a, spec_b, 2500, 2, kind)
+    assert want.trials == 2500 and want.relation is not Relation.INCOMPARABLE
+    assert calls == [1024, 1024, 516]  # from trials 0, 960 and 1984
+    calls.clear()
+    assert compare_generalizations(spec_a, spec_b, 1000, 2, kind).trials == 1000
+    assert calls == [1000]
+    want_early = compare_generalizations(*early, 1000, 13, ChainKind.LOG_DERIV_FORM)
+    assert want_early.trials == 193
+    for span in (1, 64):
+        monkeypatch.setattr(integral, "_SPAN", span)
+        assert compare_generalizations(spec_a, spec_b, 2500, 2, kind) == want, span
+        assert compare_generalizations(*early, 1000, 13, ChainKind.LOG_DERIV_FORM) == want_early
+
+
+def _injected(monkeypatch, change):
+    # _middle_fixed with change(trial index, middles, bars, failed) applied
+    # to each row of each block's result
+    middle = integral._middle_fixed
+    done = [0]
+
+    def patched(kind, specs, draws, target, buffer):
+        middles, bars, failed = middle(kind, specs, draws, target, buffer)
+        for row in range(len(draws[2])):
+            change(done[0] + row, row, middles, bars, failed)
+        done[0] += len(draws[2])
+        return middles, bars, failed
+
+    monkeypatch.setattr(integral, "_middle_fixed", patched)
+
+
+@pytest.mark.parametrize("capped, raises", [(320, False), (400, False), (319, True), (200, True),
+                                            (191, True)])
+def test_a_capped_row_raises_only_when_the_scan_reaches_it(monkeypatch, capped, raises):
+    # seed 4 exits at trial 319, row 127 of the block 192..447: a capped row
+    # after it, in that block, is not scanned; one up to it raises, naming
+    # it.  A capped row's middles and bars are garbage (NaN) and never read,
+    # so no RuntimeWarning (an error under this suite's settings)
+    a, b = parse_mean("power:0.5"), parse_mean("power:2")
+    kind = ChainKind.LOG_DERIV_FORM
+    want = compare_generalizations(a, b, 1000, 4, kind)
+    assert want.relation is Relation.INCOMPARABLE and want.trials == 320
+
+    def cap(trial, row, middles, bars, failed):
+        if trial == capped:
+            failed[row] = "injected cap"
+            middles[:, row] = bars[:, row] = np.nan
+
+    _injected(monkeypatch, cap)
+    if not raises:
+        assert compare_generalizations(a, b, 1000, 4, kind) == want
+        return
+    with pytest.raises(ConvergenceError, match=f"^trial {capped}: injected cap$"):
+        compare_generalizations(a, b, 1000, 4, kind)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_equal_best_separations_keep_the_earliest_witness(monkeypatch, swap):
+    # every trial a strict win by 0.25 (relative to the larger middle) but
+    # trials 5, 9 (same block) and 70 (next block) by 0.5: the witness is
+    # trial 5, the first largest of its block and never replaced by an equal
+    # one later
+    def separate(trial, row, middles, bars, failed):
+        low, high = 1.0, (2.0 if trial in (5, 9, 70) else 4.0 / 3.0)
+        middles[:, row] = (high, low) if swap else (low, high)
+        bars[:, row] = 0.0
+
+    _injected(monkeypatch, separate)
+    one, two = parse_mean("power:1"), parse_mean("power:2")
+    got = compare_generalizations(one, two, 300, 6)
+    assert got.relation is (Relation.B_PREC_A if swap else Relation.A_PREC_B)
+    assert got.trials == 300
+    witness = integral._witness(integral._draw_block(6, 5, 6), 0, *((2.0, 1.0) if swap
+                                                                   else (1.0, 2.0)))
+    assert got.witnesses == (witness,)
+
+
+@pytest.mark.parametrize("kind", list(ChainKind))
+def test_equal_middles_at_zero_tie_rtol_tie_without_warnings(kind):
+    # diff is 0 in every trial and ties at tie_rtol = 0, with no NaN or
+    # division warning on the way
+    one = parse_mean("power:2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = compare_generalizations(one, one, 1000, 8, kind, tie_rtol=0.0)
+    assert verdict == OrderVerdict(Relation.UNDETERMINED, (), 1000, 8)
 
 
 @pytest.mark.parametrize("trials, tie_rtol", [(5, float("nan")), (5, -1.0), (5, float("inf")),
