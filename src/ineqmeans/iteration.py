@@ -26,15 +26,17 @@ _GEOMETRIC = parse_mean("power:0")
 class IterationResult:
     value: float
     iterations: int
-    final_gap: float  # |x_n - y_n| relative to the value
+    final_gap: float  # |x_n - y_n| / max(x_n, y_n) at the stop (see coupled_limit)
 
 
 def iterate_means(m: MeanSpec, n: MeanSpec, x0: float, y0: float,
                   tol: float) -> IterationResult:
     """Iterate the pair (M, N) from (x0, y0) until the relative gap <= tol.
 
-    The result lies in [min(x0, y0), max(x0, y0)].  Raises ConvergenceError
-    if the cap of 200 iterations is hit with gap > tol.
+    The relative gap is |x_n - y_n| / max(x_n, y_n); the result carries the
+    value 0.5 (x_n + y_n), which lies in [min(x0, y0), max(x0, y0)], the
+    step count n and that gap at the stop.  Raises ConvergenceError if the
+    cap of 200 iterations is hit with gap > tol.
     """
     if not (0 < x0 < math.inf and 0 < y0 < math.inf):
         raise DomainError("iterate_means requires positive finite start values")

@@ -481,48 +481,95 @@ def coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,
                   tol: float, cap: int):
     """Run x <- M(x, y), y <- N(x, y) until the relative gap <= tol.
 
-    Elementwise: each element stops at its own first gap <= tol and stays
-    frozen while the others iterate, so its value depends only on its own
+    Elementwise: each element stops at its own first gap <= tol, where its
+    pair is recorded, so its value 0.5 (x + y) depends only on its own
     pair.  An element with a zero argument is judged by its gap relative to
     its starting scale max(x, y) instead, for as long as one of its sides is
     still exactly 0: where an inner mean stays 0 (the geometric mean of 0 and
     y), the relative gap stays 1 while both sides shrink to the limit 0.
     Once both sides are positive it goes back to the relative gap, which
-    resolves a small positive limit.  Returns (values, iterations of the
-    slowest element, largest final gap).  Raises ConvergenceError when any
+    resolves a small positive limit.  Stopped elements keep stepping beside
+    the open ones, outside every test below, until they are as many as the
+    open ones; then, from the second step on, the working arrays drop them
+    before the means are taken.  Returns (values, iterations of the slowest
+    element, largest gap at a stop).  Raises ConvergenceError when any
     element still has gap > tol at the cap, and DomainError when a step
-    leaves an element with gap > tol bit for bit where it was (min and max,
-    say): such a pair is a fixed point of the step and has no common limit.
-    That check runs only after a step that did not shrink the largest gap,
-    so converging pairs never pay for it, and a fixed point holding the
-    largest gap is reported at its second step.
+    leaves an open element bit for bit where it was (min and max, say): such
+    a pair is a fixed point of the step and has no common limit.  That check
+    runs only after a step that did not shrink the largest open gap, so
+    converging pairs never pay for it, and a fixed point holding the largest
+    gap is reported at its second step.
     """
-    xk = np.array(x, dtype=float, copy=True)
-    yk = np.array(y, dtype=float, copy=True)
+    xm = np.asarray(x, dtype=float)
+    ym = np.asarray(y, dtype=float)
+    # the means take the operands as given (numpy's 0-d arithmetic can differ
+    # from its array loops by an ulp); gaps and records read them broadcast
+    xk, yk = (xm, ym) if xm.shape == ym.shape else np.broadcast_arrays(xm, ym)
+    shape = xk.shape
     # decided once, so elements with positive arguments run as they would alone
     zero = None
     if np.min(xk, initial=np.inf) == 0.0 or np.min(yk, initial=np.inf) == 0.0:
         zero = (xk == 0.0) | (yk == 0.0)
         start = np.maximum(np.maximum(xk, yk), 1e-300)
+    # ox, oy: each element's pair at its stop, by original flat index; the
+    # values 0.5 (x + y) are formed at the return, so an x + y past the float
+    # range warns only on a call that returns.  pos: the original flat index
+    # of each working element once stopped ones are dropped.  thr: tol while
+    # an element is open and NaN once it stops, so no gap is <= it and
+    # thr == thr marks the open elements
+    ox = oy = pos = thr = None
+    live, riding, top = xk.size, 0, 0.0
     iterations = 0
-    last = math.inf  # the largest gap before the step
+    last = math.inf  # the largest open gap before the step
     while True:
         gap = np.abs(xk - yk)
         gap /= np.maximum(np.maximum(xk, yk), 1e-300)
         if zero is not None:
             gap = np.where(zero & ((xk == 0.0) | (yk == 0.0)), np.abs(xk - yk) / start, gap)
-        largest = float(np.max(gap, initial=0.0))
-        if largest <= tol:
-            return 0.5 * (xk + yk), iterations, largest
+        new = gap <= (tol if thr is None else thr)
+        k = np.count_nonzero(new)
+        if k == live and ox is None:  # all stop at once: the arrays are the values
+            return 0.5 * (xk + yk), iterations, float(np.max(gap, initial=0.0))
+        if k:
+            s = np.flatnonzero(new)
+            if ox is None:
+                ox, oy = np.empty(xk.size), np.empty(xk.size)
+                thr = np.full(shape, tol, dtype=float)
+            at = s if pos is None else pos.take(s)
+            ox[at] = xk.take(s)
+            oy[at] = yk.take(s)
+            top = max(top, float(gap.take(s).max()))
+            live -= k
+            if not live:
+                ox += oy
+                ox *= 0.5
+                return ox.reshape(shape), iterations, top
+            thr.ravel()[s] = np.nan
+            riding += k
+        if riding:
+            i = int(gap.argmax())
+            largest = float(gap.flat[i])
+            if math.isnan(thr.flat[i]):  # a stopped element's gap: take the open ones'
+                largest = float(np.max(gap[thr == thr]))
+        else:
+            largest = float(np.max(gap, initial=0.0))
         if iterations == cap:
             raise ConvergenceError(
                 f"mean-pair iteration did not converge in {cap} steps "
                 f"(gap {largest:.3e} > tol {tol:.3e})")
-        done = gap <= tol
-        nx = mean_values(m, xk, yk)
-        ny = mean_values(n, xk, yk)
+        if riding >= live and iterations:  # the first means take the operands as given
+            keep = np.flatnonzero(thr == thr)
+            xk, yk, gap, thr = xk.take(keep), yk.take(keep), gap.take(keep), thr.take(keep)
+            pos = keep if pos is None else pos.take(keep)
+            if zero is not None:
+                zero, start = zero.take(keep), start.take(keep)
+            xm, ym, riding = xk, yk, 0
+        nx = mean_values(m, xm, ym)
+        ny = mean_values(n, xm, ym)
         if largest >= last:
-            stuck = ~done & (nx == xk) & (ny == yk)
+            stuck = (nx == xk) & (ny == yk)
+            if riding:
+                stuck &= thr == thr
             if stuck.any():
                 i = int(np.argmax(stuck))
                 raise DomainError(
@@ -530,8 +577,8 @@ def coupled_limit(m: "MeanSpec", n: "MeanSpec", x: np.ndarray, y: np.ndarray,
                     f"{float(yk.flat[i])!r}) with gap {float(gap.flat[i]):.3e} > tol {tol:.3e}: "
                     "the pair has no common limit")
         last = largest
-        xk = np.where(done, xk, nx)
-        yk = np.where(done, yk, ny)
+        xk = xm = nx
+        yk = ym = ny
         iterations += 1
 
 

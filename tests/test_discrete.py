@@ -135,14 +135,17 @@ def test_chains_evaluate_each_mean_once(monkeypatch):
     assert report.middle == pytest.approx(middle, rel=1e-13)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
 def test_non_finite_entries_are_domain_errors(bad):
+    # and non-positive ones: the vector check rejects both, in either vector
     spec = parse_mean("power:2")
     for x, y in (([bad, 1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0, bad])):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="finite, strictly positive"):
             cbs_chain(x, y, spec)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="finite, strictly positive"):
             lorentz_chain(9.0, x, 9.0, y, spec)
+    if math.isfinite(bad):
+        return  # a finite time component only has to be time-like
     with pytest.raises(DomainError):
         lorentz_chain(bad, [1.0, 1.0], 3.0, [1.0, 2.0], spec)
     with pytest.raises(DomainError):
@@ -158,6 +161,11 @@ def test_q_chain_non_finite_samples_are_domain_errors():
             q_cbs_chain(f, g, 0.5, spec)
         with pytest.raises(DomainError):
             q_cbs_chain(g, f, 0.5, spec)
+    # 1 - t is 0 at the node q^0 = 1: the sample check rejects it
+    f = parse_function("poly:1,-1")
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(DomainError, match="finite and positive"):
+            q_cbs_chain(a, b, 0.5, spec)
 
 
 @pytest.mark.parametrize("text", ["exp:1000", "exppoly:1,800"])

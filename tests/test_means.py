@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqmeans import (DomainError, ExtOrder, FunctionFamily, FunctionSpec, MeanFamily,
-                       MeanSpec, OrderKind, ParameterError, chain_catalog, check_axioms,
+from ineqmeans import (ConvergenceError, DomainError, ExtOrder, FunctionFamily, FunctionSpec,
+                       MeanFamily, MeanSpec, OrderKind, ParameterError, chain_catalog, check_axioms,
                        check_h_conditions, check_h_function, conjugate_eval, entropy,
                        eval_mean, full_catalog, h_of, mean_values, mediant, parse_function,
                        parse_mean, rado_power_bound_orders)
-from ineqmeans.means import ITERATED_EVAL_TOL, _QUASI_GENERATORS, conjugate_from_mean
+from ineqmeans.means import (ITERATED_CAP, ITERATED_EVAL_TOL, _QUASI_GENERATORS, conjugate_from_mean,
+                             coupled_limit)
 from ineqmeans.sampling import log_uniform, make_rng
 
 
@@ -548,6 +549,90 @@ def test_a_stationary_iterated_pair_has_no_limit(name):
 def test_an_iterated_mean_of_empty_arrays_is_empty():
     # the loop's largest gap starts from 0 (np.max of nothing raised ValueError)
     assert mean_values(spec("iter:power:0|power:1"), np.array([]), np.array([])).shape == (0,)
+
+
+def _limit(m, n, x, y):
+    return coupled_limit(m, n, x, y, ITERATED_EVAL_TOL, ITERATED_CAP)
+
+
+@pytest.mark.parametrize("pair", [("warith:0.5,0.5", "power:0"), ("power:0", "warith:0.5,0.5")])
+def test_coupled_limit_matches_each_pair_alone(pair):
+    # stops at steps 1-7 side by side, x = y pairs (step 0) and zero-argument
+    # pairs (about 47 steps): each value is bit for bit the pair's own, the
+    # step count that of the slowest pair and the gap the largest stop gap
+    m, n = spec(pair[0]), spec(pair[1])
+    rng = make_rng(26)
+    x = log_uniform(rng, size=1900)
+    y = x * (1.0 + 10.0 ** rng.uniform(-10.0, 6.0, size=x.size))
+    z = log_uniform(rng, size=50)
+    x = np.concatenate([x, z, np.zeros(25), z[:25]])
+    y = np.concatenate([y, z, z[25:], np.zeros(25)])
+    order = rng.permutation(x.size)
+    x, y = x[order], y[order]
+    alone = [_limit(m, n, x[i:i + 1], y[i:i + 1]) for i in range(x.size)]
+    steps = {a[1] for a in alone}
+    assert set(range(8)) <= steps and max(steps) > 40
+    values, iterations, gap = _limit(m, n, x, y)
+    assert np.array_equal(values, np.concatenate([a[0] for a in alone]))
+    assert iterations == max(a[1] for a in alone)
+    assert gap == max(a[2] for a in alone)
+
+
+def test_coupled_limit_nan_pair_fails_alike_alone_and_in_an_array():
+    m, n = spec("warith:0.5,0.5"), spec("power:0")
+    x = log_uniform(make_rng(3), size=300)
+    with pytest.raises(ConvergenceError) as alone:
+        _limit(m, n, np.array([np.nan]), np.array([2.0]))
+    with pytest.raises(ConvergenceError) as beside:
+        _limit(m, n, np.append(x, np.nan), np.append(2.0 * x, 2.0))
+    assert str(alone.value) == str(beside.value)
+    assert "200 steps (gap nan > tol" in str(alone.value)
+
+
+@pytest.mark.parametrize("stuck", [1, 150])
+def test_a_stationary_pair_is_named_after_stopped_pairs(stuck):
+    # 100 x = y pairs stop at once and are fixed points of min and max too;
+    # the error names the first open pair that does not move, whether the
+    # stopped pairs were dropped (1 open pair) or still step beside 150
+    s = spec("iter:min|max")
+    v = np.arange(1.0, 101.0)
+    x = np.concatenate([v, 1.0 + np.arange(stuck)])
+    y = np.concatenate([v, 2.0 + np.arange(stuck)])
+    with pytest.raises(DomainError, match=r"stationary at \(1\.0, 2\.0\) with gap 5\.000e-01 >"):
+        mean_values(s, x, y)
+    with pytest.raises(DomainError, match=r"stationary at \(1\.0, 2\.0\) with gap 5\.000e-01 >"):
+        coupled_limit(s.inner[0], s.inner[1], x, y, 0, ITERATED_CAP)  # an int tol
+
+
+def test_a_stopped_pair_that_moves_apart_is_not_an_open_gap(monkeypatch):
+    # stopped pairs keep stepping beside the open ones; made to move apart
+    # past the open gaps, the one stopped at (1, 1) must not set the largest
+    # open gap that the cap reports
+    from ineqmeans import means
+
+    def step(spec, x, y):
+        return x if spec is m else y + (x == y)
+
+    monkeypatch.setattr(means, "mean_values", step)
+    m, n = spec("min"), spec("max")
+    with pytest.raises(ConvergenceError, match=r"in 1 steps \(gap 3\.333e-01 > tol"):
+        coupled_limit(m, n, np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.5, 3.0]), 1e-14, 1)
+
+
+def test_coupled_limit_keeps_the_broadcast_shape():
+    m, n = spec("warith:0.5,0.5"), spec("power:0")
+    x = log_uniform(make_rng(4), size=6)
+    y = x * np.array([1.0, 1.0 + 1e-9, 2.0, 1e3, 1.0, 5.0])
+    scalar = _limit(m, n, 1.0, 2.0)[0]
+    assert np.ndim(scalar) == 0 and 1.0 < scalar < 2.0
+    line = _limit(m, n, x, y)[0]
+    assert line.shape == (6,)
+    grid = _limit(m, n, np.stack([x, y]), np.stack([y, x]))[0]
+    assert grid.shape == (2, 6) and np.array_equal(grid[0], line) and np.array_equal(grid[1], line)
+    against = _limit(m, n, x, np.array([2.0]))[0]
+    assert against.shape == (6,)
+    assert np.array_equal(against, _limit(m, n, x, np.full(6, 2.0))[0])
+    assert np.array_equal(_limit(m, n, x, 2.0)[0], against)
 
 
 def test_scalar_evaluation_agrees_with_arrays():
