@@ -14,32 +14,28 @@ squares of homogeneous expressions, which is why it has no discrete
 counterpart.  Both families extend to an arbitrary admissible h-function
 via M(u, v) = (u + v) h(ln(v/u)).
 
-In both forms the five integrals [fg, Phi1, Phi2, f^2, g^2] share their
+In both forms the five integrals [Phi1, Phi2, fg, f^2, g^2] share their
 nodes, so the errors of near-equal terms (Phi1 and g^2 when max picks Lg)
-cancel.  Both forms adapt a Gauss-Kronrod partition from the same start:
-8 uniform panels, split at the kinks of a min/max-type mean
-(``_start_panels``; without kinks the cached ``_uniform_start``, whose
-nodes take the first level), found by one rule for both forms
-(``_breaks``), which skips the kink scan where the gap f - g (or Lf - Lg)
-is certified to keep one sign (``_one_signed``).  The mean form adapts the
-five integrands together on it.  The log-derivative form runs its inner
-integral int_a^x M(Lf, Lg) and the outer ones on one such partition, with
-f, g, f' and g' evaluated once per node
-(notes/decisions.md, "Log-derivative partition").
+cancel.  The chains and the comparator compute middle terms with one
+routine (``_middles``; notes/decisions.md, "One middle routine"): a chain
+is one row with its left and right terms, a comparator block many rows.
+One row builder samples the integrands (``_row_builder``), the engine
+(``quadrature._adapt``) adapts them from 8 uniform panels split at the
+kinks of a min/max-type mean (``_start_panels``, ``_breaks``; the kink
+scan is skipped where the gap is certified to keep one sign,
+``_one_signed``), and one bar rule refines them: a term's relative bar
+sums |K15 - G7| / |I| over its two factors, and while it exceeds the
+target the intervals whose share of it exceeds their width share are
+bisected.  The log-derivative form runs its inner integral
+int_a^x M(Lf, Lg) and the outer ones on one partition, with f, g, f' and
+g' evaluated once per node (``_outer_sums``; notes/decisions.md,
+"Log-derivative partition").
 
 Middle terms of two refinements are partially ordered by pointwise
 domination; the sampling comparator searches a fixed function catalog for
-directional evidence or a certified two-sided (incomparable) witness pair.
-Its trials run on the chains' engine in blocks of rows, each trial's two
-middles adapted on one partition from its start panels to an error bar
-tied to tie_rtol, with the digits of one trial at a time
-(notes/decisions.md, "Comparator panels" and "Comparator blocks").  The
-chains and the comparator share the engine (``quadrature._adapt``, a
-chain being one row), one kink finder (``_find_kinks``) and, in the
-log-derivative form, one outer-integral kernel (``_outer_sums``): it forms
-Phi1 and Phi2 of every judged inner integral at a partition's nodes and
-sums them per interval, and the chain refines its partition as a one-row
-comparator block does (``_Partition.refined``).
+directional evidence or a certified two-sided (incomparable) witness pair,
+with the digits of one trial at a time (notes/decisions.md, "Comparator
+panels" and "Comparator blocks").
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from .functions import (FunctionFamily, FunctionSpec, _beyond, _gap_polynomial, 
                         validate_nonneg_derivative, validate_positive)
 from .means import (MeanFamily, MeanSpec, OrderKind, check_h_function, conjugate_from_mean,
                     mean_values)
-from .quadrature import (_WEIGHTS, _accepted, _adapt, _cumulative_weights, _interval, _nodes,
+from .quadrature import (_WEIGHTS, _adapt, _cumulative_weights, _interval, _nodes,
                          _panels, _per_panel, _Partition, _raise_first)
 # no caller in this module: the traced benchmark binds these names here until
 # its fixed-grid, Hermite and quadrature spans move (ROADMAP item 5)
@@ -131,16 +127,6 @@ def _start_panels(a: float, b: float, breaks: Sequence[float] = ()) -> tuple:
     return _panels(edges)
 
 
-def _adapt_from_start(f, a: float, b: float, tol: float, breaks: Sequence[float],
-                      **kwargs):
-    """``_adapt`` of the one-row integrand f on the start panels of [a, b];
-    without breaks the first level is f at the cached uniform start's nodes."""
-    if len(breaks):
-        return _adapt(f, a, b, tol, *_start_panels(a, b, breaks), **kwargs)
-    mid, hw, nodes = _uniform_start(a, b)
-    return _adapt(f, a, b, tol, mid, hw, values=f(None, nodes), **kwargs)
-
-
 def _kinks_on_diagonal(spec: MeanSpec) -> bool:
     """True when M(x, y) is not differentiable where x = y (min/max types)."""
     family = spec.family
@@ -151,48 +137,92 @@ def _kinks_on_diagonal(spec: MeanSpec) -> bool:
     return family in (MeanFamily.MIN, MeanFamily.MAX)
 
 
-def _mean_chain(f, g, a: float, b: float, mfn: Callable, tol: float,
-                kinked: bool) -> ChainReport:
-    """The mean-form chain of f, g, validated here, from one adaptation of
-    [fg, M^2, M*^2, f^2, g^2] on the start panels; ``kinked`` marks a mean
-    that kinks on the diagonal, so the integrands kink where f and g cross
-    and the panels are split there."""
-    validate_positive(f, a, b, "f")
-    validate_positive(g, a, b, "g")
+def _row_builder(log: bool, means: tuple, riders: int) -> Callable:
+    """The one sampler of the middle terms' integrands: build(fv, gv,
+    slopes, out) writes at node values of f, g (and f', g' in the log form)
+    the log form's M(Lf, Lg) of each mean (``means`` on f, g, f', g') or the
+    mean form's M^2 of each, then M*^2 of each (``means`` on u, v), then fg
+    (riders 1) or fg, f^2 and g^2 (riders 3), into out (fresh when None)."""
+    j = len(means) if log else 2 * len(means)
 
-    def integrand(row, t):
-        ft = np.asarray(f(t), dtype=float)
-        gt = np.asarray(g(t), dtype=float)
-        m = mfn(ft, gt)
-        rows = np.empty((5,) + t.shape)
-        np.multiply(ft, gt, out=rows[0])
-        np.multiply(m, m, out=rows[1])
-        conj = conjugate_from_mean(ft, gt, m)
-        np.multiply(conj, conj, out=rows[2])
-        np.multiply(ft, ft, out=rows[3])
-        np.multiply(gt, gt, out=rows[4])
-        return rows
+    def build(fv, gv, slopes=None, out=None):
+        if out is None:
+            out = np.empty((j + riders,) + fv.shape)
+        for i, mean in enumerate(means):
+            if log:
+                out[i] = mean(fv, gv, *slopes)
+            else:
+                m = mean(fv, gv)
+                np.multiply(m, m, out=out[i])
+                np.square(conjugate_from_mean(fv, gv, m), out=out[len(means) + i])
+        if riders:
+            np.multiply(fv, gv, out=out[j])
+        if riders > 1:
+            np.multiply(fv, fv, out=out[j + 1])
+            np.multiply(gv, gv, out=out[j + 2])
+        return out
 
-    adaptation = _adapt_from_start(integrand, a, b, tol, _breaks(f, g, a, b, kinked, False))
-    _raise_first(adaptation.failed)
-    fg, mid1, mid2, ff, gg = adaptation.total[:, 0].tolist()
-    # judged at the tolerance the terms were computed to
-    return chain_report(fg ** 2, mid1 * mid2, ff * gg, tol)
+    return build
+
+
+def _spec_row(f, g, a: float, b: float, log: bool, mean: Callable, riders: int,
+              breaks: Sequence[float]) -> tuple:
+    """One row of f and g for ``_middles``: the row builder at the nodes (in
+    the log form one value-and-slope pass of each) and the start panels
+    split at the breaks, or the cached uniform start, sampled."""
+    build = _row_builder(log, (mean,), riders)
+
+    def sample(row, t):
+        if log:
+            fv, dfv = f._value_and_slope(t)
+            gv, dgv = g._value_and_slope(t)
+            return build(fv, gv, (dfv, dgv))
+        return build(np.asarray(f(t), dtype=float), np.asarray(g(t), dtype=float))
+
+    if len(breaks):
+        return sample, (*_start_panels(a, b, breaks), None, None)
+    mid, hw, nodes = _uniform_start(a, b)
+    return sample, (mid, hw, None, sample(None, nodes))
+
+
+def _chain(f, g, a: float, b: float, log: bool, mean: Callable, kinked: bool, tol: float,
+           inner_tol: Optional[float] = None) -> ChainReport:
+    """The chain of f, g on [a, b], certified here: one row of ``_middles``
+    with its sides, each term to a relative bar of 2 tol (the outer tol in
+    the log form).  ``kinked`` marks a mean that kinks on the diagonal, so
+    the start panels are split where f and g (or Lf and Lg) cross."""
+    if log:
+        breaks = _logderiv_breaks(f, g, a, b, kinked)
+    else:
+        validate_positive(f, a, b, "f")
+        validate_positive(g, a, b, "g")
+        breaks = _breaks(f, g, a, b, kinked, False)
+    sample, start = _spec_row(f, g, a, b, log, mean, 3, breaks)
+    totals, _, failed = _middles(log, 1, True, sample, a, b, start, 2.0 * tol, inner_tol)
+    _raise_first(failed)
+    mid1, mid2, fg, ff, gg = totals[:, 0].tolist()
+    # judged at the tolerances the factors were computed to
+    return chain_report(fg ** 2, mid1 * mid2, ff * gg, max(tol, inner_tol or tol))
+
+
+def _spec_mean(spec: MeanSpec) -> Callable:
+    """M(u, v) of spec, through ``mean_values`` as bound when called."""
+    return lambda u, v: mean_values(spec, u, v)
 
 
 def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
                         tol: float = 1e-10) -> ChainReport:
     """Evaluate (int fg)^2 <= int M^2 * int M*^2 <= int f^2 int g^2.
 
-    The five integrals [fg, M^2, M*^2, f^2, g^2] share one adaptive
-    Gauss-Kronrod partition, started, as the log-derivative chain's is, from
-    8 uniform panels split where f and g cross (for min/max-type means,
-    which kink there), each interval bisected until every row meets its
-    width share of max(tol, tol |I|).
+    The five integrals share one adaptive Gauss-Kronrod partition, started
+    from 8 uniform panels split where f and g cross (for min/max-type means,
+    which kink there).  Each interval is bisected until every integral
+    meets its width share of max(tol, tol |I|), then by the bar rule: each
+    term, a product of two integrals, is held to a relative error bar of
+    2 tol, however small the integrals.
     """
     a, b = _interval(a, b, tol)
-    return _mean_chain(f, g, a, b, lambda u, v: mean_values(spec, u, v), tol,
-                       _kinks_on_diagonal(spec))
+    return _chain(f, g, a, b, False, _spec_mean(spec), _kinks_on_diagonal(spec), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +234,7 @@ def _logderiv_mean(spec: MeanSpec) -> Callable:
     if spec.family is MeanFamily.MEDIANT:
         # mediant of the formal fractions f'/f and g'/g
         return lambda fv, gv, dfv, dgv: (dfv + dgv) / (fv + gv)
-    return _of_logderivs(lambda u, v: mean_values(spec, u, v))
+    return _of_logderivs(_spec_mean(spec))
 
 
 def _of_logderivs(mfn: Callable) -> Callable:
@@ -299,27 +329,11 @@ def _breaks(f, g, a: float, b: float, kinked: bool, log: bool) -> list:
     return _find_kinks(gap, np.array([a]), np.array([b]))[0]
 
 
-def _tabulate_antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
-                             lmean: Callable, inner_tol: float,
-                             breaks: Sequence[float] = ()) -> _Partition:
-    """The GK15 partition on which int_a^x lmean(f, g, f', g') meets
-    inner_tol: the start panels split at the ``breaks`` (interior kinks),
-    each interval bisected until lmean meets its share of the target.  Its
-    values are [lmean, fg, f^2, g^2] at the nodes; only lmean is judged."""
-
-    def sample(row, t):  # one evaluation of each of f, g, f' and g'
-        fv, dfv = f._value_and_slope(t)
-        gv, dgv = g._value_and_slope(t)
-        out = np.empty((4,) + t.shape)
-        out[0] = lmean(fv, gv, dfv, dgv)
-        np.multiply(fv, gv, out=out[1])
-        np.multiply(fv, fv, out=out[2])
-        np.multiply(gv, gv, out=out[3])
-        return out
-
-    part = _adapt_from_start(sample, a, b, inner_tol, breaks, judged=1).partition()
-    _raise_first(part.failed)
-    return part
+def _tabulate_antiderivative(sample: Callable, a, b, start: tuple, inner_tol: float,
+                             judged: int = 1) -> _Partition:
+    """The log form's first stage: the partition on which the first ``judged``
+    integrands of sample (M(Lf, Lg) of each mean) meet inner_tol from start."""
+    return _adapt(sample, a, b, inner_tol, *start[:3], values=start[3], judged=judged).partition()
 
 
 def _outer_sums(part: _Partition, riders: int) -> np.ndarray:
@@ -350,27 +364,108 @@ def _outer_sums(part: _Partition, riders: int) -> np.ndarray:
     return out
 
 
-def _v_at(part: _Partition, start: np.ndarray, x) -> np.ndarray:
-    """v(x) = int_a^x of a one-row partition's first integrand at any points
-    x in [a, b]: within an interval the integral of the degree-14
-    interpolant through its nodes (K15 mapped onto [-1, u]), plus ``start``,
-    the K15 totals of the intervals to its left (``_Partition.cumulative``)."""
-    xs = np.asarray(x, dtype=float)
-    out = np.empty(xs.size)
+@functools.lru_cache(maxsize=None)
+def _term_factors(means: int, sides: bool) -> tuple:
+    """Each term's two factor rows: middles (i, means + i), then fg fg, f^2 g^2."""
+    pairs = [(i, means + i) for i in range(means)]
+    if sides:
+        pairs += [(2 * means, 2 * means), (2 * means + 1, 2 * means + 2)]
+    return tuple(np.array(x) for x in zip(*pairs))
+
+
+def _middles(log: bool, means: int, sides: bool, sample: Callable, a, b, start: tuple,
+             target: float, inner_tol: Optional[float]) -> tuple:
+    """Each row's factor totals (2 means + 3 sides, rows): each middle
+    term's first factor, then its second, then fg, f^2 and g^2 when
+    ``sides``; the terms' relative bars (terms, rows), the sides' after the
+    middles'; and the rows that hit the engine's caps, {row: message}.  Row
+    r runs on [a[r], b[r]] from its panels in ``start``; sample is the row
+    builder.  The mean form adapts every factor at target / 2; the log form
+    tabulates each v at inner_tol and forms Phi1 = exp(2v), Phi2 = f^2 g^2
+    exp(-2v) and the sides at the nodes (``_outer_sums``).  A bar sums its
+    factors' |K15 - G7| / |I|, plus, for Phi1 Phi2, 4 times the inner
+    |K15 - G7| (an error e in v moves exp(+-2v) by a relative 2e).  While a
+    row's bar exceeds target, its intervals whose share of a bar exceeds
+    their width share are bisected and adapted again.
+    """
+    first, second = _term_factors(means, sides)
+
+    def bar(err, totals):  # each term's, over the columns of err
+        rel = err / np.abs(totals)
+        out = rel.take(first, axis=0)
+        out += rel.take(second, axis=0)
+        if log:
+            out[:means] += 4.0 * err[-means:]
+        return out
+
+    def interval_sums(part):  # K15 and |K15 - G7| (2, factors [+ inner integrals], n)
+        return np.concatenate([_outer_sums(part, 3 * sides), part.sums], 1) if log else part.sums
+
+    if log:
+        part = _tabulate_antiderivative(sample, a, b, start, inner_tol, means)
+        sums = interval_sums(part)
+        (totals, errors), failed = part.row_sums(sums), part.failed
+    else:  # the row totals from the engine until a row is refined, then from the partition
+        adaptation = _adapt(sample, a, b, target / 2.0, *start[:3], values=start[3])
+        part = sums = None
+        totals, errors, failed = adaptation.total, adaptation.error, adaptation.failed
+    # a failed row may have no intervals left: its bars are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            bars = bar(errors, totals)
+            over = bars > target
+            if not np.count_nonzero(over):  # a chain's usual case: one cheap check
+                break
+            redo = over.any(axis=0)
+            redo[list(failed)] = False
+            if not redo.any():
+                break
+            if part is None:
+                part = adaptation.partition()
+                sums = interval_sums(part)
+            shares = bar(sums[1], totals.take(part.row, axis=-1))
+            width = target * (2.0 * part.hw) / (part.b - part.a)[part.row]
+            bad = redo[part.row] & (shares > width).any(axis=0)
+            if not bad.any():
+                break
+            part = part.refined(bad)
+            failed = part.failed
+            sums = interval_sums(part)
+            totals[:, redo], errors[:, redo] = part.row_sums(sums)[..., redo]
+    return totals[:2 * means + 3 * sides], bars, failed
+
+
+def _antiderivative(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
+                    inner_tol: float, breaks: Sequence[float]) -> Callable:
+    """v(x) = int_a^x lmean(f, g, f', g') at any points x in [a, b], on the
+    partition where lmean alone meets inner_tol from the start panels split
+    at the ``breaks``: within an interval the integral of the degree-14
+    interpolant through its nodes (K15 mapped onto [-1, u]), plus the K15
+    totals of the intervals to its left (``_Partition.cumulative``)."""
+    sample, start = _spec_row(f, g, a, b, True, lmean, 0, breaks)
+    part = _tabulate_antiderivative(sample, a, b, start, inner_tol)
+    _raise_first(part.failed)
+    left = part.cumulative()[1][0]
     order = part.in_order(np.arange(len(part.mid)))
     mid, hw = part.mid[order], part.hw[order]
-    # the weights take (points, 15, 15) temporaries: a block of points at a time
-    for lo in range(0, xs.size, 1024):
-        pts = xs.ravel()[lo:lo + 1024]
-        idx = np.clip(np.searchsorted(mid - hw, pts, side="right") - 1, 0, len(mid) - 1)
-        weights = _cumulative_weights(np.clip((pts - mid[idx]) / hw[idx], -1, 1))
-        m = part.values[0][:, order[idx]]
-        # node by node, as the panel sums add them
-        inner = weights[:, 0] * m[0]
-        for k in range(1, 15):
-            inner += weights[:, k] * m[k]
-        out[lo:lo + 1024] = inner * hw[idx] + start[0, order[idx]]
-    return out.reshape(xs.shape)
+
+    def v(x):
+        xs = np.asarray(x, dtype=float)
+        out = np.empty(xs.size)
+        # the weights take (points, 15, 15) temporaries: a block of points at a time
+        for lo in range(0, xs.size, 1024):
+            pts = xs.ravel()[lo:lo + 1024]
+            idx = np.clip(np.searchsorted(mid - hw, pts, side="right") - 1, 0, len(mid) - 1)
+            weights = _cumulative_weights(np.clip((pts - mid[idx]) / hw[idx], -1, 1))
+            m = part.values[0][:, order[idx]]
+            # node by node, as the panel sums add them
+            inner = weights[:, 0] * m[0]
+            for k in range(1, 15):
+                inner += weights[:, k] * m[k]
+            out[lo:lo + 1024] = inner * hw[idx] + left[order[idx]]
+        return out.reshape(xs.shape)
+
+    return v
 
 
 def _logderiv_gap(fv, gv, dfv, dgv):
@@ -388,40 +483,18 @@ def _logderiv_breaks(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     return _breaks(f, g, a, b, kinked, True)
 
 
-def _logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float, lmean: Callable,
-                    inner_tol: float, outer_tol: float, kinked: bool) -> ChainReport:
-    """The chain from the five integrals [Phi1, Phi2, fg, f^2, g^2] at the
-    nodes of the inner partition: an interval where one of them misses its
-    width share of max(outer_tol, outer_tol |I|) is bisected, and they are
-    taken again."""
-    part = _tabulate_antiderivative(f, g, a, b, lmean, inner_tol,
-                                    _logderiv_breaks(f, g, a, b, kinked))
-    while True:
-        est, err = _outer_sums(part, 3)
-        totals = part.row_sums(est)
-        bad = ~_accepted(err, totals, outer_tol, part.b - part.a, part.hw, part.row)
-        if not bad.any():
-            break
-        part = part.refined(bad)
-        _raise_first(part.failed)
-    mid1, mid2, fg, ff, gg = totals[:, 0].tolist()
-    # the inner integral's error enters Phi1 and Phi2 alongside the outer one
-    return chain_report(fg ** 2, mid1 * mid2, ff * gg, max(inner_tol, outer_tol))
-
-
 def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
                             spec: MeanSpec, inner_tol: float = 1e-10,
                             outer_tol: float = 1e-8) -> ChainReport:
     """Chain with Phi1 = exp(2 int_a^x M(Lf, Lg)) and Phi2 = f^2 g^2 / Phi1.
 
     Requires f, g positive with nonnegative derivatives on [a, b].  Inner and
-    outer integrals share one adaptive Gauss-Kronrod partition: started from
-    8 uniform panels (and the crossings of the log-derivatives, where
-    min/max-type means kink), bisected until M(Lf, Lg) meets inner_tol; its
-    antiderivative at every node comes from the spectral integration matrix
-    plus the totals to the left, and the five chain integrands are formed at
-    the same nodes.  An interval where one of them misses outer_tol is
-    bisected, and the outer integrals are taken again.
+    outer integrals share one adaptive Gauss-Kronrod partition, started as
+    the mean form's (split where Lf and Lg cross) and bisected until
+    M(Lf, Lg) meets inner_tol; the five chain integrands are formed at its
+    nodes from the antiderivative there.  Then the bar rule holds each term,
+    a product of two integrals, to a relative error bar of 2 outer_tol, the
+    inner integral's error included.
 
     Nonnegative log-derivatives alone do not make the right inequality hold
     for every mean: when Lf - Lg changes sign, means far from the arithmetic
@@ -431,8 +504,8 @@ def integral_logderiv_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float
     inside the chain.  The report carries honest slacks either way.
     """
     a, b = _interval(a, b, inner_tol, outer_tol)
-    return _logderiv_chain(f, g, a, b, _logderiv_mean(spec), inner_tol, outer_tol,
-                           _kinks_on_diagonal(spec))
+    return _chain(f, g, a, b, True, _logderiv_mean(spec), _kinks_on_diagonal(spec), outer_tol,
+                  inner_tol)
 
 
 def logderiv_phi1(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
@@ -444,10 +517,9 @@ def logderiv_phi1(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
     witnessed directly.  It raises ParameterError at a point outside [a, b].
     """
     a, b = _interval(a, b, inner_tol)
-    breaks = _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec))
-    part = _tabulate_antiderivative(f, g, a, b, _logderiv_mean(spec), inner_tol, breaks)
-    start = part.cumulative()[1]
-    return lambda x: np.exp(2.0 * _v_at(part, start, _inside(x, a, b)))
+    v = _antiderivative(f, g, a, b, _logderiv_mean(spec), inner_tol,
+                        _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec)))
+    return lambda x: np.exp(2.0 * v(_inside(x, a, b)))
 
 
 def _inside(x, a: float, b: float) -> np.ndarray:
@@ -486,17 +558,15 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
     else:
         breaks = _logderiv_breaks(f, g, a, b, _kinks_on_diagonal(spec))
         lmean = _logderiv_mean(spec)
-        part1 = _tabulate_antiderivative(f, g, a, b, lmean, 1e-12, breaks)
-        phi1_vals = np.exp(2.0 * _v_at(part1, part1.cumulative()[1], xs))
+        phi1_vals = np.exp(2.0 * _antiderivative(f, g, a, b, lmean, 1e-12, breaks)(xs))
         if phi2 is not None:
             phi2_vals = np.asarray(phi2(xs), dtype=float)
         else:
             def complement(fv, gv, dfv, dgv):
                 return dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv)
 
-            part2 = _tabulate_antiderivative(f, g, a, b, complement, 1e-12, breaks)
             phi2_vals = (float(f(a)) * float(g(a))) ** 2 * np.exp(
-                2.0 * _v_at(part2, part2.cumulative()[1], xs))
+                2.0 * _antiderivative(f, g, a, b, complement, 1e-12, breaks)(xs))
     worst = float(np.max(np.abs(phi1_vals * phi2_vals - rhs) / np.maximum(np.abs(rhs), 1e-300)))
     return worst <= rtol, worst
 
@@ -516,7 +586,10 @@ def general_h_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
 
     h must be even with h(0) = 1/2 and satisfy the two-sided ratio growth
     bound; this is validated on a grid before use and a violation raises
-    ParameterError.
+    ParameterError.  The terms are computed as the mean form's
+    (``integral_mean_chain``) and the log form's (``integral_logderiv_chain``,
+    inner tol, outer max(tol, 1e-8)) are, each to a relative bar of 2 tol
+    (2 max(tol, 1e-8) in the log form).
     """
     a, b = _interval(a, b, tol)
     check = check_h_function(h, validation_grid or _H_VALIDATION_GRID, rtol=1e-9)
@@ -526,9 +599,8 @@ def general_h_chain(f: FunctionSpec, g: FunctionSpec, a: float, b: float,
             f"{len(check.ratio_violations)} ratio and {len(check.even_violations)} evenness violations")
     mfn = _mean_fn_from_h(h)
     if kind is ChainKind.MEAN_FORM:
-        return _mean_chain(f, g, a, b, mfn, tol, kinked=True)  # h is opaque
-    # h is opaque: scan for crossings of the log-derivatives
-    return _logderiv_chain(f, g, a, b, _of_logderivs(mfn), tol, max(tol, 1e-8), kinked=True)
+        return _chain(f, g, a, b, False, mfn, True, tol)  # h is opaque: scan for crossings
+    return _chain(f, g, a, b, True, _of_logderivs(mfn), True, max(tol, 1e-8), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -711,110 +783,40 @@ def _block_start(kind: ChainKind, specs: tuple, poly: np.ndarray, exp: np.ndarra
     return mid, hw, np.repeat(np.arange(len(panels)), [len(m) for m, _ in panels]), None
 
 
-def _factor_sums(kind: ChainKind, part: _Partition) -> tuple:
-    """Each interval's K15 sums and |K15 - G7| (2, 2, n) of the factors
-    [M^2, M*^2] or [Phi1, Phi2] (first axis) of both specs (second axis),
-    the latter from the chain's kernel (``_outer_sums``), and, in the
-    log-derivative form, the inner integrals' |K15 - G7| (2, n) (else 0)."""
-    if kind is ChainKind.MEAN_FORM:
-        est, err = part.sums
-        return (*(x.reshape(2, 2, -1).transpose(1, 0, 2) for x in (est, err)),
-                np.zeros((2, len(part.row))))
-    est, err = _outer_sums(part, 0).reshape(2, 2, 2, -1)
-    return est, err, part.sums[1]
-
-
 # The block's middle terms: adaptive now, it keeps the name of the fixed-panel
 # routine it replaced, which the traced benchmark binds by attribute
 # (span integral.middle_fixed).
 def _middle_fixed(kind: ChainKind, specs: tuple, draws: tuple, target: float,
                   buffer: np.ndarray) -> tuple:
     """Middle terms of both specs (2, rows) on a block's trials, their
-    relative bars (2, rows), and the rows that hit the engine's caps,
-    {row: message}.
-
-    A row's two middles adapt on one partition from its ``_start_panels``:
-    the engine judges M^2 and M*^2 of both specs at target / 2 (mean form),
-    or both inner integrals v = int_0^x M(Lf, Lg) at target / 8, from which
-    Phi1 = exp(2v) and Phi2 = f^2 g^2 exp(-2v) are formed.  A bar sums each
-    factor's accepted sum |K15 - G7| relative to its |I|, plus the inner
-    one's twice per factor (an error e in v moves exp(+-2v) by a relative
-    2e).  While a row's bar exceeds ``target``, its intervals whose share
-    of the bar exceeds their width share are bisected and adapted again.
-    ``buffer`` (4 doubles per start-panel node, kept from block to block)
-    takes the first level: a fresh array each block cost more in page
-    faults than its integrals.
-    """
+    relative bars (2, rows) and the rows that hit the engine's caps: the
+    catalog rows through ``_middles`` to bars of ``target`` (inner integrals
+    at target / 8).  ``buffer`` (4 doubles per start-panel node, kept from
+    block to block) takes the first level: a fresh array each block cost
+    more in page faults than its integrals."""
     kinds, coeffs, intervals = draws
     b = np.array(_COMPARE_INTERVALS)[intervals]
     log = kind is ChainKind.LOG_DERIV_FORM
     poly, exp = _catalog_poly(kinds, coeffs)
+    build = _row_builder(log, tuple(map(_logderiv_mean if log else _spec_mean, specs)),
+                         int(log))
 
-    def values_at(poly: np.ndarray, exp: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
-        # the integrands (k,) + xs.shape, catalog row i on xs[..., i, :],
-        # each written into its place: the log form's M(Lf, Lg) of both specs
-        # (Lf and Lg divided once for both, as _logderiv_mean divides them)
-        # and fg, the mean form's squares of each spec's M and M*
+    def values_at(poly, exp, xs, out=None):  # the integrands, catalog row i on xs[..., i, :]
         (fv, gv), slopes = _catalog_rows(poly, exp, xs, log)
-        out = np.empty((k,) + xs.shape) if out is None else out
-        if log:
-            logderivs = None
-            for i, spec in enumerate(specs):
-                if spec.family is MeanFamily.MEDIANT:
-                    np.divide(slopes[0] + slopes[1], fv + gv, out=out[i])
-                    continue
-                if logderivs is None:
-                    logderivs = slopes[0] / fv, slopes[1] / gv
-                out[i] = mean_values(spec, *logderivs)
-            np.multiply(fv, gv, out=out[2])
-            return out
-        for i, spec in enumerate(specs):
-            m = mean_values(spec, fv, gv)
-            conj = conjugate_from_mean(fv, gv, m)
-            np.multiply(m, m, out=out[2 * i])
-            np.multiply(conj, conj, out=out[2 * i + 1])
-        return out
+        return build(fv, gv, slopes, out)
 
     def sample(row, ts):  # a catalog row per panel: its coefficients broadcast along its nodes
         return values_at(poly.take(row, axis=1), exp.take(row, axis=1),
                          np.ascontiguousarray(ts.T)).transpose(0, 2, 1)
 
-    tol, judged, k = (target / 8.0, 2, 3) if log else (target / 2.0, 4, 4)
+    k = 3 if log else 4
     mid, hw, row, nodes = _block_start(kind, specs, poly, exp, intervals, b)
     # uniform start panels: the first level on the block's (15, rows, 8) nodes
     values = nodes if nodes is None else values_at(
         poly, exp, nodes, buffer[:k * nodes.size].reshape((k,) + nodes.shape))
-    adaptation = _adapt(sample, np.zeros(len(b)), b, tol, mid, hw, row, values=values,
-                        judged=judged)
-    # each row's totals and error sums (factor, spec, rows), inner error sums (spec, rows):
-    # the mean form's from the engine until a row is refined, the other's from the partition
-    if log:
-        part = adaptation.partition()
-        totals, errors, inner = (part.row_sums(x) for x in _factor_sums(kind, part))
-    else:
-        part, inner = None, np.zeros((2, len(b)))
-        totals, errors = (x.reshape(2, 2, -1).transpose(1, 0, 2)
-                          for x in (adaptation.total, adaptation.error))
-    failed = adaptation.failed
-    # a failed row may have no intervals left: its bars are never read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            bars = (errors / np.abs(totals)).sum(axis=0) + 4.0 * inner
-            redo = (bars > target).any(axis=0)
-            redo[list(failed)] = False
-            if not redo.any():
-                break
-            part = part or adaptation.partition()
-            _, err, err_v = _factor_sums(kind, part)
-            shares = (err / np.abs(totals.take(part.row, axis=-1))).sum(axis=0) + 4.0 * err_v
-            bad = redo[part.row] & (shares > target * (2.0 * part.hw) / b[part.row]).any(axis=0)
-            if not bad.any():
-                break
-            part = part.refined(bad)
-            failed = part.failed
-            for old, new in zip((totals, errors, inner), _factor_sums(kind, part)):
-                old[..., redo] = part.row_sums(new)[..., redo]
-    return totals[0] * totals[1], bars, failed
+    totals, bars, failed = _middles(log, 2, False, sample, np.zeros(len(b)), b,
+                                    (mid, hw, row, values), target, target / 8.0)
+    return totals[:2] * totals[2:], bars, failed
 
 
 def _best(best, won: np.ndarray, sep: np.ndarray, draws: tuple, ma: np.ndarray,
@@ -856,22 +858,17 @@ def compare_generalizations(spec_a: MeanSpec, spec_b: MeanSpec, trials: int,
     order and a witness reproduces from (seed, i) on any numpy that keeps
     the raw stream (NEP 19), whatever its Generator methods do.
 
-    Both middles of a trial come from one adaptive Gauss-Kronrod partition
-    of [0, b], started from 8 uniform panels split where f and g (mean
-    form) or their log-derivatives cross, for means that kink on the
-    diagonal (min, max, power:+-inf); each middle's relative bar is at most
-    max(tie_rtol / 10, 1e-13).  A trial whose integration hits the engine's
-    caps raises ConvergenceError, naming it, when the scan reaches it.
-    Trials are drawn in spans of up to 1024 and evaluated in blocks (64
-    rows, doubling while a block holds at most 2**15 start-panel nodes: up
-    to 256 rows), each block on its slice of a span; a block's rows are
-    computed exactly as lone trials would be (every sum runs in a fixed
-    order, none through a matrix product), and scanned as arrays with the
-    rules of a scan in index order (the first largest separation is the
-    witness, and a capped row raises only when no earlier row decided), so
-    neither spans nor blocks change a digit of the verdict.  An exit within
-    the first two blocks still draws the whole span, up to 0.8 ms more
-    than their own draws.
+    Both middles of a trial come from the chains' middle-term routine, on
+    one partition of [0, b] split where f and g (mean form) or their
+    log-derivatives cross for min/max-type means, each to a relative bar of
+    at most max(tie_rtol / 10, 1e-13).  A trial that hits the engine's caps
+    raises ConvergenceError, naming it, when the scan reaches it.  Trials
+    are drawn in spans of up to 1024 and evaluated in blocks of 64 rows,
+    doubling up to 256.  Every sum runs in a fixed order, none through a
+    matrix product, and a block is scanned by the rules of a scan in index
+    order (the first largest separation is the witness, and a capped row
+    raises only when no earlier row decided), so neither spans nor blocks
+    change a digit of the verdict.
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral):
         raise ParameterError(f"trials must be an integer, got {trials!r}")

@@ -323,7 +323,15 @@ def _power_values(order: ExtOrder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if order.kind is OrderKind.POS_INF:
         return np.maximum(x, y)
     if order.kind is OrderKind.ZERO:
-        return np.sqrt(x * y)
+        # sqrt(x) sqrt(y) where x y leaves the normal floats: sqrt(x y) would leave [min, max]
+        try:
+            with np.errstate(over="raise", under="raise"):
+                return np.sqrt(x * y)
+        except FloatingPointError:
+            with np.errstate(over="ignore", under="ignore"):
+                xy = np.abs(x * y)
+                return np.where((xy >= _NORMAL_MIN) & (xy <= _FLOAT_MAX), np.sqrt(x * y),
+                                np.sqrt(x) * np.sqrt(y))
     return _gini_values(order.value, 0.0, x, y)
 
 

@@ -26,13 +26,9 @@ row that hits a cap stops while the others go on (``_Adaptation.failed``).
 The loop keeps every level's node values, so a caller can take the
 accepted intervals as a ``_Partition``: sums over each row left to right,
 each row's cumulative integral at every node, and ``refined``, which
-bisects chosen intervals and adapts their halves again.  Both integral
-chains are one row, from one set of start panels
-(``integral._start_panels``: 8 uniform panels split at the kinks): the
-mean form adapts its five integrands together, and the log-derivative form
-integrates its inner and outer integrands on one partition
-(notes/decisions.md, "Log-derivative partition").  The comparator adapts a
-block of trials at once (notes/decisions.md, "Comparator panels").
+bisects chosen intervals and adapts their halves again.  The integral
+chains and the comparator run on it through one middle-term routine
+(``integral._middles``): a chain is one row, a comparator block many.
 ``_bisect`` splits intervals and holds the depth, pending and resolution
 caps, ``_interval`` the argument checks.
 
@@ -180,9 +176,7 @@ def _row_sums(values: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:
     alone and beside any other rows (a reduction along a padded axis would
     group its terms by the padded length)."""
     if rows == 1:  # the same additions from 0: a running sum, + 0.0 for an all -0.0 row
-        out = np.add.accumulate(values, axis=-1)[..., -1:]
-        out += 0.0
-        return out
+        return np.add.accumulate(values, axis=-1)[..., -1:] + 0.0
     k = values.size // values.shape[-1]
     index = (np.arange(k)[:, None] * rows + row).ravel()
     return np.bincount(index, values.ravel(), k * rows).reshape(values.shape[:-1] + (rows,))

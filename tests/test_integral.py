@@ -427,17 +427,24 @@ def _reference_table(f, g, a, b, lmean, inner_tol, breaks):
 
 
 def _reference_logderiv_chain(f, g, a, b, spec, inner_tol=1e-10, outer_tol=1e-8):
-    # the kink scan samples its own 1025 nodes, and only for min/max-type means
+    # the inner partition, then the bar rule at 2 outer_tol: a term's bar is
+    # |K15 - G7| / |I| over its two factors (plus 4 times the inner
+    # |K15 - G7| for Phi1 Phi2), and while one exceeds the target the
+    # intervals whose share of a bar exceeds their width share are bisected
+    # and adapted again.  The kink scan samples its own 1025 nodes, and only
+    # for min/max-type means
     breaks = []
     if integral._kinks_on_diagonal(spec):
         breaks = _find_kinks(lambda rows, t: f.derivative(t) / f(t) - g.derivative(t) / g(t),
                              np.array([a]), np.array([b]))[0]
     lmean = _reference_lmean(spec)
     intervals = _reference_table(f, g, a, b, lmean, inner_tol, breaks)
+    target = 2.0 * outer_tol
+    terms = ((0, 0), (1, 2), (3, 4))  # fg fg, Phi1 Phi2, f^2 g^2
     reopened = 0
     while True:
         table = _ReferenceTable(intervals)
-        est, err = [], []
+        est, err, inner = [], [], []
         for i, (mid, hw, _, (_, fv, gv)) in enumerate(table.intervals):
             v = table.at_nodes(i)
             fg = fv * gv
@@ -445,23 +452,27 @@ def _reference_logderiv_chain(f, g, a, b, spec, inner_tol=1e-10, outer_tol=1e-8)
             sums = np.array([_reference_sums(r, GK_WEIGHTS)[0] for r in rows]) * hw
             est.append(sums[:, 0])
             err.append(np.abs(sums[:, 1]))
+            inner.append(abs(table.sums[i][16]))
         # each integral's intervals added left to right, one after the other
-        totals = np.zeros(5)
-        for e in est:
-            totals = totals + e
-        target = np.maximum(outer_tol, outer_tol * np.abs(totals)) / (b - a)
+        totals = _reference_add(est)
+
+        def bars(e, v):
+            return [e[p] / abs(totals[p]) + e[q] / abs(totals[q]) + (4.0 * v if p else 0.0)
+                    for p, q in terms]
+
+        if not any(x > target for x in bars(_reference_add(err), _reference_add(inner))):
+            break
         bad = [i for i, (mid, hw, _, _) in enumerate(table.intervals)
-               if np.any(err[i] > target * 2.0 * hw)]
+               if any(x > target * (2.0 * hw) / (b - a) for x in bars(err[i], inner[i]))]
         if not bad:
             break
         reopened += 1
-        depth = max(table.intervals[i][2] for i in bad)
-        halves = [(mid + side * hw / 2.0, hw / 2.0, depth + 1)
-                  for side in (-1.0, 1.0) for mid, hw, _, _ in (table.intervals[i] for i in bad)]
-        intervals = [iv for i, iv in enumerate(table.intervals) if i not in bad]
-        intervals += _reference_adapt(
-            f, g, lmean, a, b, inner_tol, halves,
-            np.array([table.sums[i][15] for i in range(len(table.intervals)) if i not in bad]).sum())
+        halves = [(mid + side * hw / 2.0, hw / 2.0, depth + 1) for side in (-1.0, 1.0)
+                  for mid, hw, depth, _ in (table.intervals[i] for i in bad)]
+        kept = [i for i in range(len(table.intervals)) if i not in bad]
+        intervals = [table.intervals[i] for i in kept]
+        intervals += _reference_adapt(f, g, lmean, a, b, inner_tol, halves,
+                                      _reference_add([table.sums[i][15] for i in kept]))
     fg, mid1, mid2, ff, gg = totals.tolist()
     return (chain_report(fg ** 2, mid1 * mid2, ff * gg, max(inner_tol, outer_tol)),
             table, breaks, reopened)
@@ -616,6 +627,41 @@ def test_mean_chain_terms_against_nested_scipy():
                                   (report.right, (ff, gg))):
                 budget = i1 * i2 * sum(max(tol, tol * i) / i for i in (i1, i2))
                 assert abs(got - i1 * i2) <= budget, (spec.to_string(), i, got, i1 * i2)
+
+
+def _power_pair_terms(mp, p, q, b):
+    # left, middle and right of t^p, t^q on [0, b] under the arithmetic mean
+    b = mp.mpf(b)
+
+    def quad(fn):
+        return mp.quad(fn, [0, b])
+
+    def mean(t):
+        return (t ** p + t ** q) / 2
+
+    fg, ff, gg = (b ** (e + 1) / (e + 1) for e in (p + q, 2 * p, 2 * q))
+    middle = quad(lambda t: mean(t) ** 2) * quad(lambda t: (t ** (p + q) / mean(t)) ** 2)
+    return fg ** 2, middle, ff * gg
+
+
+@pytest.mark.parametrize("p, q", [(0.1, 0.2), (0.5, 1.5)])
+def test_mean_chain_terms_on_a_small_interval_meet_their_relative_bar(p, q):
+    # below |I| = 1 the width-share target max(tol, tol |I|) is absolute: on
+    # [0, 1e-6] t^0.1 and t^0.2 met it at once, every term 7.9e-6 off, about
+    # 8000 tol, and the chain was judged at tol.  The bar rule holds each
+    # term to 2 tol relative, or raises as the same pair on [0, 1] does
+    mp = pytest.importorskip("mpmath")
+    tol = 1e-9
+    f, g = parse_function(f"pow:{p}"), parse_function(f"pow:{q}")
+    try:
+        report = integral_mean_chain(f, g, 0.0, 1e-6, parse_mean("power:1"), tol=tol)
+    except ConvergenceError:
+        assert (p, q) == (0.1, 0.2)
+        return
+    with mp.workdps(40):
+        exact = _power_pair_terms(mp, mp.mpf(p), mp.mpf(q), 1e-6)
+        for got, want in zip((report.left, report.middle, report.right), exact):
+            assert abs(got - want) <= 2 * tol * want, (got, float(want))
 
 
 def test_logderiv_chains_match_from_scratch_reference_bit_for_bit():
@@ -1421,13 +1467,13 @@ def test_comparator_log_middles_match_the_chain_kernel_bit_for_bit(monkeypatch):
     kinds, coeffs, intervals = draws
     specs = (parse_mean("power:0.5"), parse_mean("mediant"))
     parts = []
-    factor_sums = integral._factor_sums
+    outer_sums = integral._outer_sums
 
-    def recording(kind, part):
+    def recording(part, riders):  # each partition the shared routine sums, the last final
         parts.append(part)
-        return factor_sums(kind, part)
+        return outer_sums(part, riders)
 
-    monkeypatch.setattr(integral, "_factor_sums", recording)
+    monkeypatch.setattr(integral, "_outer_sums", recording)
     middles, _ = _block_middles(kind, specs, draws)
     part = parts[-1]
     for row in range(32):

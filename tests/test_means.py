@@ -321,6 +321,47 @@ def test_plain_gini_quotient_at_the_float_edges(name, u, v, x, y):
     assert json.loads(result.stdout)["value"] == eval_mean(spec(name), x, y)
 
 
+@pytest.mark.parametrize("x, y", [([1e-200, 3e-170], [1e-200, 1e-170]),
+                                  ([1e200, 1e-300, 1e300], [1e200, 1e300, 1e-300])])
+def test_geometric_mean_where_the_product_leaves_the_floats_against_mpmath(x, y):
+    # x y underflowed to 0, a mean below min(x, y), or overflowed to inf;
+    # sqrt(x) sqrt(y) is within two roundings
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = [float(mp.sqrt(mp.mpf(a) * mp.mpf(b))) for a, b in zip(x, y)]
+    assert mean_values(spec("power:0"), x, y) == pytest.approx(ref, rel=4e-16, abs=0.0)
+
+
+def test_agm_where_the_geometric_product_overflows_against_mpmath():
+    # the geometric step's x y overflowed and the gap went NaN
+    # (ConvergenceError); the iteration now converges to the AGM
+    from ineqmeans import agm
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = float(mp.agm(mp.mpf(1e-300), mp.mpf(1e300)))
+    assert agm(1e-300, 1e300) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_geometric_mean_keeps_the_bits_of_the_plain_product_where_it_is_normal():
+    # on a grid whose products are normal doubles, and beside one product
+    # that overflows (the flagged route), the values are np.sqrt(x * y)
+    exps = np.linspace(-150.0, 150.0, 61)
+    x, y = np.meshgrid(1.7 * 10.0 ** exps, 10.0 ** exps / 3.1)
+    want = np.sqrt(x * y)
+    assert mean_values(spec("power:0"), x, y).tobytes() == want.tobytes()
+    x[0, 0] = y[0, 0] = 1e300
+    got = mean_values(spec("power:0"), x, y)
+    assert got[0, 0] == pytest.approx(1e300, rel=4e-16, abs=0.0)
+    assert got.ravel()[1:].tobytes() == want.ravel()[1:].tobytes()
+
+
+def test_geometric_mean_eval_past_the_float_range_exits_0():
+    from ineqmeans.cli import dispatch
+    result = dispatch(["means", "eval", "--spec", "power:0", "--x", "1e200", "--y", "1e200"])
+    assert result.exit_code == 0, result.stderr
+    assert '"value": 1e+200' in result.stdout
+
+
 def test_plain_gini_quotient_past_the_float_range_against_mpmath():
     # x^u, x^v or their quotient past the float range or in the subnormals,
     # on a 10^(+-300) grid in steps of 25: recomputed in homogeneous form.
