@@ -40,8 +40,14 @@ __all__ = ["cbs_chain", "cde_check", "cde_check_functions", "UncertaintyReport",
 
 
 def _positive_finite(v) -> bool:
-    # NaN fails both comparisons
-    return bool(np.all((v > 0.0) & (v < math.inf)))
+    # NaN fails both comparisons.  One comparison at a time keeps one mask
+    # live (a byte an element: 1 MiB on a 2^20 vector), not three: glibc's
+    # trim threshold, twice the largest freed mmapped block, then stays above
+    # the scan's heap use, so the heap top is not returned to the kernel and
+    # faulted back in by the next chain (notes/decisions.md, "The positivity
+    # scan holds one mask at a time").  np.min/np.max would free no large
+    # block and leave the mmap threshold at its 128 KiB start, a leaf's size.
+    return bool((v > 0.0).all() and (v < math.inf).all())
 
 
 def _positive_vectors(x_vec, y_vec):
@@ -58,6 +64,10 @@ def _positive_vectors(x_vec, y_vec):
 # Leaf size of the blocked pass: a multiple of 8 and at least numpy's own
 # pairwise block of 128, so every node split here is split alike by np.sum.
 # 2^14 float64 (128 KiB a vector) keeps a leaf's temporaries in a 2 MiB L2.
+# 128 KiB is also glibc's starting mmap threshold: on a 2^20 pair the
+# scan's freed 1 MiB masks lift it, so the leaf temporaries come from heap
+# pages that stay mapped from op to op (notes/decisions.md, "The positivity
+# scan holds one mask at a time").
 _BLOCK = 1 << 14
 
 
@@ -84,8 +94,11 @@ def _chain_sums(x: np.ndarray, y: np.ndarray, spec: MeanSpec, w=None) -> list:
     """[sum xy, sum M^2, sum M*^2, sum x^2, sum y^2], each weighted by w if given.
 
     M is evaluated once per element and M* = xy/M taken from its values, a
-    leaf at a time; DomainError when a sum is not finite.
+    leaf at a time; DomainError when a sum is not finite.  An unweighted
+    leaf forms each product in one buffer the chain allocates once.
     """
+    buf = np.empty(min(len(x), _BLOCK))
+
     def leaf(lo, hi):
         xs, ys = x[lo:hi], y[lo:hi]
         m = mean_values(spec, xs, ys)
@@ -93,7 +106,8 @@ def _chain_sums(x: np.ndarray, y: np.ndarray, spec: MeanSpec, w=None) -> list:
         # the products in the whole-array operand order, each summed as formed
         pairs = ((xs, ys), (m, m), (mc, mc), (xs, xs), (ys, ys))
         if w is None:
-            return np.array([np.sum(a * b) for a, b in pairs])
+            out = buf[:hi - lo]
+            return np.array([np.multiply(a, b, out=out).sum() for a, b in pairs])
         ws = w[lo:hi]
         return np.array([np.sum(ws * a * b) for a, b in pairs])
 

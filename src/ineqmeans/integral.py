@@ -140,17 +140,20 @@ def _kinks_on_diagonal(spec: MeanSpec) -> bool:
 def _row_builder(log: bool, means: tuple, riders: int) -> Callable:
     """The one sampler of the middle terms' integrands: build(fv, gv,
     slopes, out) writes at node values of f, g (and f', g' in the log form)
-    the log form's M(Lf, Lg) of each mean (``means`` on f, g, f', g') or the
-    mean form's M^2 of each, then M*^2 of each (``means`` on u, v), then fg
-    (riders 1) or fg, f^2 and g^2 (riders 3), into out (fresh when None)."""
+    the log form's M(Lf, Lg) of each mean (``means`` on f, g, f', g' and the
+    quotients Lf = f'/f, Lg = g'/g, divided once a call) or the mean form's
+    M^2 of each, then M*^2 of each (``means`` on u, v), then fg (riders 1)
+    or fg, f^2 and g^2 (riders 3), into out (fresh when None)."""
     j = len(means) if log else 2 * len(means)
 
     def build(fv, gv, slopes=None, out=None):
         if out is None:
             out = np.empty((j + riders,) + fv.shape)
+        if log:
+            quotients = (slopes[0] / fv, slopes[1] / gv)
         for i, mean in enumerate(means):
             if log:
-                out[i] = mean(fv, gv, *slopes)
+                out[i] = mean(fv, gv, *slopes, *quotients)
             else:
                 m = mean(fv, gv)
                 np.multiply(m, m, out=out[i])
@@ -230,15 +233,16 @@ def integral_mean_chain(f, g, a: float, b: float, spec: MeanSpec,
 # ---------------------------------------------------------------------------
 
 def _logderiv_mean(spec: MeanSpec) -> Callable:
-    """M(Lf, Lg), Lh = h'/h, as a callable on node values (f, g, f', g')."""
+    """M(Lf, Lg), Lh = h'/h, as a callable on node values (f, g, f', g') and
+    the quotients (Lf, Lg)."""
     if spec.family is MeanFamily.MEDIANT:
         # mediant of the formal fractions f'/f and g'/g
-        return lambda fv, gv, dfv, dgv: (dfv + dgv) / (fv + gv)
+        return lambda fv, gv, dfv, dgv, lf, lg: (dfv + dgv) / (fv + gv)
     return _of_logderivs(_spec_mean(spec))
 
 
 def _of_logderivs(mfn: Callable) -> Callable:
-    return lambda fv, gv, dfv, dgv: mfn(dfv / fv, dgv / gv)
+    return lambda fv, gv, dfv, dgv, lf, lg: mfn(lf, lg)
 
 
 # the kink scan's grid, linspace(a, b, 1025): 1024 cells
@@ -562,8 +566,8 @@ def product_identity_check(f, g, a: float, b: float, kind: ChainKind,
         if phi2 is not None:
             phi2_vals = np.asarray(phi2(xs), dtype=float)
         else:
-            def complement(fv, gv, dfv, dgv):
-                return dfv / fv + dgv / gv - lmean(fv, gv, dfv, dgv)
+            def complement(fv, gv, dfv, dgv, lf, lg):
+                return lf + lg - lmean(fv, gv, dfv, dgv, lf, lg)
 
             phi2_vals = (float(f(a)) * float(g(a))) ** 2 * np.exp(
                 2.0 * _antiderivative(f, g, a, b, complement, 1e-12, breaks)(xs))

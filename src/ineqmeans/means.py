@@ -657,16 +657,32 @@ def conjugate_values(spec: MeanSpec, x, y) -> np.ndarray:
 
 
 def conjugate_from_mean(x: np.ndarray, y: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """xy / m for mean values m = M(x, y) already computed; 0 where xy = 0.
+    """xy / m for mean values m = M(x, y) already computed; 0 at a zero or
+    NaN argument.
 
     A plain divide, then 0 wherever xy > 0 fails: the same bits as a divide
     masked by xy > 0 (NaN and -0.0 products give 0 too), without numpy's
-    slower masked loop.
+    slower masked loop, and the zero fix runs only when some product is not
+    positive.  Where the multiply or the divide raises an overflow or
+    underflow flag, the products outside the normal floats take x (y/m)
+    instead: xy would overflow to inf or flush to 0 where M* lies between
+    x and y.
     """
-    xy = x * y
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where xy = 0
-        out = np.divide(xy, m, out=np.empty_like(xy))
-    out[~(xy > 0)] = 0.0
+    try:
+        # 0/0 where xy = 0
+        with np.errstate(over="raise", under="raise", divide="ignore", invalid="ignore"):
+            xy = x * y
+            out = np.divide(xy, m, out=np.empty_like(xy))
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            xy = x * y
+            mag = np.abs(xy)
+            out = np.where((mag >= _NORMAL_MIN) & (mag <= _FLOAT_MAX), xy / m, x * (y / m))
+            # xy > 0 by the signs: an underflowed product reads 0
+            out[~(np.sign(x) * np.sign(y) > 0)] = 0.0
+        return out
+    if not (xy.size and xy.min() > 0.0):  # NaN fails too
+        out[~(xy > 0)] = 0.0
     return out
 
 

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -336,6 +340,46 @@ def test_sums_and_terms_past_the_float_range_are_domain_errors():
     big = parse_function("poly:1e150")
     with pytest.raises(DomainError, match="left term"):
         q_cbs_chain(big, big, 0.5, spec)
+
+
+# A fresh interpreter that builds its 2^20 pair in place, so that no large
+# freed temporary lifts glibc's thresholds before the chains run (a pair
+# unpickled from disk, as the benchmark's worker loads it, frees none
+# either).  The positivity scan held three 1 MiB masks at once, more than
+# the 2 MiB trim threshold the first freed one set: the heap top was
+# returned after each chain and faulted back in by the next, ~960 minor
+# faults a chain (notes/decisions.md, "The positivity scan holds one mask at
+# a time").
+FAULT_SCRIPT = """
+import resource, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from ineqmeans import cbs_chain, parse_mean
+rng = np.random.default_rng(59)
+x, y = np.empty(1 << 20), np.empty(1 << 20)
+for v in (x, y):
+    rng.random(out=v)
+    v *= 2.0 * np.log(1e3)
+    v -= np.log(1e3)
+    np.exp(v, out=v)
+specs = [parse_mean(s) for s in ("min", "power:2", "rado:0", "iter:warith:0.5,0.5|power:0")]
+for spec in specs:
+    cbs_chain(x, y, spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(2):
+    for spec in specs:
+        cbs_chain(x, y, spec)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (2 * len(specs)))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_steady_state_chains_take_no_page_faults():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", FAULT_SCRIPT.format(src=src)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 64.0
 
 
 # ---------------------------------------------------------------------------

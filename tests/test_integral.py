@@ -1484,7 +1484,8 @@ def test_comparator_log_middles_match_the_chain_kernel_bit_for_bit(monkeypatch):
         t = mid + hw * GK_NODES[:, None]
         fv, gv = f(t), g(t)
         for s, spec in enumerate(specs):
-            lmean = integral._logderiv_mean(spec)(fv, gv, f.derivative(t), g.derivative(t))
+            dfv, dgv = f.derivative(t), g.derivative(t)
+            lmean = integral._logderiv_mean(spec)(fv, gv, dfv, dgv, dfv / fv, dgv / gv)
             values = np.stack([lmean, fv * gv, fv * fv, gv * gv])
             sums = integral._per_panel(values[:1], GK_WEIGHTS, 1) * hw
             one = integral._Partition(None, np.array([0.0]), part.b[row:row + 1], 1e-10, 1,

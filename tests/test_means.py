@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ineqmeans import (ConvergenceError, DomainError, ExtOrder, FunctionFamily, FunctionSpec,
                        MeanFamily, MeanSpec, OrderKind, ParameterError, chain_catalog, check_axioms,
-                       check_h_conditions, check_h_function, conjugate_eval, entropy,
-                       eval_mean, full_catalog, h_of, mean_values, mediant, parse_function,
-                       parse_mean, rado_power_bound_orders)
+                       check_h_conditions, check_h_function, conjugate_eval, conjugate_values,
+                       entropy, eval_mean, full_catalog, h_of, mean_values, mediant,
+                       parse_function, parse_mean, rado_power_bound_orders)
 from ineqmeans.means import (ITERATED_CAP, ITERATED_EVAL_TOL, _QUASI_GENERATORS, conjugate_from_mean,
                              coupled_limit)
 from ineqmeans.sampling import log_uniform, make_rng
@@ -779,20 +779,58 @@ def test_conjugation_is_an_involution():
 
 def test_conjugate_from_mean_equals_the_masked_divide_bit_for_bit():
     # the plain divide is zeroed wherever xy > 0 fails, as np.divide with
-    # where=xy > 0 leaves it: zero, -0.0, NaN and underflowed products
+    # where=xy > 0 leaves it: zero, -0.0 and NaN products (an underflowed
+    # product takes x (y/m): test_conjugate_outside_the_product_range)
     rng = make_rng(29)
-    xs = np.concatenate([log_uniform(rng, size=500), [0.0, -0.0, math.nan, 1e-200, 5e-324, 0.0]])
-    ys = np.concatenate([log_uniform(rng, size=500), [3.0, 3.0, 1.0, 1e-200, 0.5, 0.0]])
+    xs = np.concatenate([log_uniform(rng, size=500), [0.0, -0.0, math.nan, 0.0]])
+    ys = np.concatenate([log_uniform(rng, size=500), [3.0, 3.0, 1.0, 0.0]])
     for sp in full_catalog():
-        m = np.concatenate([mean_values(sp, xs[:500], ys[:500]),
-                            [0.0, 0.0, math.nan, 1e-200, 0.0, 0.0]])
+        m = np.concatenate([mean_values(sp, xs[:500], ys[:500]), [0.0, 0.0, math.nan, 0.0]])
         xy = xs * ys
         masked = np.zeros_like(xy)
         np.divide(xy, m, out=masked, where=xy > 0)
         assert conjugate_from_mean(xs, ys, m).tobytes() == masked.tobytes(), sp.to_string()
-    for x, y, mi, want in zip(xs[-6:], ys[-6:], m[-6:], masked[-6:]):  # 0-d, as cde_check
+    for x, y, mi, want in zip(xs[-4:], ys[-4:], m[-4:], masked[-4:]):  # 0-d, as cde_check
         got = conjugate_from_mean(np.asarray(x), np.asarray(y), np.asarray(mi))
         assert got.shape == () and got.tobytes() == want.tobytes()
+
+
+def test_conjugate_outside_the_product_range():
+    # xy overflowed to inf or flushed to 0 where M* = x at x = y; the
+    # flagged elements take x (y/m), with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conjugate_eval(spec("power:1"), 1e200, 1e200) == 1e200
+        assert conjugate_eval(spec("power:0"), 1e-200, 1e-200) == 1e-200
+        got = conjugate_values(spec("power:2"), [1e200, 3.0], [1e200, 4.0])
+        assert got[0] == 1e200
+        assert got[1] == 12.0 / eval_mean(spec("power:2"), 3.0, 4.0)
+        for sp in chain_catalog():
+            for v in (1e-300, 1e-160, 1e160, 1e300):
+                assert conjugate_eval(sp, v, v) == pytest.approx(v, rel=4e-16, abs=0.0), (sp, v)
+        # zero and NaN arguments still give 0 beside a flagged product
+        xs = np.array([1e-200, 0.0, -0.0, math.nan, 2.0])
+        ys = np.array([1e-200, 3.0, 3.0, 1.0, 5e-324])
+        m = np.array([1e-200, 0.0, 0.0, math.nan, mean_values(spec("power:0"), 2.0, 5e-324)])
+        got = conjugate_from_mean(xs, ys, m)
+        assert got[:4].tolist() == [1e-200, 0.0, 0.0, 0.0]
+        assert got[4] == pytest.approx(math.sqrt(2.0 * 5e-324), rel=1e-15, abs=0.0)
+
+
+def test_conjugate_keeps_the_bits_of_the_plain_divide_where_the_product_is_normal():
+    # on a grid whose products are normal doubles, and beside one product
+    # that overflows (the flagged route), the values are x * y / m
+    exps = np.linspace(-150.0, 150.0, 61)
+    x, y = np.meshgrid(1.7 * 10.0 ** exps, 10.0 ** exps / 3.1)
+    for sp in chain_catalog():
+        m = mean_values(sp, x, y)
+        want = x * y / m
+        assert conjugate_from_mean(x, y, m).tobytes() == want.tobytes(), sp.to_string()
+        u, v = x.copy(), y.copy()
+        u[0, 0] = v[0, 0] = 1e300
+        got = conjugate_values(sp, u, v)
+        assert got[0, 0] == pytest.approx(1e300, rel=4e-16, abs=0.0), sp.to_string()
+        assert got.ravel()[1:].tobytes() == want.ravel()[1:].tobytes(), sp.to_string()
 
 
 def test_conjugate_requires_positive_arguments():
